@@ -56,6 +56,7 @@ from .dseries import (
     multiply,
     twist,
 )
+from .errors import InequalityViolation
 from .fixtures import (
     Fixture,
     fixtures,
@@ -127,6 +128,8 @@ __all__ = [
     # dseries
     "Character", "DirichletPoly", "carlson_mean", "derivative_at",
     "evaluate", "h2_norm_sq", "h2k_norm", "multiply", "twist",
+    # errors
+    "InequalityViolation",
     # fixtures
     "Fixture", "fixtures", "get_fixture", "poly_level_measure",
     "poly_shapiro_closed_form", "single_prime_symbol",

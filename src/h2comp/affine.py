@@ -39,6 +39,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .dseries import DirichletPoly, evaluate, h2_norm_sq, multiply
+from .errors import InequalityViolation
 from .primes import dimension_needed, first_primes
 
 __all__ = [
@@ -388,12 +389,12 @@ def bvn_decompose(b, c) -> list[tuple[float, tuple[int, ...]]]:
 
     total = sum(w for w, _ in out)
     if abs(total - 1.0) > 1e-12:
-        raise AssertionError(f"mixture weights sum to {total}, not 1")
+        raise InequalityViolation(f"mixture weights sum to {total}, not 1")
     recon = np.zeros(d)
     for w, perm in out:
         recon += w * np.array([cv[perm[i]] for i in range(d)])
     if float(np.max(np.abs(recon - np.asarray(bv.entries)))) > 1e-10:
-        raise AssertionError("mixing decomposition failed to reconstruct the target")
+        raise InequalityViolation("mixing decomposition failed to reconstruct the target")
     return out
 
 

@@ -12,7 +12,9 @@ Exit codes:
   outside the bounded class);
 * 2 — a mathematically guaranteed inequality failed its numerical
   check.  This is the interesting failure mode: it means a numerical
-  regression, never a matter of taste.
+  regression, never a matter of taste.  A check inside the library
+  that raises `InequalityViolation` ends the run with this code and
+  one ``error:`` line on stderr, and prints no report.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .affine import (
 )
 from .disc import littlewood_check, mobius_comp_norm_sq, psi_matrix, psi_z2z
 from .dseries import DirichletPoly, carlson_mean, evaluate, h2_norm_sq
+from .errors import InequalityViolation
 from .fixtures import get_fixture, fixtures, poly_level_measure, poly_shapiro_closed_form
 from .opnorm import (
     PhiAlphaSymbol,
@@ -1191,6 +1194,9 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except InequalityViolation as e:
+        print(f"error: inequality violated: {e}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ from .affine import (
     in_gordon_hedenmalm,
     xi,
 )
+from .errors import InequalityViolation
 from .zeta import (
     FullIntegers,
     GeometricPowers,
@@ -113,10 +115,14 @@ class TruncatedOperator:
         return np.sum(np.abs(self.entries) ** 2, axis=0)
 
 
-def _multi_indices(d: int, K: int) -> list[tuple[int, ...]]:
-    """Exponent vectors ordered by total degree, then lexicographically."""
+@lru_cache(maxsize=32)
+def _multi_indices(d: int, K: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors ordered by total degree, then lexicographically.
+
+    Cached: every symbol with the same active-prime count and K_out
+    shares one lattice, and the tuple result is immutable."""
     if d == 0:
-        return [()]
+        return ((),)
     out: list[tuple[int, ...]] = []
 
     def fill(prefix: tuple[int, ...], rem_dims: int, rem_total: int):
@@ -128,7 +134,7 @@ def _multi_indices(d: int, K: int) -> list[tuple[int, ...]]:
 
     for total in range(K + 1):
         fill((), d, total)
-    return out
+    return tuple(out)
 
 
 def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out: int) -> np.ndarray:
@@ -197,7 +203,7 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
     return TruncatedOperator(
         symbol=phi,
         input_ns=tuple(range(1, n_in + 1)),
-        out_indices=tuple(idx),
+        out_indices=idx,
         entries=A,
         column_defects=defects,
     )
@@ -351,7 +357,10 @@ def adjoint_bound_general(phi: AffineSymbol, spec: LambdaSpec, sigma_grid) -> fl
         re_phi = _phi_min_re(phi, sigma)
         return zeta(2.0 * re_phi) / zeta_lambda(spec, 2.0 * sigma)
 
-    vals = [q(s) for s in grid]
+    # the grid scan is q point by point with the zeta calls gathered
+    # into one vector call; `_phi_min_re` and `zeta_lambda` stay scalar
+    num = zeta(np.array([2.0 * _phi_min_re(phi, s) for s in grid]))
+    vals = num / np.array([zeta_lambda(spec, 2.0 * s) for s in grid])
     i = int(np.argmax(vals))
     best = vals[i]
     lo = grid[i - 1] if i > 0 else half_absc + 0.5 * (grid[0] - half_absc)
@@ -390,8 +399,12 @@ def adjoint_bound_2s(c: complex, r: float) -> float:
     x_val = _xi_from(max(a, rr), rr)
     if x_val > rr:
         xs.append(1.0 - rr / x_val)
-    xs = sorted(set(xs))
-    vals = [g(x) for x in xs]
+    xs = np.array(sorted(set(xs)))
+    # g on the whole grid, with one vector zeta call
+    args = base + 2.0 * rr * xs
+    live = args > 1.0
+    vals = np.zeros(len(xs))
+    vals[live] = (2.0 - xs[live]) * xs[live] * zeta(args[live])
     i = int(np.argmax(vals))
     best = vals[i]
     lo = xs[i - 1] if i > 0 else xs[0]
@@ -727,7 +740,8 @@ def phi_alpha_adjoint_sup(alpha: float) -> float:
         return 4.0 * x / (1.0 + x) ** 2 * zeta(1.0 + 2.0 * a * x)
 
     xs = np.geomspace(1e-5, 1.0, 512)
-    vals = [g(x) for x in xs]
+    # g on the whole grid, with one vector zeta call
+    vals = 4.0 * xs / (1.0 + xs) ** 2 * zeta(1.0 + 2.0 * a * xs)
     i = int(np.argmax(vals))
     lo = xs[i - 1] if i > 0 else xs[0] * 0.5
     hi = xs[i + 1] if i + 1 < len(xs) else 1.0
@@ -756,7 +770,7 @@ def suite_for_phi_alpha(
     upper = max(2.0 / a, zeta(1.0 + a))
     if a <= alpha0():
         if abs(lower - 2.0 / a) > 1e-12 * max(1.0, 2.0 / a) or abs(upper - 2.0 / a) > 1e-12 * max(1.0, 2.0 / a):
-            raise AssertionError(
+            raise InequalityViolation(
                 "below the crossing point both closed-form bounds must equal 2/alpha"
             )
     rep.entries["genlower"] = BoundEntry(

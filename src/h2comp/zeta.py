@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaincc
 
+from .errors import InequalityViolation
 from .primes import is_prime
 
 __all__ = [
@@ -49,17 +50,33 @@ __all__ = [
 ]
 
 _EM_CUT = 100
-# B_2, B_4, ..., B_16
-_BERNOULLI = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
+_EM_BIG = float(_EM_CUT)
+# the head n = 1 .. N-1 of the Euler--Maclaurin sum
+_EM_HEAD = np.arange(1, _EM_CUT, dtype=float)
+
+
+def _em_coeffs() -> tuple[float, ...]:
+    """B_2j / (2j)! for j = 1..8.  (2j)! is built up as a running float
+    product and divided into B_2j, the rounding the sum has always used."""
+    bernoulli = (  # B_2, B_4, ..., B_16
+        1.0 / 6.0,
+        -1.0 / 30.0,
+        1.0 / 42.0,
+        -1.0 / 30.0,
+        5.0 / 66.0,
+        -691.0 / 2730.0,
+        7.0 / 6.0,
+        -3617.0 / 510.0,
+    )
+    out = []
+    fact = 1.0
+    for j, b in enumerate(bernoulli, start=1):
+        fact *= (2 * j) * (2 * j - 1)
+        out.append(b / fact)
+    return tuple(out)
+
+
+_EM_COEFFS = _em_coeffs()
 
 
 def zeta(sigma):
@@ -68,26 +85,55 @@ def zeta(sigma):
     Euler--Maclaurin about the cutoff N = 100 with eight Bernoulli
     correction terms; the first omitted term is below 1e-30 relative
     for every sigma > 1, so the result is correct to double rounding.
+
+    A Python float or numpy float64 takes a scalar path, anything else
+    (ints, sequences, 0-d and 1-d arrays) the array path.  Both paths run
+    the same operations in the same order with numpy's `power`, so a
+    scalar call and the matching entry of an array call agree bit for
+    bit.  NaN and every sigma <= 1 raise ValueError; sigma = +inf gives 1.
     """
+    if isinstance(sigma, float):
+        return _zeta_scalar(float(sigma))
+    return _zeta_array(sigma)
+
+
+def _zeta_scalar(s: float) -> float:
+    if not s > 1.0:
+        raise ValueError("zeta(sigma) requires sigma > 1")
+    head = float(np.add.reduce(np.power(_EM_HEAD, -s)))
+    t_lead, t_half, npow = np.power(_EM_BIG, np.array((1.0 - s, -s, -s - 1.0))).tolist()
+    out = head + t_lead / (s - 1.0) + 0.5 * t_half
+    poch = s                            # s (s+1) ... (s + 2j - 2)
+    for j, coef in enumerate(_EM_COEFFS, start=1):
+        # past the underflow of npow every further term is 0 (and poch
+        # may already be inf, so inf * 0 must not be formed)
+        if npow == 0.0:
+            break
+        out += coef * poch * npow
+        poch = poch * (s + 2 * j - 1) * (s + 2 * j)
+        npow = npow / (_EM_BIG * _EM_BIG)
+    return out
+
+
+def _zeta_array(sigma):
     s = np.asarray(sigma, dtype=float)
-    if np.any(s <= 1.0):
+    if not np.all(s > 1.0):
         raise ValueError("zeta(sigma) requires sigma > 1")
     scalar = s.ndim == 0
     s = np.atleast_1d(s).astype(float)
 
-    n = np.arange(1, _EM_CUT, dtype=float)
-    head = np.sum(n[None, :] ** (-s[:, None]), axis=1)
+    head = np.sum(_EM_HEAD[None, :] ** (-s[:, None]), axis=1)
 
-    big = float(_EM_CUT)
-    out = head + big ** (1.0 - s) / (s - 1.0) + 0.5 * big ** (-s)
+    out = head + _EM_BIG ** (1.0 - s) / (s - 1.0) + 0.5 * _EM_BIG ** (-s)
     poch = s.copy()                     # s (s+1) ... (s + 2j - 2)
-    npow = big ** (-s - 1.0)
-    fact = 1.0
-    for j, b in enumerate(_BERNOULLI, start=1):
-        fact *= (2 * j) * (2 * j - 1)
-        out += (b / fact) * poch * npow
-        poch = poch * (s + 2 * j - 1) * (s + 2 * j)
-        npow = npow / (big * big)
+    npow = _EM_BIG ** (-s - 1.0)
+    # as on the scalar path, an entry whose npow has underflowed gets no
+    # further terms; the inf * 0 = NaN formed there is discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, coef in enumerate(_EM_COEFFS, start=1):
+            out += np.where(npow > 0.0, coef * poch * npow, 0.0)
+            poch = poch * (s + 2 * j - 1) * (s + 2 * j)
+            npow = npow / (_EM_BIG * _EM_BIG)
     return float(out[0]) if scalar else out
 
 
@@ -151,7 +197,7 @@ def dkzeta_sandwich(k: int, sigma: float) -> tuple[float, float, float]:
     upper = fk * z / pw
     mid = zeta_deriv(k, sigma)
     if not (lower <= mid * (1 + 1e-12) + 1e-300 and mid <= upper * (1 + 1e-12)):
-        raise AssertionError(
+        raise InequalityViolation(
             f"derivative bracket violated at k={k}, sigma={sigma}: "
             f"{lower} !<= {mid} !<= {upper}"
         )
@@ -271,10 +317,10 @@ def alpha0() -> float:
     grid = np.linspace(1.0, 2.0, 21)
     vals = [f(a) for a in grid]
     if not all(x < y for x, y in zip(vals, vals[1:])):
-        raise AssertionError("alpha * zeta(1+alpha) is not increasing on [1, 2]")
+        raise InequalityViolation("alpha * zeta(1+alpha) is not increasing on [1, 2]")
     lo, hi = 1.0, 2.0
     if not (f(lo) < 0.0 < f(hi)):
-        raise AssertionError("root of alpha * zeta(1+alpha) = 2 not bracketed by [1, 2]")
+        raise InequalityViolation("root of alpha * zeta(1+alpha) = 2 not bracketed by [1, 2]")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:

@@ -16,6 +16,7 @@ import pytest
 
 import h2comp.cli as cli
 from h2comp.cli import main
+from h2comp.errors import InequalityViolation
 from h2comp.zeta import zeta
 
 
@@ -45,6 +46,21 @@ def test_bounds_single_prime_report(capsys):
     assert payload["report"]["gate_ok"] is True
     lo, hi = payload["report"]["bracket"]
     assert lo <= hi
+
+
+def test_bounds_far_right_constant_brackets_one(capsys):
+    # zeta(2 Re c) = 1 to double precision; every zeta-based entry must
+    # say so rather than come out null
+    code, out, _ = _run(capsys, ["bounds", "--c", "1e25,0", "--coeffs", "0.1"])
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["bracket"] == {"max_lower": 1, "min_upper": 1}
+    assert report["gate_ok"] is True
+    entries = report["entries"]
+    for key in ("genlower", "adjoint_lower", "mpq_upper", "combo_upper", "smallnorm_upper"):
+        assert entries[key]["applicable"] is True
+        assert entries[key]["value"] is not None
+    assert entries["adjoint_lower"]["value"] == 1
 
 
 def test_bounds_prints_fifteen_digits(capsys):
@@ -229,6 +245,20 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert code == 2
     assert json.loads(out)["all_passed"] is False
     assert "FAIL" in err
+
+
+def test_raised_violation_exits_two(capsys, monkeypatch):
+    def violated(k, sigma):
+        raise InequalityViolation(f"derivative bracket violated at k={k}, sigma={sigma}")
+
+    monkeypatch.setattr(cli, "dkzeta_sandwich", violated)
+    code, out, err = _run(capsys, ["verify-lemmas", "--suite", "zeta-sandwich"])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "derivative bracket violated" in lines[0]
 
 
 # ----------------------------------------------------------- exit paths

@@ -7,11 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from h2comp.affine import AffineSymbol, comp_norm_sq, xi
+import h2comp.opnorm as opnorm
+from h2comp.affine import AffineSymbol, _xi_from, comp_norm_sq, xi
 from h2comp.dseries import DirichletPoly
+from h2comp.fixtures import fixtures
 from h2comp.opnorm import (
     LOWER_KEYS,
     UPPER_KEYS,
+    _golden_max,
     adjoint_bound_2s,
     adjoint_bound_general,
     bound_suite,
@@ -25,7 +28,15 @@ from h2comp.opnorm import (
     sigma_max_sq,
     suite_for_phi_alpha,
 )
-from h2comp.zeta import FullIntegers, GeometricPowers, alpha0, zeta
+from h2comp.zeta import (
+    FullIntegers,
+    GeometricPowers,
+    PrimeSemigroup,
+    abscissa,
+    alpha0,
+    zeta,
+    zeta_lambda,
+)
 
 
 # --- finite sections ------------------------------------------------------
@@ -210,6 +221,96 @@ def test_adjoint_2s_domain():
         adjoint_bound_2s(1.0, 1.0)  # Re c - 1/2 < r
     with pytest.raises(ValueError):
         adjoint_bound_2s(1.5, 0.0)  # needs r > 0
+
+
+# Scalar-loop references for the three adjoint suprema: each grid point
+# is one scalar zeta call.  The library evaluates each grid with one
+# vector zeta call and the same arithmetic, so the results must agree
+# exactly.  `golden` is the refinement step; with the refinement
+# switched off the result is the grid maximum itself.
+
+def _no_refinement(f, lo, hi):
+    return lo, -math.inf
+
+
+def _ref_adjoint_2s(c, r, golden):
+    cc, rr = complex(c), float(r)
+    a = cc.real - 0.5
+    base = 2.0 * cc.real - 2.0 * rr
+
+    def g(x):
+        arg = base + 2.0 * rr * x
+        if arg <= 1.0:
+            return 0.0
+        return (2.0 - x) * x * zeta(arg)
+
+    xs = list(np.geomspace(1e-5, 1.0, 512))
+    x_val = _xi_from(max(a, rr), rr)
+    if x_val > rr:
+        xs.append(1.0 - rr / x_val)
+    xs = sorted(set(xs))
+    vals = [g(x) for x in xs]
+    i = int(np.argmax(vals))
+    lo = xs[i - 1] if i > 0 else xs[0]
+    hi = xs[i + 1] if i + 1 < len(xs) else 1.0
+    best = max(vals[i], golden(g, lo, hi)[1])
+    if abs(base - 1.0) <= 1e-12:
+        best = max(best, 1.0 / rr)
+    return best
+
+
+def _ref_adjoint_general(phi, spec, grid, golden):
+    grid = sorted(float(s) for s in grid)
+    half_absc = abscissa(spec) / 2.0
+
+    def q(sigma):
+        re_phi = phi.c.real - sum(
+            cj * float(p) ** (-sigma) for cj, p in zip(phi.coeffs, phi.primes)
+        )
+        return zeta(2.0 * re_phi) / zeta_lambda(spec, 2.0 * sigma)
+
+    vals = [q(s) for s in grid]
+    i = int(np.argmax(vals))
+    lo = grid[i - 1] if i > 0 else half_absc + 0.5 * (grid[0] - half_absc)
+    hi = grid[i + 1] if i + 1 < len(grid) else grid[-1] * 1.5
+    return max(vals[i], golden(q, lo, hi)[1])
+
+
+def _ref_phi_alpha_adjoint_sup(a, golden):
+    def g(x):
+        return 4.0 * x / (1.0 + x) ** 2 * zeta(1.0 + 2.0 * a * x)
+
+    xs = np.geomspace(1e-5, 1.0, 512)
+    vals = [g(x) for x in xs]
+    i = int(np.argmax(vals))
+    lo = xs[i - 1] if i > 0 else xs[0] * 0.5
+    hi = xs[i + 1] if i + 1 < len(xs) else 1.0
+    return max(max(vals), golden(g, lo, hi)[1], 2.0 / a, zeta(1.0 + 2.0 * a))
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refined", "grid-only"])
+def test_adjoint_suprema_match_scalar_loop_reference(refine, monkeypatch):
+    golden = _golden_max if refine else _no_refinement
+    monkeypatch.setattr(opnorm, "_golden_max", golden)
+    diagonal = [AffineSymbol(0.5 + r, (r,)) for r in (0.1, 0.7, 2.0)]
+    # off the diagonal the supremum is not the closed-form 1/r
+    interior = [AffineSymbol(c, (r,)) for c, r in ((1.5 + 0.3j, 0.4), (2.0, 0.2), (0.9, 0.1))]
+    shipped = list(fixtures().values())
+    affine = [fx.symbol for fx in shipped if fx.kind == "affine"] + diagonal + interior
+    for phi in affine:
+        active = tuple(p for p, cj in zip(phi.primes, phi.coeffs) if cj > 0)
+        if len(active) == 1:
+            assert adjoint_bound_2s(phi.c, phi.r) == _ref_adjoint_2s(phi.c, phi.r, golden)
+        for spec, grid in (
+            (PrimeSemigroup(active), np.geomspace(0.1, 50.0, 96)),
+            (FullIntegers(), np.geomspace(0.55, 50.0, 96)),
+        ):
+            ref = _ref_adjoint_general(phi, spec, grid, golden)
+            assert adjoint_bound_general(phi, spec, grid) == ref
+    alphas = [fx.symbol.alpha for fx in shipped if fx.kind == "family"]
+    assert len(alphas) == 3
+    for a in alphas:
+        assert phi_alpha_adjoint_sup(a) == _ref_phi_alpha_adjoint_sup(a, golden)
 
 
 # --- bound suites ---------------------------------------------------------

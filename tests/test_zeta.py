@@ -63,6 +63,38 @@ def test_zeta_domain():
         zeta(0.5)
 
 
+def test_zeta_rejects_nan():
+    with pytest.raises(ValueError):
+        zeta(math.nan)
+    with pytest.raises(ValueError):
+        zeta(np.float64("nan"))
+    with pytest.raises(ValueError):
+        zeta(np.array([2.0, math.nan, 3.0]))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [kind(v) for kind in (float, np.float64) for v in (1.0 + 1e-12, 2.0, 3.0, 60.0, 1e300)]
+    + [2, 3, 60, 10**300],
+    ids=repr,
+)
+def test_zeta_scalar_path_matches_array_path_bitwise(x):
+    scalar = zeta(x)
+    entry = zeta(np.array([x]))[0]
+    assert type(scalar) is float
+    assert scalar.hex() == float(entry).hex()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1e25, 1e300, math.inf])
+def test_zeta_far_right_is_one(x):
+    # the correction terms underflow to 0 while the rising factorial
+    # overflows; their product must not turn the sum into NaN
+    assert zeta(x) == 1.0
+    assert zeta(np.float64(x)) == 1.0
+    np.testing.assert_array_equal(zeta(np.array([x, 2.0])), [1.0, zeta(2.0)])
+
+
 def test_zeta_deriv_first_at_two():
     # |zeta'(2)| = sum ln(n)/n^2; frozen from a 10^6-term partial sum with
     # integral tail correction, cross-checked against the library once.
