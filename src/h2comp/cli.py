@@ -25,6 +25,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -238,7 +239,15 @@ def _resolve_symbol(args, kinds: tuple[str, ...]):
 
 # --- commands -------------------------------------------------------------
 
+def _require_positive(args, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise _CliError(f"--{flag} must be at least 1, got {value}")
+
+
 def _cmd_bounds(args) -> tuple[str, int]:
+    _require_positive(args, "nin")
     kind, sym, echo = _resolve_symbol(args, ("affine", "family"))
     if kind == "family":
         n_in = args.nin if args.nin else 512
@@ -266,8 +275,9 @@ def _cmd_bounds(args) -> tuple[str, int]:
 
 
 def _cmd_opnorm(args) -> tuple[str, int]:
+    _require_positive(args, "nin", "levels")
     kind, sym, echo = _resolve_symbol(args, ("affine", "family"))
-    L = max(int(args.levels), 1)
+    L = args.levels
     rows = []
     if kind == "family":
         base = args.nin if args.nin else 512
@@ -1092,6 +1102,10 @@ def _cmd_verify_lemmas(args) -> tuple[str, int]:
 
 # --- wiring ---------------------------------------------------------------
 
+# built once per process: construction costs more than a parse, a parser
+# keeps no state between parse_args calls, and help text is formatted
+# when printed, at the terminal width of that moment
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     top = _Parser(
         prog="h2comp",

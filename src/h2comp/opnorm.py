@@ -80,6 +80,7 @@ __all__ = [
 
 _ROW_CAP = 200_000
 _ENTRY_CAP = 8_000_000
+_BLOCK_ENTRIES = 16_384     # rows x columns per block of the last lattice product (256 KB)
 _POWER_TOL = 1e-10
 _POWER_MAXIT = 100_000
 
@@ -137,6 +138,50 @@ def _multi_indices(d: int, K: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
+def _product_plan(d: int, K: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Gather plan for the lattice products of `build_matrix`, one level per prime.
+
+    Level j lists the distinct prefixes (k_0, ..., k_j) of the rows of
+    `_multi_indices(d, K)` as read-only (parent, exponent) index arrays:
+    entry i is entry parent[i] of level j - 1 (level -1 is the single
+    n^{-c} row) times F_j[exponent[i]].  The last level is the rows
+    themselves, in row order.
+    """
+    idx = _multi_indices(d, K)
+    plan = []
+    prev = {(): 0}
+    for j in range(d):
+        level = list(dict.fromkeys(k[: j + 1] for k in idx))
+        parent = np.array([prev[p[:-1]] for p in level], dtype=np.intp)
+        expo = np.array([p[-1] for p in level], dtype=np.intp)
+        parent.flags.writeable = expo.flags.writeable = False
+        plan.append((parent, expo))
+        prev = {p: i for i, p in enumerate(level)}
+    return tuple(plan)
+
+
+def _factor_tables(t: np.ndarray, K: int) -> np.ndarray:
+    """F[j, e] = F[j, e-1] * t[j] / e with F[j, 0] = 1, for all columns at once.
+
+    The complex product is formed from separate real and imaginary float
+    operations, as numpy's scalar complex multiply forms it.  Its
+    vectorized complex multiply may fuse them into FMAs and round
+    differently (it does on AVX-512 hosts), which would move the last
+    bit of entries defined by the scalar recurrence.
+    """
+    F = np.empty((t.shape[0], K + 1, t.shape[1]), dtype=complex)
+    F[:, 0] = 1.0
+    tr, ti = t.real, t.imag
+    for e in range(1, K + 1):
+        ar, ai = F[:, e - 1].real, F[:, e - 1].imag
+        cur = F[:, e]
+        cur.real = ar * tr - ai * ti
+        cur.imag = ar * ti + ai * tr
+        cur /= e
+    return F
+
+
 def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out: int) -> np.ndarray:
     """Certified series tails: the mass of column n beyond degree K_out."""
     r = float(sum(coeffs))
@@ -182,22 +227,25 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
             f"({_ROW_CAP} rows, {_ENTRY_CAP} entries)"
         )
     idx = _multi_indices(d_act, K_out)
-    kmat = np.array(idx, dtype=int).reshape(rows, d_act)
     A = np.zeros((rows, n_in), dtype=complex)
-    for col, n in enumerate(range(1, n_in + 1)):
-        if n == 1:
-            A[0, col] = 1.0
-            continue
-        ln = math.log(n)
-        v = np.full(rows, n ** (-phi.c), dtype=complex)
-        for j, cj in enumerate(eff):
-            t = -cj * ln
-            F = np.empty(K_out + 1, dtype=complex)
-            F[0] = 1.0
-            for e in range(1, K_out + 1):
-                F[e] = F[e - 1] * t / e
-            v = v * F[kmat[:, j]]
-        A[:, col] = v
+    A[0, 0] = 1.0
+    # columns n >= 2; n^{-c} and t = -c_j log n stay Python complex
+    # scalars, so every entry keeps the bits of its scalar definition
+    ns = range(2, n_in + 1)
+    base = np.array([n ** (-phi.c) for n in ns], dtype=complex)
+    if d_act == 0:
+        A[0, 1:] = base
+    else:
+        lns = [math.log(n) for n in ns]
+        F = _factor_tables(np.array([[-cj * ln for ln in lns] for cj in eff], dtype=complex), K_out)
+        plan = _product_plan(d_act, K_out)
+        P = base[None, :]
+        for j, (parent, expo) in enumerate(plan[:-1]):
+            P = P[parent] * F[j, expo]
+        parent, expo = plan[-1]
+        step = max(1, _BLOCK_ENTRIES // max(1, n_in - 1))
+        for r0 in range(0, rows, step):
+            np.multiply(P[parent[r0:r0 + step]], F[-1, expo[r0:r0 + step]], out=A[r0:r0 + step, 1:])
     mods = [abs(z) for z in eff]
     defects = _column_defects(phi.c.real, mods, np.arange(1, n_in + 1), K_out)
     return TruncatedOperator(

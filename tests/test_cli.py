@@ -305,6 +305,50 @@ def test_symbol_outside_bounded_class(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bounds", "--fixture", "fig1-c", "--nin", "0"], "--nin"),
+        (["bounds", "--fixture", "fig1-c", "--nin", "-3"], "--nin"),
+        (["bounds", "--fixture", "phi-alpha-1", "--nin", "0"], "--nin"),
+        (["opnorm", "--c", "1.5", "--coeffs", "0.3", "--nin", "0", "--levels", "2"], "--nin"),
+        (["opnorm", "--fixture", "phi-alpha-1", "--nin", "0"], "--nin"),
+        (["opnorm", "--c", "1.5", "--coeffs", "0.3", "--levels", "-5"], "--levels"),
+        (["opnorm", "--c", "1.5", "--coeffs", "0.3", "--levels", "0"], "--levels"),
+    ],
+)
+def test_nonpositive_truncation_flag_rejected(capsys, argv, flag):
+    # these once ran with a silently substituted default
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and flag in lines[0]
+
+
+def test_cached_parser_matches_fresh_parser(capsys):
+    sequence = [
+        ["bounds", "--coeffs", "1", "--bogus", "3"],
+        ["bounds", "--c", "1.5", "--coeffs", "0.4,0.3"],
+        ["opnorm", "--coeffs", "1", "--nin", "8", "--kout", "8", "--levels", "2"],
+        ["verify-lemmas", "--suite", "crossing-point"],
+        ["--help"],
+    ]
+    cli._build_parser.cache_clear()
+    shared = [_run(capsys, argv) for argv in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(capsys, argv))
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0]
+    for argv, (code, out, err), (code_f, out_f, err_f) in zip(sequence, shared, fresh):
+        assert code == code_f, argv
+        assert _strip_timestamp(out) == _strip_timestamp(out_f), argv
+        assert err == err_f, argv
+
+
 # ----------------------------------------------------------- processes
 
 

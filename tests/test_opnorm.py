@@ -122,6 +122,64 @@ def test_sigma_beats_point_evaluation_bound():
     assert val > zeta(3.0)
 
 
+def _build_matrix_columnwise(phi, n_in, K_out):
+    """Reference: the entries column by column, a scalar recurrence per prime."""
+    eff = [z for z in phi.effective_coeffs() if z != 0]
+    d_act = len(eff)
+    rows = math.comb(K_out + d_act, d_act)
+    idx = opnorm._multi_indices(d_act, K_out)
+    kmat = np.array(idx, dtype=int).reshape(rows, d_act)
+    A = np.zeros((rows, n_in), dtype=complex)
+    for col, n in enumerate(range(1, n_in + 1)):
+        if n == 1:
+            A[0, col] = 1.0
+            continue
+        ln = math.log(n)
+        v = np.full(rows, n ** (-phi.c), dtype=complex)
+        for j, cj in enumerate(eff):
+            t = -cj * ln
+            F = np.empty(K_out + 1, dtype=complex)
+            F[0] = 1.0
+            for e in range(1, K_out + 1):
+                F[e] = F[e - 1] * t / e
+            v = v * F[kmat[:, j]]
+        A[:, col] = v
+    defects = opnorm._column_defects(
+        phi.c.real, [abs(z) for z in eff], np.arange(1, n_in + 1), K_out
+    )
+    return A, defects, idx
+
+
+_SECTION_COEFFS = {
+    0: (),
+    1: (0.4,),
+    2: (0.3, 0.15),
+    3: (0.2, 0.0, 0.1, 0.15),  # a zero coefficient drops out of the lattice
+    4: (0.1, 0.12, 0.08, 0.15),
+}
+
+
+@pytest.mark.parametrize(
+    "d_act, twist",
+    [(0, "none")] + [(d, tw) for d in range(1, 5) for tw in ("none", "flipped", "complex")],
+)
+def test_build_matrix_matches_columnwise_bytes(d_act, twist):
+    coeffs = _SECTION_COEFFS[d_act]
+    tw = {
+        "none": None,
+        "flipped": tuple(-1.0 for _ in coeffs),
+        "complex": tuple(complex(math.cos(j + 1.0), math.sin(j + 1.0)) for j in range(len(coeffs))),
+    }[twist]
+    phi = AffineSymbol(1.5 + 0.7j, coeffs, twist=tw)
+    for K_out in (0, opnorm._default_kout(max(d_act, 1))):
+        for n_in in (1, 2, 17, 64):
+            op = build_matrix(phi, n_in, K_out)
+            A, defects, idx = _build_matrix_columnwise(phi, n_in, K_out)
+            assert op.entries.tobytes() == A.tobytes(), (K_out, n_in)
+            assert op.column_defects.tobytes() == defects.tobytes(), (K_out, n_in)
+            assert op.out_indices == idx
+
+
 # --- kernel quotients -----------------------------------------------------
 
 def test_kernel_quotient_far_right_tends_to_one():

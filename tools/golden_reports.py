@@ -8,7 +8,9 @@ checkouts and diff the two outputs; a change that keeps every report
 byte-identical apart from the timestamp shows no difference.
 
 The commands are `bounds` and `opnorm` on every shipped fixture they
-accept, and `verify-lemmas --suite` for every suite.  They run in this
+accept, the edge cases of the truncated section (one input column,
+K_out = 0, a constant symbol with no active prime, a single opnorm
+level), and `verify-lemmas --suite` for every suite.  They run in this
 process through `h2comp.cli.main`, with the package imported from this
 checkout's `src`.
 """
@@ -33,6 +35,9 @@ def commands() -> list[list[str]]:
         if fx.kind in ("affine", "family"):
             out.append(["bounds", "--fixture", name])
             out.append(["opnorm", "--fixture", name])
+    out.append(["bounds", "--fixture", "fig1-c", "--kout", "0", "--nin", "1"])
+    out.append(["bounds", "--c", "2", "--coeffs", "0"])
+    out.append(["opnorm", "--fixture", "fig1-c", "--levels", "1", "--nin", "2"])
     out.extend(["verify-lemmas", "--suite", suite] for suite in cli._SUITES)
     return out
 
