@@ -33,14 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
 from .dseries import DirichletPoly, evaluate, h2_norm_sq, multiply
 from .errors import InequalityViolation
-from .primes import dimension_needed, first_primes
+from .primes import dimension_needed, exponents_over, first_primes
 
 __all__ = [
     "CoeffVector",
@@ -180,6 +179,18 @@ class AffineSymbol:
         tw = "" if self.twist is None else f", twist={self.twist!r}"
         return f"AffineSymbol(c={self.c!r}, coeffs={self.coeffs!r}{tw})"
 
+    def boundary(self, Z: np.ndarray) -> np.ndarray:
+        """phi*(chi) for a (d, m) block Z of character values.
+
+        The terms are added one prime at a time, c_1 Z_1 first; line
+        traces and sampled measures both come through here, so they
+        round alike.
+        """
+        out = np.full(Z.shape[1], self.c, dtype=complex)
+        for j, cj in enumerate(self.effective_coeffs()):
+            out += cj * Z[j]
+        return out
+
     def to_jsonable(self) -> dict:
         out: dict = {
             "c": [self.c.real, self.c.imag],
@@ -245,6 +256,26 @@ class PolynomialSymbol:
     @property
     def r(self) -> float:
         return self.radius
+
+    def boundary(self, Z: np.ndarray) -> np.ndarray:
+        """phi*(chi) for a (d, m) block Z of character values: each term
+        a_n n^{-s} becomes a_n prod_j Z_j^{e_j} with n = prod_j p_j^{e_j}."""
+        out = np.full(Z.shape[1], self.c, dtype=complex)
+        primes = first_primes(self.d)
+        for n, a in self.terms.items():
+            term = np.full(Z.shape[1], a, dtype=complex)
+            for j, e in enumerate(exponents_over(n, primes)):
+                if e:
+                    term = term * Z[j] ** e
+            out += term
+        return out
+
+    def to_jsonable(self) -> dict:
+        return {
+            "c": [self.c.real, self.c.imag],
+            "terms": [[n, a.real, a.imag] for n, a in self.terms.items()],
+            "radius": self.radius,
+        }
 
     def __repr__(self):
         return f"PolynomialSymbol(c={self.c!r}, terms={self.terms!r}, radius={self.radius!r})"
@@ -553,47 +584,24 @@ def comp_bruteforce_norm_sq(phi: AffineSymbol, f: DirichletPoly, K_max: int | No
 
 # --- exact dominance of multinomial power sums ----------------------------
 
-def _power_sum_exact(vals: Sequence, k: int):
-    """sum over |j| = k of multinomial(k; j)^2 prod v_i^(2 j_i), computed
-    with exact integer/rational arithmetic.
+def _power_sums(vals: list, K: int) -> list:
+    """S_k = sum over |j| = k of multinomial(k; j)^2 prod v_i^(2 j_i), k = 0..K.
 
-    multinomial(k; j_1..j_d) = prod over i of C(rem_i, j_i) where rem_i
-    is the mass not yet assigned; the recursion builds it one bin at a
-    time, so no factorial ever appears explicitly.
+    Folds in one entry v at a time, S_k <- sum_j C(k, j)^2 v^(2j) S_{k-j},
+    because multinomial(k; j_1..j_d) = C(k, j_d) multinomial(k - j_d;
+    j_1..j_{d-1}).  The arithmetic is that of the entries: ints and
+    Fractions stay exact, floats stay floats.
     """
-    active = [v for v in vals if v != 0]
-    if not active:
-        return Fraction(0) if k else Fraction(1)
-    total = Fraction(0)
-
-    def walk(i: int, rem: int, mult: int, prod):
-        nonlocal total
-        if i == len(active) - 1:
-            total += Fraction(mult * mult) * prod * active[i] ** (2 * rem)
-            return
-        for j in range(rem + 1):
-            walk(i + 1, rem - j, mult * math.comb(rem, j), prod * active[i] ** (2 * j))
-
-    walk(0, k, 1, Fraction(1))
-    return total
-
-
-def _power_sum_float(vals: Sequence[float], k: int) -> float:
-    active = [float(v) for v in vals if v != 0.0]
-    if not active:
-        return 0.0 if k else 1.0
-    total = 0.0
-
-    def walk(i: int, rem: int, mult: float, prod: float):
-        nonlocal total
-        if i == len(active) - 1:
-            total += (mult * mult) * prod * active[i] ** (2 * rem)
-            return
-        for j in range(rem + 1):
-            walk(i + 1, rem - j, mult * math.comb(rem, j), prod * active[i] ** (2 * j))
-
-    walk(0, k, 1.0, 1.0)
-    return total
+    S = [1] + [0] * K
+    for v in vals:
+        if v == 0:
+            continue
+        pw = [v ** (2 * j) for j in range(K + 1)]
+        S = [
+            sum(math.comb(k, j) ** 2 * pw[j] * S[k - j] for j in range(k + 1))
+            for k in range(K + 1)
+        ]
+    return S
 
 
 def hq_dominance(b, c, K: int = 60) -> list[tuple]:
@@ -617,27 +625,11 @@ def hq_dominance(b, c, K: int = 60) -> list[tuple]:
     if exact:
         if sum(bl) != sum(cl):
             raise ValueError(f"sum mismatch: {sum(bl)} vs {sum(cl)}")
-        eb = [Fraction(v) for v in bl]
-        ec = [Fraction(v) for v in cl]
-        lhs_of = lambda k: _power_sum_exact(eb, k)
-        rhs_of = lambda k: _power_sum_exact(ec, k)
     else:
-        fb = [float(v) for v in bl]
-        fc = [float(v) for v in cl]
-        if abs(sum(fb) - sum(fc)) > 1e-12 * max(1.0, sum(fb), sum(fc)):
-            raise ValueError(f"sum mismatch: {sum(fb)} vs {sum(fc)}")
-        lhs_of = lambda k: _power_sum_float(fb, k)
-        rhs_of = lambda k: _power_sum_float(fc, k)
-
-    # guard the enumeration size: compositions of k into d parts
-    d = max(len([v for v in bl if v != 0]), len([v for v in cl if v != 0]))
-    est = sum(math.comb(k + d - 1, d - 1) for k in range(1, K + 1))
-    if est > 5_000_000:
-        raise ValueError("dominance enumeration too large for this dimension and K")
-
-    out = []
-    for k in range(1, K + 1):
-        lhs = lhs_of(k)
-        rhs = rhs_of(k)
-        out.append((k, lhs, rhs, lhs <= rhs))
-    return out
+        bl = [float(v) for v in bl]
+        cl = [float(v) for v in cl]
+        if abs(sum(bl) - sum(cl)) > 1e-12 * max(1.0, sum(bl), sum(cl)):
+            raise ValueError(f"sum mismatch: {sum(bl)} vs {sum(cl)}")
+    lhs = _power_sums(bl, K)
+    rhs = _power_sums(cl, K)
+    return [(k, lhs[k], rhs[k], lhs[k] <= rhs[k]) for k in range(1, K + 1)]

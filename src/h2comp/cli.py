@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__
 from .affine import (
     AffineSymbol,
-    PolynomialSymbol,
     annulus_radii,
     bvn_decompose,
     comp_bruteforce_norm_sq,
@@ -47,7 +46,6 @@ from .dseries import DirichletPoly, carlson_mean, evaluate, h2_norm_sq
 from .errors import InequalityViolation
 from .fixtures import get_fixture, fixtures, poly_level_measure, poly_shapiro_closed_form
 from .opnorm import (
-    PhiAlphaSymbol,
     adjoint_bound_2s,
     adjoint_bound_general,
     bound_suite,
@@ -187,28 +185,6 @@ def _parse_vector_exactish(text: str):
         raise _CliError(f"expected a comma-separated number list — got {text!r}")
 
 
-def _symbol_jsonable(sym) -> dict:
-    if isinstance(sym, AffineSymbol):
-        return sym.to_jsonable()
-    if isinstance(sym, PolynomialSymbol):
-        return {
-            "c": [sym.c.real, sym.c.imag],
-            "terms": [[n, a.real, a.imag] for n, a in sym.terms.items()],
-            "radius": sym.radius,
-        }
-    if isinstance(sym, PhiAlphaSymbol):
-        return {"alpha": sym.alpha}
-    if isinstance(sym, InnerSymbolParams):
-        return {
-            "lambdas": list(sym.lambdas),
-            "thetas": list(sym.thetas),
-            "c": [sym.c.real, sym.c.imag],
-            "r": sym.r,
-            "lambda_tail": sym.lambda_tail,
-        }
-    raise TypeError(f"no JSON form for {sym!r}")
-
-
 def _resolve_symbol(args, kinds: tuple[str, ...]):
     """(kind, symbol, echo) from --fixture or --c/--coeffs flags."""
     if getattr(args, "fixture", None):
@@ -267,7 +243,7 @@ def _cmd_bounds(args) -> tuple[str, int]:
     if args.kout is not None:
         echo["kout"] = args.kout
     payload = _header("bounds", echo, None)
-    payload["symbol"] = _symbol_jsonable(sym)
+    payload["symbol"] = sym.to_jsonable()
     payload.update(trunc)
     payload["report"] = rep.to_jsonable()
     code = 0 if rep.gate_ok() else 2
@@ -282,7 +258,7 @@ def _cmd_opnorm(args) -> tuple[str, int]:
     if kind == "family":
         base = args.nin if args.nin else 512
         k_out = args.kout if args.kout is not None else 400
-        sizes = sorted({max(4, base >> (L - 1 - i)) for i in range(L)})
+        sizes = sorted({max(4, base >> s) for s in range(min(L, base.bit_length() + 1))})
         for n in sizes:
             op = phi_alpha_operator(sym.alpha, n_in=n, K_out=k_out)
             rows.append({"n_in": n, "k_out": k_out, "sigma_max_sq": sigma_max_sq(op)})
@@ -290,7 +266,7 @@ def _cmd_opnorm(args) -> tuple[str, int]:
         base = args.nin if args.nin else 64
         d_act = sum(1 for x in sym.coeffs if x > 0)
         k_out = args.kout if args.kout is not None else _default_kout(max(d_act, 1))
-        sizes = sorted({max(2, base >> (L - 1 - i)) for i in range(L)})
+        sizes = sorted({max(2, base >> s) for s in range(min(L, base.bit_length() + 1))})
         for n, k, s in sigma_max_series(sym, [(n, k_out) for n in sizes]):
             rows.append({"n_in": n, "k_out": k, "sigma_max_sq": s})
     monotone_ok = all(
@@ -299,7 +275,7 @@ def _cmd_opnorm(args) -> tuple[str, int]:
     )
     echo.update({k: getattr(args, k) for k in ("nin", "kout", "levels") if getattr(args, k) is not None})
     payload = _header("opnorm", echo, None)
-    payload["symbol"] = _symbol_jsonable(sym)
+    payload["symbol"] = sym.to_jsonable()
     payload["levels"] = rows
     payload["monotone_ok"] = monotone_ok
     return _render(payload) + "\n", 0 if monotone_ok else 2
@@ -441,16 +417,15 @@ def _cmd_measure(args) -> tuple[str, int]:
     delta = args.delta
     if delta is None:
         raise _CliError("measure needs --delta")
-    d = max(getattr(sym, "d", 1), 1)
     try:
-        plan = SamplePlan(n_samples=args.samples, seed=args.seed, d=d)
+        plan = SamplePlan(n_samples=args.samples, seed=args.seed, d=max(sym.d, 1))
         res = measure_E_delta(sym, delta, plan)
         shap = shapiro_constant(sym, delta, plan)
     except ValueError as e:
         raise _CliError(str(e))
     echo.update({"delta": args.delta, "samples": args.samples})
     payload = _header("measure", echo, args.seed)
-    payload["symbol"] = _symbol_jsonable(sym)
+    payload["symbol"] = sym.to_jsonable()
     payload["estimate"] = res.estimate
     payload["ci95"] = res.ci95
     payload["shapiro_constant"] = shap
@@ -484,12 +459,8 @@ def _cmd_curve(args) -> tuple[str, int]:
     offs = np.hypot(trace[:, 1] - c.real, trace[:, 2] - c.imag)
     mn = float(offs.min())
     mx = float(offs.max())
-    if kind == "affine":
-        r0, r = annulus_radii(sym)
-    elif kind == "poly":
-        r0, r = None, sym.radius
-    else:
-        r0, r = None, sym.r
+    r = sym.r
+    r0 = annulus_radii(sym)[0] if kind == "affine" else None
     outer_ok = mx <= r + 1e-9
     inner_ok = (mn >= r0 - 1e-9) if r0 is not None else True
     code = 0 if (outer_ok and inner_ok) else 2
@@ -504,7 +475,7 @@ def _cmd_curve(args) -> tuple[str, int]:
 
     echo.update({"T": args.T, "steps": args.steps})
     payload = _header("curve", echo, None)
-    payload["symbol"] = _symbol_jsonable(sym)
+    payload["symbol"] = sym.to_jsonable()
     payload["t_range"] = [-T, T]
     payload["steps"] = steps
     payload["min_offset"] = mn
@@ -567,7 +538,7 @@ def _cmd_inner_check(args) -> tuple[str, int]:
 
     echo = {"fixture": name, "samples": args.samples}
     payload = _header("inner-check", echo, args.seed)
-    payload["symbol"] = _symbol_jsonable(params)
+    payload["symbol"] = params.to_jsonable()
     payload["g_infinity"] = params.g_infinity
     payload["rows"] = rows
     payload["deep_interior_modulus"] = deep

@@ -688,6 +688,9 @@ class PhiAlphaSymbol:
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "alpha", float(self.alpha))
 
+    def to_jsonable(self) -> dict:
+        return {"alpha": self.alpha}
+
     def value(self, s) -> complex:
         z = 2.0 ** (-np.asarray(s, dtype=complex))
         return 0.5 + self.alpha * (1.0 - z) / (1.0 + z)

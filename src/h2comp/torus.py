@@ -35,9 +35,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .affine import AffineSymbol, PolynomialSymbol, in_gordon_hedenmalm
+from .affine import AffineSymbol, in_gordon_hedenmalm
 from .dseries import Character, DirichletPoly, evaluate
-from .primes import exponents_over, first_primes
+from .primes import first_primes
 
 __all__ = [
     "SamplePlan",
@@ -88,77 +88,43 @@ def sample_characters(plan: SamplePlan) -> np.ndarray:
     same (seed, j) always reproduces the same column of phases no
     matter how many coordinates any particular symbol needs.
     """
-    out = np.empty((plan.d, plan.n_samples), dtype=complex)
-    for j in range(plan.d):
-        gen = np.random.Generator(np.random.Philox(key=[plan.seed, j]))
-        theta = gen.uniform(0.0, 2.0 * math.pi, plan.n_samples)
-        out[j] = np.exp(1j * theta)
-    return out
+    return np.concatenate([Z.copy() for Z in _character_blocks(plan)], axis=1)
 
 
-# --- symbol dispatch ------------------------------------------------------
+def _character_blocks(plan: SamplePlan):
+    """The samples of `plan` as (d, m) blocks of at most _CHUNK columns,
+    drawn straight from the per-coordinate streams.
 
-def _frame(phi) -> tuple[complex, float]:
-    if isinstance(phi, AffineSymbol):
-        return (phi.c, phi.r)
-    if isinstance(phi, PolynomialSymbol):
-        return (phi.c, phi.radius)
-    if isinstance(phi, InnerSymbolParams):
-        return (phi.c, phi.r)
-    raise TypeError(f"not a boundary-sampleable symbol: {phi!r}")
+    A stream hands out the same phases whether it is read in one draw or
+    in pieces, so the blocks side by side are `sample_characters(plan)`
+    bit for bit.  Every block is written into one buffer, so memory stays
+    at one block for any n_samples, and a block is valid only until the
+    next one is drawn.
+    """
+    gens = [np.random.Generator(np.random.Philox(key=[plan.seed, j])) for j in range(plan.d)]
+    buf = np.empty((plan.d, min(_CHUNK, plan.n_samples)), dtype=complex)
+    for i in range(0, plan.n_samples, _CHUNK):
+        m = min(_CHUNK, plan.n_samples - i)
+        for j, gen in enumerate(gens):
+            buf[j, :m] = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, m))
+        yield buf[:, :m]
 
+
+# --- boundary values ------------------------------------------------------
+#
+# A sampleable symbol exposes its frame as `.c` and `.r`, its torus
+# dimension as `.d`, and `boundary(Z)`: phi*(chi) for a (d, m) block of
+# character values.
 
 def _required_dim(phi) -> int:
-    d = phi.d
-    return max(int(d), 1)
+    return max(int(phi.d), 1)
 
 
-def _boundary_batch(phi, Z: np.ndarray) -> np.ndarray:
-    """phi*(chi) for a batch of character samples Z of shape (d, m)."""
-    if isinstance(phi, AffineSymbol):
-        eff = np.array(phi.effective_coeffs(), dtype=complex)
-        if eff.size == 0:
-            return np.full(Z.shape[1], phi.c, dtype=complex)
-        return phi.c + eff @ Z[: eff.size]
-    if isinstance(phi, PolynomialSymbol):
-        d = phi.d
-        out = np.full(Z.shape[1], phi.c, dtype=complex)
-        primes = first_primes(d)
-        for n, a in phi.terms.items():
-            expo = exponents_over(n, primes)
-            term = np.full(Z.shape[1], a, dtype=complex)
-            for j, e in enumerate(expo):
-                if e:
-                    term = term * Z[j] ** e
-            out += term
-        return out
-    if isinstance(phi, InnerSymbolParams):
-        g = _inner_g_batch(phi, Z)
-        ginf = phi.g_infinity
-        return phi.c + phi.r * (g - ginf) / (1.0 - ginf * g)
-    raise TypeError(f"not a boundary-sampleable symbol: {phi!r}")
-
-
-def _line_batch(phi, t: np.ndarray) -> np.ndarray:
-    """phi(it) along the imaginary axis."""
-    if isinstance(phi, AffineSymbol):
-        primes = phi.primes
-        eff = phi.effective_coeffs()
-        out = np.full(t.shape, phi.c, dtype=complex)
-        for p, cj in zip(primes, eff):
-            out += cj * np.exp(-1j * t * math.log(p))
-        return out
-    if isinstance(phi, PolynomialSymbol):
-        out = np.full(t.shape, phi.c, dtype=complex)
-        for n, a in phi.terms.items():
-            out += a * np.exp(-1j * t * math.log(n))
-        return out
-    if isinstance(phi, InnerSymbolParams):
-        Z = np.stack([
-            np.exp(-1j * t * math.log(p)) for p in first_primes(phi.d)
-        ])
-        return _boundary_batch(phi, Z)
-    raise TypeError(f"not a line-traceable symbol: {phi!r}")
+def _line_values(phi, t: np.ndarray) -> np.ndarray:
+    """phi(it) along the imaginary axis: the boundary values at the
+    characters Z_j = p_j^{-it}."""
+    Z = np.stack([np.exp(-1j * t * math.log(p)) for p in first_primes(_required_dim(phi))])
+    return phi.boundary(Z)
 
 
 def boundary_value(phi, chi: Character | Sequence[complex]) -> complex:
@@ -168,7 +134,7 @@ def boundary_value(phi, chi: Character | Sequence[complex]) -> complex:
     if len(vals) < d:
         raise ValueError(f"character has {len(vals)} coordinates, symbol needs {d}")
     Z = np.array(vals[:d], dtype=complex).reshape(d, 1)
-    return complex(_boundary_batch(phi, Z)[0])
+    return complex(phi.boundary(Z)[0])
 
 
 # --- measures -------------------------------------------------------------
@@ -178,7 +144,7 @@ def measure_E_delta(phi, delta: float, plan: SamplePlan) -> MeasureResult:
     with a binomial 95% confidence radius."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    c, r = _frame(phi)
+    c, r = phi.c, phi.r
     if not r > 0.0:
         raise ValueError("level-set measures need a nondegenerate frame radius")
     d = _required_dim(phi)
@@ -186,13 +152,8 @@ def measure_E_delta(phi, delta: float, plan: SamplePlan) -> MeasureResult:
         raise ValueError(f"plan has d={plan.d}, symbol needs d={d}")
     n = plan.n_samples
     hits = 0
-    done = 0
-    Z = sample_characters(plan)
-    for i in range(0, n, _CHUNK):
-        blk = Z[:, i : i + _CHUNK]
-        vals = _boundary_batch(phi, blk)
-        hits += int(np.count_nonzero(np.abs(vals - c) < delta * r))
-        done += blk.shape[1]
+    for Z in _character_blocks(plan):
+        hits += int(np.count_nonzero(np.abs(phi.boundary(Z) - c) < delta * r))
     est = hits / n
     ci = 1.96 * math.sqrt(max(est * (1.0 - est), 0.0) / n)
     return MeasureResult(est, ci)
@@ -215,13 +176,13 @@ def ergodic_measure(phi, delta: float, T: float, steps: int) -> float:
         raise ValueError("delta must lie in [0, 1]")
     if not T > 0.0 or steps < 2:
         raise ValueError("need T > 0 and at least 2 grid points")
-    c, r = _frame(phi)
+    c, r = phi.c, phi.r
     if not r > 0.0:
         raise ValueError("level-set measures need a nondegenerate frame radius")
     t = np.linspace(-T, T, int(steps))
     hits = 0
     for i in range(0, t.size, _CHUNK):
-        vals = _line_batch(phi, t[i : i + _CHUNK])
+        vals = _line_values(phi, t[i : i + _CHUNK])
         hits += int(np.count_nonzero(np.abs(vals - c) < delta * r))
     return hits / t.size
 
@@ -237,7 +198,7 @@ def curve_trace(phi, t_min: float, t_max: float, steps: int) -> np.ndarray:
     out = np.empty((t.size, 3))
     out[:, 0] = t
     for i in range(0, t.size, _CHUNK):
-        vals = _line_batch(phi, t[i : i + _CHUNK])
+        vals = _line_values(phi, t[i : i + _CHUNK])
         out[i : i + _CHUNK, 1] = vals.real
         out[i : i + _CHUNK, 2] = vals.imag
     return out
@@ -254,14 +215,11 @@ def mc_comp_norm_sq(phi, f: DirichletPoly, plan: SamplePlan) -> MeasureResult:
         raise ValueError(f"plan has d={plan.d}, symbol needs d={d}")
     if isinstance(phi, AffineSymbol) and not in_gordon_hedenmalm(phi):
         raise ValueError("Monte Carlo norms require a symbol in the bounded class")
-    Z = sample_characters(plan)
     n = plan.n_samples
     total = 0.0
     total_sq = 0.0
-    for i in range(0, n, _CHUNK):
-        blk = Z[:, i : i + _CHUNK]
-        pts = _boundary_batch(phi, blk)
-        v = np.abs(evaluate(f, pts)) ** 2
+    for Z in _character_blocks(plan):
+        v = np.abs(evaluate(f, phi.boundary(Z))) ** 2
         total += float(np.sum(v))
         total_sq += float(np.sum(v * v))
     mean = total / n
@@ -317,9 +275,43 @@ class InnerSymbolParams:
     def g_infinity(self) -> float:
         return math.exp(-sum(self.lambdas))
 
+    def boundary(self, Z: np.ndarray) -> np.ndarray:
+        """phi*(chi) = c + r (g - g_inf)/(1 - g_inf g) for a (d, m) block
+        Z of character values.
 
-def _inner_g_batch(params: InnerSymbolParams, Z: np.ndarray, sigma: float = 0.0) -> np.ndarray:
-    """g evaluated on character samples at vertical position sigma >= 0."""
+        On the torus each factor (e^{i theta} + z)/(e^{i theta} - z) is
+        purely imaginary, so g = exp(-i A) with A = sum_j lambda_j times
+        the imaginary part of factor j, and |g| = 1 up to the rounding of
+        cos and sin.  The computed real parts are rounding noise, which
+        grows near a pole, and are dropped.  At an exact pole g takes its
+        radial limit 0.
+        """
+        A = np.zeros(Z.shape[1])
+        at_pole = np.zeros(Z.shape[1], dtype=bool)
+        for j, (lam, th) in enumerate(zip(self.lambdas, self.thetas)):
+            if lam == 0.0:
+                continue
+            pole = complex(math.cos(th), math.sin(th))
+            gap = pole - Z[j]
+            hit = gap == 0
+            at_pole |= hit
+            A += lam * ((pole + Z[j]) / np.where(hit, 1.0, gap)).imag
+        g = np.where(at_pole, 0.0, np.exp(-1j * A))
+        ginf = self.g_infinity
+        return self.c + self.r * (g - ginf) / (1.0 - ginf * g)
+
+    def to_jsonable(self) -> dict:
+        return {
+            "lambdas": list(self.lambdas),
+            "thetas": list(self.thetas),
+            "c": [self.c.real, self.c.imag],
+            "r": self.r,
+            "lambda_tail": self.lambda_tail,
+        }
+
+
+def _inner_g_batch(params: InnerSymbolParams, Z: np.ndarray, sigma: float) -> np.ndarray:
+    """g evaluated on character samples at vertical position sigma > 0."""
     primes = first_primes(params.d)
     m = Z.shape[1]
     S = np.zeros(m, dtype=complex)

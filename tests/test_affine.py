@@ -263,6 +263,96 @@ def test_hq_dominance_majorizing_pairs():
         assert all(ok for _, _, _, ok in rows)
 
 
+def _enumerated_power_sum(vals, k):
+    """sum over |j| = k of multinomial(k; j)^2 prod v_i^(2 j_i), walking
+    every composition of k into the nonzero entries."""
+    active = [v for v in vals if v != 0]
+    if not active:
+        return 0 if k else 1
+    total = 0
+
+    def walk(i, rem, mult, prod):
+        nonlocal total
+        if i == len(active) - 1:
+            total += mult * mult * prod * active[i] ** (2 * rem)
+            return
+        for j in range(rem + 1):
+            walk(i + 1, rem - j, mult * math.comb(rem, j), prod * active[i] ** (2 * j))
+
+    walk(0, k, 1, 1)
+    return total
+
+
+# largest K per dimension at which the enumeration stays under ~50k leaves
+_ENUM_K = {1: 60, 2: 60, 3: 60, 4: 30, 5: 16}
+
+
+def _same_sum_pair(rng, d, exact_type):
+    """Two vectors with equal sums, some entries zero."""
+    if exact_type is int:
+        b = [int(x) for x in rng.integers(0, 7, d)]
+    else:
+        b = [Fraction(int(x), int(q)) for x, q in zip(rng.integers(0, 7, d), rng.integers(1, 6, d))]
+    b[-1] += 1
+    c = b[::-1]
+    if d > 1:
+        move = c[0] / 2 if exact_type is Fraction else c[0] // 2
+        c[0] -= move
+        c[1] += move
+    return b, c
+
+
+@pytest.mark.parametrize("exact_type", [int, Fraction])
+@pytest.mark.parametrize("d", sorted(_ENUM_K))
+def test_hq_dominance_fold_matches_enumeration(d, exact_type):
+    rng = np.random.default_rng(700 + d)
+    K = _ENUM_K[d]
+    b, c = _same_sum_pair(rng, d, exact_type)
+    rows = hq_dominance(b, c, K=K)
+    assert [k for k, *_ in rows] == list(range(1, K + 1))
+    for k, lhs, rhs, ok in rows:
+        assert isinstance(lhs, exact_type) and isinstance(rhs, exact_type)
+        assert lhs == _enumerated_power_sum(b, k)
+        assert rhs == _enumerated_power_sum(c, k)
+        assert ok == (lhs <= rhs)
+
+
+def _exact_power_sums_of_floats(vals, K):
+    """The power sums of float entries in exact arithmetic: write the
+    entries n_i / D over a common power-of-two denominator, then
+    S_k = S_k(n) / D^(2k), and the int division rounds once."""
+    ratios = [v.as_integer_ratio() for v in vals]
+    D = max(den for _, den in ratios)
+    n = [num * (D // den) for num, den in ratios]
+    rows = hq_dominance(n, n, K=K)
+    return [lhs / D ** (2 * k) for k, lhs, _, _ in rows]
+
+
+def test_hq_dominance_float_fold_is_close_to_exact():
+    rng = np.random.default_rng(71)
+    for d in (2, 3, 5):
+        b = [float(x) for x in rng.dirichlet(np.ones(d))]
+        c = [float(x) for x in rng.dirichlet(np.ones(d))]
+        c[0] += sum(b) - sum(c)
+        rows = hq_dominance(b, c, K=60)
+        for vec, side in ((b, 1), (c, 2)):
+            exact = _exact_power_sums_of_floats(vec, 60)
+            for row, ref in zip(rows, exact):
+                assert isinstance(row[side], float)
+                assert row[side] == pytest.approx(ref, rel=1e-14)
+
+
+def test_hq_dominance_runs_past_the_old_enumeration_size():
+    # 6.6e9 compositions at d = 8, K = 60; the fold takes O(d K^2) steps
+    b = (1,) * 8
+    c = (2, 2, 1, 1, 1, 1, 0, 0)
+    rows = hq_dominance(b, c, K=60)
+    assert len(rows) == 60
+    assert rows[0][1:3] == (8, 12)
+    assert rows[1][1:3] == (8 + 4 * 28, 36 + 4 * 54)
+    assert all(ok for *_, ok in rows)  # c majorizes b
+
+
 # --- composition norms ----------------------------------------------------
 
 def test_comp_norm_constant_symbol():

@@ -9,6 +9,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +131,17 @@ def test_curve_json_checks(capsys):
     assert payload["checks"]["stays_inside_outer_radius"] is True
 
 
+def test_curve_inner_fixture_through_a_pole(capsys):
+    # at t = 0 the line passes through the first factor's pole
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["curve", "--fixture", "example-7.3"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["max_offset"] <= 1.0 + 1e-9
+    assert payload["checks"]["stays_inside_outer_radius"] is True
+
+
 # ------------------------------------------------------------- measure
 
 
@@ -162,6 +175,20 @@ def test_opnorm_levels_grow(capsys):
     sigmas = [row["sigma_max_sq"] for row in payload["levels"]]
     assert sigmas == sorted(sigmas)
     assert payload["monotone_ok"] is True
+
+
+@pytest.mark.parametrize("kind", ["affine", "family"])
+def test_opnorm_huge_level_count_returns_distinct_sizes(capsys, kind):
+    sym = ["--coeffs", "0.5"] if kind == "affine" else ["--fixture", "phi-alpha-1"]
+    common = ["opnorm", *sym, "--nin", "8", "--kout", "4"]
+    code, few, _ = _run(capsys, [*common, "--levels", "5"])
+    assert code == 0
+    start = time.monotonic()
+    code, many, _ = _run(capsys, [*common, "--levels", str(10**9)])
+    assert time.monotonic() - start < 5.0
+    assert code == 0
+    assert json.loads(many)["levels"] == json.loads(few)["levels"]
+    assert json.loads(many)["args"]["levels"] == 10**9
 
 
 def test_subordinate_majorizing_pair(capsys):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from h2comp.affine import AffineSymbol, comp_norm_sq
-from h2comp.dseries import Character, DirichletPoly
+from h2comp import torus
+from h2comp.dseries import Character, DirichletPoly, evaluate
 from h2comp.fixtures import (
     get_fixture,
     poly_level_measure,
@@ -52,6 +54,55 @@ def test_sampling_seed_changes_draw():
     a = sample_characters(SamplePlan(n_samples=64, seed=1, d=1))
     b = sample_characters(SamplePlan(n_samples=64, seed=2, d=1))
     assert not np.array_equal(a, b)
+
+
+def _full_array_draw(plan):
+    """One (d, n) draw per coordinate stream, all held at once."""
+    out = np.empty((plan.d, plan.n_samples), dtype=complex)
+    for j in range(plan.d):
+        gen = np.random.Generator(np.random.Philox(key=[plan.seed, j]))
+        out[j] = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, plan.n_samples))
+    return out
+
+
+def test_sampling_matches_one_full_draw_across_blocks():
+    for n in (5, torus._CHUNK, torus._CHUNK + 1, 2 * torus._CHUNK + 12345):
+        plan = SamplePlan(n_samples=n, seed=2718, d=2)
+        assert sample_characters(plan).tobytes() == _full_array_draw(plan).tobytes()
+
+
+def test_chunked_estimates_match_full_array_route():
+    # n straddles a block boundary; the full-array route slices one draw
+    n = torus._CHUNK + 4097
+    phi = get_fixture("fig1-c").symbol
+    f = DirichletPoly({1: 1.0, 2: 0.5 - 0.25j, 3: 0.75j, 6: -0.2})
+    plan = SamplePlan(n_samples=n, seed=31, d=phi.d)
+    Z = _full_array_draw(plan)
+    hits, total, total_sq = 0, 0.0, 0.0
+    for i in range(0, n, torus._CHUNK):
+        vals = phi.boundary(Z[:, i : i + torus._CHUNK])
+        hits += int(np.count_nonzero(np.abs(vals - phi.c) < 0.6 * phi.r))
+        v = np.abs(evaluate(f, vals)) ** 2
+        total += float(np.sum(v))
+        total_sq += float(np.sum(v * v))
+    est = hits / n
+    assert measure_E_delta(phi, 0.6, plan) == (est, 1.96 * math.sqrt(est * (1.0 - est) / n))
+    mean = total / n
+    ci = 1.96 * math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
+    assert mc_comp_norm_sq(phi, f, plan) == (mean, ci)
+
+
+def test_sampled_measure_memory_is_one_block():
+    # the full (6, 2^21) character array alone would take 192 MiB
+    phi = AffineSymbol(1.5, (1.0 / 6.0,) * 6)
+    plan = SamplePlan(n_samples=1 << 21, seed=8, d=6)
+    tracemalloc.start()
+    try:
+        measure_E_delta(phi, 0.5, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
 
 
 def test_plan_validation():

@@ -10,9 +10,11 @@ byte-identical apart from the timestamp shows no difference.
 The commands are `bounds` and `opnorm` on every shipped fixture they
 accept, the edge cases of the truncated section (one input column,
 K_out = 0, a constant symbol with no active prime, a single opnorm
-level), and `verify-lemmas --suite` for every suite.  They run in this
-process through `h2comp.cli.main`, with the package imported from this
-checkout's `src`.
+level), `measure`, `curve` and a short `curve --csv` on every
+boundary-sampleable fixture, `inner-check`, `majorize`, `subordinate`
+(exact, float and `--scan`), and `verify-lemmas --suite` for every
+suite.  They run in this process through `h2comp.cli.main`, with the
+package imported from this checkout's `src`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,22 @@ def commands() -> list[list[str]]:
     out.append(["bounds", "--fixture", "fig1-c", "--kout", "0", "--nin", "1"])
     out.append(["bounds", "--c", "2", "--coeffs", "0"])
     out.append(["opnorm", "--fixture", "fig1-c", "--levels", "1", "--nin", "2"])
+    for name, fx in fixtures().items():
+        if fx.kind in ("affine", "poly", "inner"):
+            out.append(["measure", "--fixture", name, "--delta", "0.5"])
+            out.append(["measure", "--fixture", name, "--delta", "0.9"])
+            out.append(["curve", "--fixture", name])
+            out.append(["curve", "--fixture", name, "--csv", "--T", "30", "--steps", "64"])
+    out.append(["inner-check"])
+    out.append(["majorize", "--coeffs", "0.4,0.35,0.25", "--against", "0.7,0.2,0.1"])
+    out.append(["majorize", "--coeffs", "2,2,2", "--against", "4,1,1"])
+    out.append(["majorize", "--coeffs", "4,1,1", "--against", "3,3,0"])
+    out.append(["subordinate", "--coeffs", "4,1,1", "--against", "3,3,0"])
+    out.append(["subordinate", "--coeffs", "2,2,2", "--against", "4,1,1", "--k", "60"])
+    out.append(["subordinate", "--coeffs", "0.4,0.35,0.25", "--against", "0.7,0.2,0.1"])
+    out.append(["subordinate", "--coeffs", "0.3,0.3", "--against", "0.5,0.1"])
+    out.append(["subordinate", "--coeffs", "1,1,1", "--scan", "--samples", "300"])
+    out.append(["subordinate", "--coeffs", "1,1,1,1", "--scan", "--samples", "300", "--seed", "7"])
     out.extend(["verify-lemmas", "--suite", suite] for suite in cli._SUITES)
     return out
 
