@@ -127,14 +127,17 @@ def _line_values(phi, t: np.ndarray) -> np.ndarray:
     return phi.boundary(Z)
 
 
-def boundary_value(phi, chi: Character | Sequence[complex]) -> complex:
-    """phi*(chi) for a single character."""
+def _character_column(chi: Character | Sequence[complex], d: int) -> np.ndarray:
+    """The first d coordinates of a character, as a (d, 1) block."""
     vals = chi.values if isinstance(chi, Character) else tuple(complex(v) for v in chi)
-    d = _required_dim(phi)
     if len(vals) < d:
         raise ValueError(f"character has {len(vals)} coordinates, symbol needs {d}")
-    Z = np.array(vals[:d], dtype=complex).reshape(d, 1)
-    return complex(phi.boundary(Z)[0])
+    return np.array(vals[:d], dtype=complex).reshape(d, 1)
+
+
+def boundary_value(phi, chi: Character | Sequence[complex]) -> complex:
+    """phi*(chi) for a single character."""
+    return complex(phi.boundary(_character_column(chi, _required_dim(phi)))[0])
 
 
 # --- measures -------------------------------------------------------------
@@ -275,30 +278,50 @@ class InnerSymbolParams:
     def g_infinity(self) -> float:
         return math.exp(-sum(self.lambdas))
 
-    def boundary(self, Z: np.ndarray) -> np.ndarray:
-        """phi*(chi) = c + r (g - g_inf)/(1 - g_inf g) for a (d, m) block
-        Z of character values.
-
-        On the torus each factor (e^{i theta} + z)/(e^{i theta} - z) is
-        purely imaginary, so g = exp(-i A) with A = sum_j lambda_j times
-        the imaginary part of factor j, and |g| = 1 up to the rounding of
-        cos and sin.  The computed real parts are rounding noise, which
-        grows near a pole, and are dropped.  At an exact pole g takes its
-        radial limit 0.
+    def exponent_sum(self, Z: np.ndarray, sigma: float = 0.0) -> np.ndarray:
+        """S = sum_j lambda_j (e^{i theta_j} + z_j)/(e^{i theta_j} - z_j),
+        z_j = p_j^{-sigma} Z[j], for a (d, m) block Z of character values
+        at depth sigma >= 0; g = exp(-S).  At sigma > 0 a column within
+        1e-12 of a factor pole raises ValueError; at sigma = 0 a column
+        exactly at a pole gets S = +inf, the radial limit, where g = 0.
         """
-        A = np.zeros(Z.shape[1])
+        primes = first_primes(self.d)
+        S = np.zeros(Z.shape[1], dtype=complex)
         at_pole = np.zeros(Z.shape[1], dtype=bool)
         for j, (lam, th) in enumerate(zip(self.lambdas, self.thetas)):
             if lam == 0.0:
                 continue
             pole = complex(math.cos(th), math.sin(th))
-            gap = pole - Z[j]
+            z = Z[j] * float(primes[j]) ** (-sigma) if sigma > 0.0 else Z[j]
+            gap = pole - z
+            if sigma > 0.0 and np.any(np.abs(gap) < 1e-12):
+                raise ValueError(f"character coordinate {j} is within 1e-12 of the factor pole")
             hit = gap == 0
             at_pole |= hit
-            A += lam * ((pole + Z[j]) / np.where(hit, 1.0, gap)).imag
-        g = np.where(at_pole, 0.0, np.exp(-1j * A))
+            gap[hit] = 1.0
+            # lambda_j multiplies the numerator inside the disc and the
+            # quotient on the boundary: each order rounds as the reports
+            # and digests of its depth pin, bit for bit
+            S += lam * (pole + z) / gap if sigma > 0.0 else lam * ((pole + z) / gap)
+        S[at_pole] = np.inf
+        return S
+
+    def frame(self, g: np.ndarray) -> np.ndarray:
+        """c + r (g - g_inf)/(1 - g_inf g): the disc automorphism that
+        sends g_inf to 0, then the frame disc D(c, r)."""
         ginf = self.g_infinity
         return self.c + self.r * (g - ginf) / (1.0 - ginf * g)
+
+    def boundary(self, Z: np.ndarray) -> np.ndarray:
+        """phi*(chi) = frame(g) at depth 0 for a (d, m) block Z.
+
+        On the torus each factor of S is purely imaginary, so g =
+        exp(-i Im S) and |g| = 1 up to the rounding of cos and sin; the
+        computed real part of S is rounding noise, which grows near a
+        pole, and is dropped.
+        """
+        S = self.exponent_sum(Z)
+        return self.frame(np.where(np.isinf(S.real), 0.0, np.exp(-1j * S.imag)))
 
     def to_jsonable(self) -> dict:
         return {
@@ -310,20 +333,6 @@ class InnerSymbolParams:
         }
 
 
-def _inner_g_batch(params: InnerSymbolParams, Z: np.ndarray, sigma: float) -> np.ndarray:
-    """g evaluated on character samples at vertical position sigma > 0."""
-    primes = first_primes(params.d)
-    m = Z.shape[1]
-    S = np.zeros(m, dtype=complex)
-    for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
-        if lam == 0.0:
-            continue
-        pole = complex(math.cos(th), math.sin(th))
-        z = Z[j] * float(primes[j]) ** (-sigma)
-        S += lam * (pole + z) / (pole - z)
-    return np.exp(-S)
-
-
 def inner_boundary_modulus(params: InnerSymbolParams, chi, sigma: float) -> float:
     """|g| at distance sigma from the boundary along the character chi.
 
@@ -333,18 +342,8 @@ def inner_boundary_modulus(params: InnerSymbolParams, chi, sigma: float) -> floa
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    vals = chi.values if isinstance(chi, Character) else tuple(complex(v) for v in chi)
-    if len(vals) < params.d:
-        raise ValueError(f"character has {len(vals)} coordinates, need {params.d}")
-    primes = first_primes(params.d)
-    S = 0.0 + 0.0j
-    for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
-        pole = complex(math.cos(th), math.sin(th))
-        z = complex(vals[j]) * float(primes[j]) ** (-sigma)
-        if abs(pole - z) < 1e-12:
-            raise ValueError(f"character coordinate {j} is within 1e-12 of the factor pole")
-        S += lam * (pole + z) / (pole - z)
-    return math.exp(-S.real)
+    S = params.exponent_sum(_character_column(chi, params.d), sigma)
+    return float(np.exp(-S.real)[0])
 
 
 def inner_truncation_bound(params: InnerSymbolParams, sigma: float) -> float:
@@ -366,14 +365,10 @@ def mobius_symbol_value(params: InnerSymbolParams, chi, sigma: float) -> complex
     vertical position sigma along the character chi.
 
     Sends +infinity to c; the image stays inside D(c, r), reaching the
-    frame circle exactly in the boundary limit sigma -> 0+.
+    frame circle exactly in the boundary limit sigma -> 0+.  A character
+    landing within 1e-12 of a factor pole is rejected.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    vals = chi.values if isinstance(chi, Character) else tuple(complex(v) for v in chi)
-    if len(vals) < params.d:
-        raise ValueError(f"character has {len(vals)} coordinates, need {params.d}")
-    Z = np.array(vals[: params.d], dtype=complex).reshape(params.d, 1)
-    g = complex(_inner_g_batch(params, Z, sigma)[0])
-    ginf = params.g_infinity
-    return params.c + params.r * (g - ginf) / (1.0 - ginf * g)
+    S = params.exponent_sum(_character_column(chi, params.d), sigma)
+    return complex(params.frame(np.exp(-S))[0])

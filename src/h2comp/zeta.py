@@ -233,6 +233,7 @@ class PrimeSemigroup:
     """Multiplicative semigroup generated by a finite set of primes."""
 
     primes: tuple[int, ...]
+    abscissa = 0.0
 
     def __post_init__(self):
         ps = tuple(int(p) for p in self.primes)
@@ -243,16 +244,28 @@ class PrimeSemigroup:
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "primes", ps)
 
+    def dirichlet_sum(self, s: float) -> float:
+        out = 1.0
+        for p in self.primes:
+            out /= 1.0 - float(p) ** (-s)
+        return out
+
 
 @dataclass(frozen=True)
 class CofiniteTail:
     """The set {1} together with every integer n >= m."""
 
     m: int
+    abscissa = 1.0
 
     def __post_init__(self):
         if not isinstance(self.m, (int, np.integer)) or self.m < 2:
             raise ValueError("cofinite tail needs m >= 2")
+
+    def dirichlet_sum(self, s: float) -> float:
+        # {1} plus the tail n >= m: drop 2 .. m-1 from the full sum.
+        n = np.arange(2, self.m, dtype=float)
+        return zeta(s) - float(np.sum(n**(-s)))
 
 
 @dataclass(frozen=True)
@@ -260,15 +273,24 @@ class GeometricPowers:
     """Powers 1, p, p^2, ... of a single prime."""
 
     p: int
+    abscissa = 0.0
 
     def __post_init__(self):
         if not is_prime(int(self.p)):
             raise ValueError(f"{self.p} is not prime")
 
+    def dirichlet_sum(self, s: float) -> float:
+        return 1.0 / (1.0 - float(self.p) ** (-s))
+
 
 @dataclass(frozen=True)
 class FullIntegers:
     """All positive integers."""
+
+    abscissa = 1.0
+
+    def dirichlet_sum(self, s: float) -> float:
+        return zeta(s)
 
 
 LambdaSpec = PrimeSemigroup | CofiniteTail | GeometricPowers | FullIntegers
@@ -276,32 +298,15 @@ LambdaSpec = PrimeSemigroup | CofiniteTail | GeometricPowers | FullIntegers
 
 def abscissa(spec: LambdaSpec) -> float:
     """Abscissa of convergence sigma(Lambda) of sum_{n in Lambda} n^{-s}."""
-    if isinstance(spec, (PrimeSemigroup, GeometricPowers)):
-        return 0.0
-    if isinstance(spec, (CofiniteTail, FullIntegers)):
-        return 1.0
-    raise TypeError(f"not a summatory-set spec: {spec!r}")
+    return spec.abscissa
 
 
 def zeta_lambda(spec: LambdaSpec, sigma: float) -> float:
     """sum over n in the set of n^{-sigma}, for sigma > abscissa(spec)."""
     s = float(sigma)
-    if not s > abscissa(spec):
+    if not s > spec.abscissa:
         raise ValueError(f"sigma={sigma} is not beyond the abscissa of {spec!r}")
-    if isinstance(spec, FullIntegers):
-        return zeta(s)
-    if isinstance(spec, GeometricPowers):
-        return 1.0 / (1.0 - float(spec.p) ** (-s))
-    if isinstance(spec, PrimeSemigroup):
-        out = 1.0
-        for p in spec.primes:
-            out /= 1.0 - float(p) ** (-s)
-        return out
-    if isinstance(spec, CofiniteTail):
-        # {1} plus the tail n >= m: drop 2 .. m-1 from the full sum.
-        n = np.arange(2, spec.m, dtype=float)
-        return zeta(s) - float(np.sum(n**(-s)))
-    raise TypeError(f"not a summatory-set spec: {spec!r}")
+    return spec.dirichlet_sum(s)
 
 
 @lru_cache(maxsize=1)

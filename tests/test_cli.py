@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,6 +21,9 @@ import pytest
 import h2comp.cli as cli
 from h2comp.cli import main
 from h2comp.errors import InequalityViolation
+from h2comp.fixtures import get_fixture
+from h2comp.primes import first_primes
+from h2comp.torus import SamplePlan, inner_boundary_modulus, sample_characters
 from h2comp.zeta import zeta
 
 
@@ -245,6 +250,88 @@ def test_inner_check_runs_light(capsys):
     assert payload["deep_interior_matches_limit"] is True
 
 
+INNER_SIGMAS = (0.1, 1e-2, 1e-4, 1e-6, 1e-8)  # the depths inner-check reports
+
+
+def _ref_modulus(params, chi, sigma):
+    """|g| at one character, through a scalar complex sum."""
+    primes = first_primes(params.d)
+    S = 0.0 + 0.0j
+    for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
+        pole = complex(math.cos(th), math.sin(th))
+        z = complex(chi[j]) * float(primes[j]) ** (-sigma)
+        S += lam * (pole + z) / (pole - z)
+    return math.exp(-S.real)
+
+
+def _ref_framed(params, chi, sigma):
+    """The framed value at one character: a one-column array sum, then
+    the frame map in scalar complex arithmetic."""
+    primes = first_primes(params.d)
+    S = np.zeros(1, dtype=complex)
+    for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
+        if lam == 0.0:
+            continue
+        pole = complex(math.cos(th), math.sin(th))
+        z = np.array([chi[j]]) * float(primes[j]) ** (-sigma)
+        S += lam * (pole + z) / (pole - z)
+    g = complex(np.exp(-S)[0])
+    ginf = params.g_infinity
+    return params.c + params.r * (g - ginf) / (1.0 - ginf * g)
+
+
+@pytest.mark.parametrize("n, seed", [(64, cli.DEFAULT_SEED), (16, 3), (500, 9)])
+def test_inner_rows_match_per_sample_reference(n, seed):
+    params = get_fixture("example-7.3").symbol
+    plan = SamplePlan(n_samples=n, seed=seed, d=params.d)
+    report, ok = cli._inner_rows(params, plan, INNER_SIGMAS)
+    assert ok and report["deep_interior_matches_limit"] is True
+    Z = sample_characters(plan)
+    deep = _ref_modulus(params, Z[:, 0], 40.0)
+    assert report["deep_interior_modulus"] == pytest.approx(deep, rel=0, abs=1e-12)
+    for row, s in zip(report["rows"], INNER_SIGMAS, strict=True):
+        mods = np.array([_ref_modulus(params, Z[:, i], s) for i in range(n)])
+        offs = np.array([abs(_ref_framed(params, Z[:, i], s) - params.c) for i in range(n)])
+        assert row["sigma"] == s
+        for key, ref in [
+            ("modulus_min", mods.min()),
+            ("modulus_max", mods.max()),
+            ("median_gap_to_unit", np.median(np.abs(1.0 - mods))),
+            ("offset_max", offs.max()),
+        ]:
+            assert row[key] == pytest.approx(ref, rel=0, abs=1e-12), key
+        assert row["inner_modulus_at_most_one"] is bool(np.all(mods <= 1.0 + 1e-9))
+        assert row["image_inside_frame_disc"] is bool(np.all(offs <= params.r + 1e-9))
+
+
+def test_inner_rows_blocked_scan_matches_one_draw():
+    # two blocks of characters, the second one short
+    params = get_fixture("example-7.3").symbol
+    block = 2**19
+    plan = SamplePlan(n_samples=block + 4097, seed=77, d=params.d)
+    tracemalloc.start()
+    try:
+        report, ok = cli._inner_rows(params, plan, INNER_SIGMAS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    Z = sample_characters(plan)
+    assert report["deep_interior_modulus"] == inner_boundary_modulus(params, Z[:, 0], 40.0)
+    for row, s in zip(report["rows"], INNER_SIGMAS, strict=True):
+        S = params.exponent_sum(Z, s)
+        mods = np.exp(-S.real)
+        offs = np.abs(params.frame(np.exp(-S)) - params.c)
+        assert row["modulus_min"] == mods.min()
+        assert row["modulus_max"] == mods.max()
+        assert row["median_gap_to_unit"] == np.median(np.abs(1.0 - mods))
+        assert row["offset_max"] == offs.max()
+    # one complex character block, 8 bytes of |g| per sample per depth,
+    # and at most eight complex block rows of temporaries
+    bound = 16 * params.d * block + 8 * len(INNER_SIGMAS) * plan.n_samples + 8 * 16 * block
+    assert peak < bound
+
+
 # ----------------------------------------------------------- lemma runs
 
 
@@ -281,11 +368,44 @@ def test_raised_violation_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "dkzeta_sandwich", violated)
     code, out, err = _run(capsys, ["verify-lemmas", "--suite", "zeta-sandwich"])
     assert code == 2
-    assert out == ""
+    payload = json.loads(out)
+    assert payload["command"] == "verify-lemmas"
+    assert payload["all_passed"] is False
+    [suite] = payload["suites"]
+    assert suite["suite"] == "zeta-sandwich" and suite["passed"] is False
+    assert list(suite["details"]) == ["violation"]
+    assert suite["details"]["violation"].startswith("derivative bracket violated at k=")
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "derivative bracket violated" in lines[0]
+
+
+def test_raised_violation_keeps_the_other_reports(capsys, monkeypatch):
+    names = ("riemann-tails", "zeta-sandwich", "crossing-point")
+    monkeypatch.setattr(cli, "_SUITES", {n: cli._SUITES[n] for n in names})
+    alone = {}
+    for name in names[::2]:
+        code, out, _ = _run(capsys, ["verify-lemmas", "--suite", name])
+        assert code == 0
+        alone[name] = json.loads(out)["suites"][0]
+
+    def violated(k, sigma):
+        raise InequalityViolation(f"derivative bracket violated at k={k}, sigma={sigma}")
+
+    monkeypatch.setattr(cli, "dkzeta_sandwich", violated)
+    code, out, err = _run(capsys, ["verify-lemmas"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    suites = {s["suite"]: s for s in payload["suites"]}
+    assert list(suites) == list(names)
+    assert suites["riemann-tails"] == alone["riemann-tails"]
+    assert suites["crossing-point"] == alone["crossing-point"]
+    assert suites["zeta-sandwich"]["passed"] is False
+    assert "derivative bracket violated" in suites["zeta-sandwich"]["details"]["violation"]
+    assert "Traceback" not in err
+    assert [line.split()[0] for line in err.strip().splitlines()] == ["ok", "error:", "ok"]
 
 
 # ----------------------------------------------------------- exit paths

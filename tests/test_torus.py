@@ -403,3 +403,47 @@ def test_mobius_symbol_boundary_modulus():
         chi = tuple(np.exp(1j * rng.uniform(0.05, 6.2, size=params.d)))
         val = mobius_symbol_value(params, chi, sigma=1e-8)
         assert abs(val - params.c) / params.r == pytest.approx(1.0, abs=1e-5)
+
+
+# --- one exponent-sum kernel ----------------------------------------------
+
+def _ref_boundary(params: InnerSymbolParams, Z: np.ndarray) -> np.ndarray:
+    """An independent boundary route: the imaginary part of each
+    factor, summed as a real array."""
+    A = np.zeros(Z.shape[1])
+    at_pole = np.zeros(Z.shape[1], dtype=bool)
+    for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
+        if lam == 0.0:
+            continue
+        pole = complex(math.cos(th), math.sin(th))
+        gap = pole - Z[j]
+        hit = gap == 0
+        at_pole |= hit
+        A += lam * ((pole + Z[j]) / np.where(hit, 1.0, gap)).imag
+    g = np.where(at_pole, 0.0, np.exp(-1j * A))
+    ginf = params.g_infinity
+    return params.c + params.r * (g - ginf) / (1.0 - ginf * g)
+
+
+def test_inner_boundary_block_keeps_its_bits():
+    params = get_fixture("example-7.3").symbol
+    Z = sample_characters(SamplePlan(n_samples=4096, seed=61, d=params.d))
+    # one column exactly at a pole of factor 2, one at every pole at once
+    Z[2, 17] = complex(math.cos(params.thetas[2]), math.sin(params.thetas[2]))
+    Z[:, 300] = [complex(math.cos(th), math.sin(th)) for th in params.thetas]
+    out = params.boundary(Z)
+    assert out.tobytes() == _ref_boundary(params, Z).tobytes()
+    # g takes its radial limit 0 at the poles, so phi* = c - r g_inf
+    limit = params.c - params.r * params.g_infinity
+    assert out[17] == limit and out[300] == limit
+
+
+@pytest.mark.parametrize("fn", [inner_boundary_modulus, mobius_symbol_value])
+@pytest.mark.parametrize("offset", [0.0, 1e-13])
+def test_near_pole_rejected_inside_the_disc(fn, offset):
+    params = InnerSymbolParams(lambdas=(0.5, 0.3), thetas=(0.0, 2.0))
+    chi = (np.exp(1j * (0.7)), np.exp(1j * (2.0 + offset)))
+    with pytest.raises(ValueError, match="coordinate 1 is within 1e-12"):
+        fn(params, chi, 1e-14)
+    # the same character one step further in is accepted
+    assert math.isfinite(abs(fn(params, chi, 1e-6)))

@@ -236,6 +236,31 @@ def test_zeta_lambda_cofinite_tail():
             assert zeta_lambda(CofiniteTail(m), sigma) == pytest.approx(expected, rel=1e-12)
 
 
+def _ref_zeta_lambda(spec, s: float) -> float:
+    """An independent route: the sum dispatched on the set type."""
+    if isinstance(spec, FullIntegers):
+        return zeta(s)
+    if isinstance(spec, GeometricPowers):
+        return 1.0 / (1.0 - float(spec.p) ** (-s))
+    if isinstance(spec, PrimeSemigroup):
+        out = 1.0
+        for p in spec.primes:
+            out /= 1.0 - float(p) ** (-s)
+        return out
+    n = np.arange(2, spec.m, dtype=float)
+    return zeta(s) - float(np.sum(n**(-s)))
+
+
+@pytest.mark.parametrize("spec", [
+    FullIntegers(), CofiniteTail(2), CofiniteTail(9), CofiniteTail(300),
+    GeometricPowers(3), PrimeSemigroup((2,)), PrimeSemigroup((5, 2, 7)),
+])
+def test_zeta_lambda_keeps_its_bits(spec):
+    for sigma in (1.0 + 1e-9, 1.1, 1.5, 2.0, 3.7, 25.0):
+        assert zeta_lambda(spec, sigma) == _ref_zeta_lambda(spec, sigma)
+    assert zeta_lambda(spec, np.float64(2.5)) == _ref_zeta_lambda(spec, 2.5)
+
+
 def test_abscissa_values():
     assert abscissa(FullIntegers()) == 1.0
     assert abscissa(CofiniteTail(7)) == 1.0

@@ -11,9 +11,9 @@ The commands are `bounds` and `opnorm` on every shipped fixture they
 accept, the edge cases of the truncated section (one input column,
 K_out = 0, a constant symbol with no active prime, a single opnorm
 level), `measure`, `curve` and a short `curve --csv` on every
-boundary-sampleable fixture, `inner-check`, `majorize`, `subordinate`
-(exact, float and `--scan`), and `verify-lemmas --suite` for every
-suite.  They run in this process through `h2comp.cli.main`, with the
+boundary-sampleable fixture, `inner-check` at its defaults and at 16
+and 500 samples on other seeds, `majorize`, `subordinate` (exact,
+float and `--scan`), and `verify-lemmas --suite` for every suite.  They run in this process through `h2comp.cli.main`, with the
 package imported from this checkout's `src`.
 """
 
@@ -47,6 +47,8 @@ def commands() -> list[list[str]]:
             out.append(["curve", "--fixture", name])
             out.append(["curve", "--fixture", name, "--csv", "--T", "30", "--steps", "64"])
     out.append(["inner-check"])
+    out.append(["inner-check", "--samples", "16", "--seed", "3"])
+    out.append(["inner-check", "--samples", "500", "--seed", "9"])
     out.append(["majorize", "--coeffs", "0.4,0.35,0.25", "--against", "0.7,0.2,0.1"])
     out.append(["majorize", "--coeffs", "2,2,2", "--against", "4,1,1"])
     out.append(["majorize", "--coeffs", "4,1,1", "--against", "3,3,0"])
