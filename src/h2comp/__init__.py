@@ -56,7 +56,7 @@ from .dseries import (
     multiply,
     twist,
 )
-from .errors import InequalityViolation
+from .errors import InequalityViolation, NonConvergence
 from .fixtures import (
     Fixture,
     fixtures,
@@ -130,6 +130,7 @@ __all__ = [
     "evaluate", "h2_norm_sq", "h2k_norm", "multiply", "twist",
     # errors
     "InequalityViolation",
+    "NonConvergence",
     # fixtures
     "Fixture", "fixtures", "get_fixture", "poly_level_measure",
     "poly_shapiro_closed_form", "single_prime_symbol",

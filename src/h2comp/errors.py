@@ -1,9 +1,9 @@
-"""The exception raised when a mathematically guaranteed inequality fails
-its numerical check."""
+"""The exceptions raised when a mathematically guaranteed inequality fails
+its numerical check, and when an iteration does not converge."""
 
 from __future__ import annotations
 
-__all__ = ["InequalityViolation"]
+__all__ = ["InequalityViolation", "NonConvergence"]
 
 
 class InequalityViolation(AssertionError):
@@ -11,3 +11,10 @@ class InequalityViolation(AssertionError):
 
     Subclasses AssertionError, which these checks raised before the type
     existed; the command line maps it to exit code 2."""
+
+
+class NonConvergence(RuntimeError):
+    """An iteration ran out of steps before it converged.
+
+    Subclasses RuntimeError, which it raised before the type existed;
+    the command line maps it to exit code 3."""

@@ -48,7 +48,7 @@ from .affine import (
     in_gordon_hedenmalm,
     xi,
 )
-from .errors import InequalityViolation
+from .errors import InequalityViolation, NonConvergence
 from .zeta import (
     FullIntegers,
     GeometricPowers,
@@ -283,7 +283,7 @@ def sigma_max_sq(op: TruncatedOperator, tol: float = _POWER_TOL) -> float:
         if it >= 10 and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
             return lam
         lam_prev = lam
-    raise RuntimeError(
+    raise NonConvergence(
         f"power iteration did not converge in {_POWER_MAXIT} steps (last {lam_prev})"
     )
 

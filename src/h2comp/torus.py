@@ -13,7 +13,10 @@ reported alongside.
 
 Sampling is bit-for-bit reproducible: a counter-based generator keyed
 by (seed, coordinate) drives each torus coordinate on its own stream,
-so estimates do not depend on evaluation order or chunking.
+so estimates do not depend on evaluation order or chunking.  The
+elementwise work runs on every CPU the process may use, in column
+slices; reductions run afterwards on the whole block in a fixed order,
+so no result depends on the number of workers either.
 
 Vertical-line versions (`ergodic_measure`, `curve_trace`) average over
 t in [-T, T] instead; the flow t -> (p_j^{-it})_j equidistributes over
@@ -30,6 +33,9 @@ frame circle — the equality case of the subordination principle.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -56,6 +62,66 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19
+_SLICE = 1 << 16
+
+
+# --- column slices on every CPU -------------------------------------------
+#
+# numpy releases the GIL in its elementwise loops, so contiguous column
+# slices of a block run in parallel on threads.  Small slices keep each
+# thread's temporaries small; with wider slices the per-thread malloc
+# arenas raised the peak resident size.
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _pool_size() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _reset_pool() -> None:
+    """Forget the pool: a forked child has none of its threads."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_pool_size(), thread_name_prefix="h2comp-torus")
+        return _pool
+
+
+def _map_slices(fn, m: int) -> list:
+    """[fn(lo, hi) for each slice [lo, hi) of range(m)], in order, with
+    slices of at most _SLICE columns run on every CPU.  `fn` must do only
+    elementwise work, so the results do not depend on the worker count.
+    Every slice has finished when this returns or raises; the exception
+    of the first failed slice in order reaches the caller."""
+    bounds = [(lo, min(lo + _SLICE, m)) for lo in range(0, m, _SLICE)]
+    if len(bounds) < 2 or _pool_size() < 2:
+        return [fn(lo, hi) for lo, hi in bounds]
+    pool = _executor()
+    futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def _unimodular(phase: np.ndarray, out: np.ndarray) -> None:
+    """out = e^{i phase}, written as cos and sin in place.  For every
+    phase other than -0.0 these are the bits of np.exp(1j * phase)."""
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
 
 
 @dataclass(frozen=True)
@@ -99,14 +165,16 @@ def _character_blocks(plan: SamplePlan):
     in pieces, so the blocks side by side are `sample_characters(plan)`
     bit for bit.  Every block is written into one buffer, so memory stays
     at one block for any n_samples, and a block is valid only until the
-    next one is drawn.
+    next one is drawn.  Each stream is drawn serially; the cos and sin
+    of its phases run in column slices.
     """
     gens = [np.random.Generator(np.random.Philox(key=[plan.seed, j])) for j in range(plan.d)]
     buf = np.empty((plan.d, min(_CHUNK, plan.n_samples)), dtype=complex)
     for i in range(0, plan.n_samples, _CHUNK):
         m = min(_CHUNK, plan.n_samples - i)
         for j, gen in enumerate(gens):
-            buf[j, :m] = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, m))
+            u, row = gen.uniform(0.0, 2.0 * math.pi, m), buf[j, :m]
+            _map_slices(lambda lo, hi: _unimodular(u[lo:hi], row[lo:hi]), m)
         yield buf[:, :m]
 
 
@@ -122,9 +190,19 @@ def _required_dim(phi) -> int:
 
 def _line_values(phi, t: np.ndarray) -> np.ndarray:
     """phi(it) along the imaginary axis: the boundary values at the
-    characters Z_j = p_j^{-it}."""
-    Z = np.stack([np.exp(-1j * t * math.log(p)) for p in first_primes(_required_dim(phi))])
-    return phi.boundary(Z)
+    characters Z_j = p_j^{-it}, in column slices."""
+    logs = [math.log(p) for p in first_primes(_required_dim(phi))]
+    out = np.empty(t.size, dtype=complex)
+
+    def fill(lo, hi):
+        Z = np.empty((len(logs), hi - lo), dtype=complex)
+        for row, log_p in zip(Z, logs):
+            # 0 - t log p is -t log p, with +0.0 at t = 0 as in exp(-1j t log p)
+            _unimodular(0.0 - t[lo:hi] * log_p, row)
+        out[lo:hi] = phi.boundary(Z)
+
+    _map_slices(fill, t.size)
+    return out
 
 
 def _character_column(chi: Character | Sequence[complex], d: int) -> np.ndarray:
@@ -156,10 +234,18 @@ def measure_E_delta(phi, delta: float, plan: SamplePlan) -> MeasureResult:
     n = plan.n_samples
     hits = 0
     for Z in _character_blocks(plan):
-        hits += int(np.count_nonzero(np.abs(phi.boundary(Z) - c) < delta * r))
+        hits += sum(_map_slices(
+            lambda lo, hi: int(np.count_nonzero(np.abs(phi.boundary(Z[:, lo:hi]) - c) < delta * r)),
+            Z.shape[1],
+        ))
     est = hits / n
     ci = 1.96 * math.sqrt(max(est * (1.0 - est), 0.0) / n)
     return MeasureResult(est, ci)
+
+
+def _shapiro_weight(delta: float) -> float:
+    """(1/2) (1-delta)/(1+delta), the factor of m(E_delta) in C_delta."""
+    return 0.5 * (1.0 - delta) / (1.0 + delta)
 
 
 def shapiro_constant(phi, delta: float, plan: SamplePlan) -> float:
@@ -170,7 +256,7 @@ def shapiro_constant(phi, delta: float, plan: SamplePlan) -> float:
     if delta == 1.0:
         return 0.0
     est, _ = measure_E_delta(phi, delta, plan)
-    return 0.5 * (1.0 - delta) / (1.0 + delta) * est
+    return _shapiro_weight(delta) * est
 
 
 def ergodic_measure(phi, delta: float, T: float, steps: int) -> float:
@@ -221,8 +307,15 @@ def mc_comp_norm_sq(phi, f: DirichletPoly, plan: SamplePlan) -> MeasureResult:
     n = plan.n_samples
     total = 0.0
     total_sq = 0.0
+    buf = np.empty(min(_CHUNK, n))
     for Z in _character_blocks(plan):
-        v = np.abs(evaluate(f, phi.boundary(Z))) ** 2
+        v = buf[: Z.shape[1]]
+
+        def fill(lo, hi):
+            v[lo:hi] = np.abs(evaluate(f, phi.boundary(Z[:, lo:hi]))) ** 2
+
+        _map_slices(fill, v.size)
+        # the sums run on the whole block, so they add in one fixed order
         total += float(np.sum(v))
         total_sq += float(np.sum(v * v))
     mean = total / n
@@ -305,6 +398,27 @@ class InnerSymbolParams:
             S += lam * (pole + z) / gap if sigma > 0.0 else lam * ((pole + z) / gap)
         S[at_pole] = np.inf
         return S
+
+    def exponent_sum_real(self, Z: np.ndarray, sigma: float) -> np.ndarray:
+        """Re S at depth sigma > 0 for a (d, m) block Z of unimodular
+        character values, from the closed form Re M = (1 - |z|^2) /
+        |e^{i theta} - z|^2 with 1 - |z|^2 = -expm1(-2 sigma log p_j).
+
+        The real part of the complex quotient in `exponent_sum` cancels
+        near the boundary: at sigma = 1e-8 it keeps about 8 digits, and
+        this form keeps all but the rounding of the characters.
+        """
+        if not sigma > 0.0:
+            raise ValueError("sigma must be positive")
+        primes = first_primes(self.d)
+        re_S = np.zeros(Z.shape[1])
+        for j, (lam, th) in enumerate(zip(self.lambdas, self.thetas)):
+            if lam == 0.0:
+                continue
+            gap = complex(math.cos(th), math.sin(th)) - Z[j] * float(primes[j]) ** (-sigma)
+            one_minus_z2 = -math.expm1(-2.0 * sigma * math.log(primes[j]))
+            re_S += lam * one_minus_z2 / (gap.real**2 + gap.imag**2)
+        return re_S
 
     def frame(self, g: np.ndarray) -> np.ndarray:
         """c + r (g - g_inf)/(1 - g_inf g): the disc automorphism that

@@ -324,7 +324,7 @@ def test_inner_rows_blocked_scan_matches_one_draw():
         offs = np.abs(params.frame(np.exp(-S)) - params.c)
         assert row["modulus_min"] == mods.min()
         assert row["modulus_max"] == mods.max()
-        assert row["median_gap_to_unit"] == np.median(np.abs(1.0 - mods))
+        assert row["median_gap_to_unit"] == np.median(-np.expm1(-params.exponent_sum_real(Z, s)))
         assert row["offset_max"] == offs.max()
     # one complex character block, 8 bytes of |g| per sample per depth,
     # and at most eight complex block rows of temporaries
@@ -409,6 +409,43 @@ def test_raised_violation_keeps_the_other_reports(capsys, monkeypatch):
 
 
 # ----------------------------------------------------------- exit paths
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--c", "1.5", "--coeffs", "0.5,0.25"],
+    ["opnorm", "--fixture", "fig1-c"],
+])
+def test_non_convergence_exits_three(capsys, monkeypatch, argv):
+    from h2comp import opnorm
+    from h2comp.errors import NonConvergence
+
+    monkeypatch.setattr(opnorm, "_POWER_MAXIT", 3)
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: did not converge: power iteration did not converge in 3 steps")
+    assert issubclass(NonConvergence, RuntimeError)
+
+
+def test_measure_samples_once(capsys, monkeypatch):
+    from h2comp.torus import shapiro_constant
+
+    calls = []
+    real = cli.measure_E_delta
+    monkeypatch.setattr(cli, "measure_E_delta", lambda *a: calls.append(a) or real(*a))
+    for delta, fixture in [(0.9, "example-7.1"), (0.5, "fig1-c"), (1.0, "fig1-c")]:
+        calls.clear()
+        code, out, _ = _run(capsys, ["measure", "--fixture", fixture, "--delta", str(delta)])
+        assert code == 0 and len(calls) == 1
+        sym, _, plan = calls[0]
+        # the constant in the report prints as the one sampled on its own
+        shap = shapiro_constant(sym, delta, plan)
+        assert json.loads(out)["shapiro_constant"] == float(format(shap, ".15g"))
+    calls.clear()
+    report = cli._suite_level_measure()
+    assert report["passed"] and len(calls) == 3
 
 
 def test_unknown_fixture_lists_shipped_names(capsys):

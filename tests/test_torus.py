@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -447,3 +448,216 @@ def test_near_pole_rejected_inside_the_disc(fn, offset):
         fn(params, chi, 1e-14)
     # the same character one step further in is accepted
     assert math.isfinite(abs(fn(params, chi, 1e-6)))
+
+
+# --- column slices on every CPU ---------------------------------------------
+#
+# The references below are the serial route the slices replaced: every
+# character through np.exp, one whole block at a time.
+
+F5 = DirichletPoly({1: 1.0, 2: 0.5 - 0.25j, 3: 0.75j, 5: 0.3 + 0.1j, 6: -0.2})
+SLICED_FIXTURES = ["example-7.1", "fig1-c", "example-7.3"]
+
+
+def _serial_blocks(plan):
+    gens = [np.random.Generator(np.random.Philox(key=[plan.seed, j])) for j in range(plan.d)]
+    for i in range(0, plan.n_samples, torus._CHUNK):
+        m = min(torus._CHUNK, plan.n_samples - i)
+        yield np.stack([np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, m)) for gen in gens])
+
+
+def _serial_line_values(phi, t):
+    primes = torus.first_primes(max(phi.d, 1))
+    return phi.boundary(np.stack([np.exp(-1j * t * math.log(p)) for p in primes]))
+
+
+def _serial_measure(phi, delta, plan):
+    hits = 0
+    for Z in _serial_blocks(plan):
+        hits += int(np.count_nonzero(np.abs(phi.boundary(Z) - phi.c) < delta * phi.r))
+    est = hits / plan.n_samples
+    return est, 1.96 * math.sqrt(max(est * (1.0 - est), 0.0) / plan.n_samples)
+
+
+def _serial_mc(phi, f, plan):
+    total, total_sq = 0.0, 0.0
+    for Z in _serial_blocks(plan):
+        v = np.abs(evaluate(f, phi.boundary(Z))) ** 2
+        total += float(np.sum(v))
+        total_sq += float(np.sum(v * v))
+    mean = total / plan.n_samples
+    var = max(total_sq / plan.n_samples - mean * mean, 0.0)
+    return mean, 1.96 * math.sqrt(var / plan.n_samples)
+
+
+def _serial_curve(phi, t_min, t_max, steps):
+    t = np.linspace(t_min, t_max, steps + 1)
+    out = np.empty((t.size, 3))
+    out[:, 0] = t
+    for i in range(0, t.size, torus._CHUNK):
+        vals = _serial_line_values(phi, t[i : i + torus._CHUNK])
+        out[i : i + torus._CHUNK, 1] = vals.real
+        out[i : i + torus._CHUNK, 2] = vals.imag
+    return out
+
+
+def _serial_ergodic(phi, delta, T, steps):
+    t = np.linspace(-T, T, steps)
+    hits = 0
+    for i in range(0, t.size, torus._CHUNK):
+        vals = _serial_line_values(phi, t[i : i + torus._CHUNK])
+        hits += int(np.count_nonzero(np.abs(vals - phi.c) < delta * phi.r))
+    return hits / t.size
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.fixture
+def pool_size(monkeypatch):
+    """Set the worker count; a fresh pool of that size is made on first
+    use and shut down afterwards."""
+    monkeypatch.setattr(torus, "_pool", None)
+    yield lambda n: monkeypatch.setattr(torus, "_pool_size", lambda: n)
+    if torus._pool is not None:
+        torus._pool.shutdown()
+
+
+@pytest.mark.parametrize("name", SLICED_FIXTURES)
+def test_sliced_estimates_match_serial_route(name):
+    # 2^19 + 4097 columns: one full block and one short one, each cut
+    # into slices; 5 terms give dseries.evaluate chunks of 419,430 rows,
+    # which no slice boundary matches
+    phi = get_fixture(name).symbol
+    plan = SamplePlan(n_samples=torus._CHUNK + 4097, seed=47, d=phi.d)
+    for delta in (0.5, 0.9):
+        assert _bits(measure_E_delta(phi, delta, plan)) == _bits(_serial_measure(phi, delta, plan))
+    if name != "example-7.3":  # Monte Carlo norms need a bounded-class symbol
+        assert _bits(mc_comp_norm_sq(phi, F5, plan)) == _bits(_serial_mc(phi, F5, plan))
+
+
+@pytest.mark.parametrize("name", SLICED_FIXTURES)
+def test_sliced_line_values_match_serial_route(name):
+    phi = get_fixture(name).symbol
+    steps = torus._CHUNK + 70_000  # crosses slice and block boundaries; t = 0 is on the grid
+    out = curve_trace(phi, -300.0, 300.0, steps)
+    assert 0.0 in out[:, 0]
+    assert out.tobytes() == _serial_curve(phi, -300.0, 300.0, steps).tobytes()
+    assert ergodic_measure(phi, 0.7, 250.0, steps + 1) == _serial_ergodic(phi, 0.7, 250.0, steps + 1)
+
+
+def test_line_characters_keep_their_signed_zeros():
+    class Identity:  # boundary values = the first character coordinate
+        c, r, d = 0j, 1.0, 1
+
+        def boundary(self, Z):
+            return Z[0].copy()
+
+    t = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, math.pi, -1e4, 3e5])
+    assert torus._line_values(Identity(), t).tobytes() == _serial_line_values(Identity(), t).tobytes()
+
+
+def test_results_do_not_depend_on_worker_count(pool_size):
+    phi = get_fixture("fig1-b").symbol
+    inner = get_fixture("example-7.3").symbol
+    plan = SamplePlan(n_samples=3 * torus._SLICE + 77, seed=5, d=phi.d)
+    inner_plan = SamplePlan(n_samples=2 * torus._SLICE + 9, seed=6, d=inner.d)
+
+    def run():
+        from h2comp.cli import _inner_rows
+        return (
+            sample_characters(plan).tobytes(),
+            measure_E_delta(phi, 0.8, plan),
+            mc_comp_norm_sq(phi, F5, plan),
+            curve_trace(phi, -50.0, 50.0, 2 * torus._SLICE + 3).tobytes(),
+            ergodic_measure(phi, 0.8, 50.0, 2 * torus._SLICE + 3),
+            _inner_rows(inner, inner_plan, (0.1, 1e-8)),
+        )
+
+    pool_size(1)
+    serial = run()
+    assert torus._pool is None  # one worker: the slices ran inline
+    pool_size(3)  # more workers than a 2-CPU host has, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run() == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert torus._pool is not None and torus._pool._max_workers == 3
+
+
+def test_worker_error_reaches_the_caller(pool_size, monkeypatch, capsys):
+    import threading
+
+    from h2comp import cli
+
+    pool_size(2)
+    raised_in = []
+    boundary = InnerSymbolParams.boundary
+
+    def failing(self, Z):
+        if Z.shape[1] < torus._SLICE:  # the short last slice
+            raised_in.append(threading.current_thread())
+            raise ValueError("boundary failed in a slice")
+        return boundary(self, Z)
+
+    monkeypatch.setattr(InnerSymbolParams, "boundary", failing)
+    phi = get_fixture("example-7.3").symbol
+    plan = SamplePlan(n_samples=2 * torus._SLICE + 5, seed=1, d=phi.d)
+    with pytest.raises(ValueError, match="boundary failed in a slice"):
+        measure_E_delta(phi, 0.5, plan)
+    assert raised_in and raised_in[0] is not threading.main_thread()
+    argv = ["measure", "--fixture", "example-7.3", "--delta", "0.5", "--samples", str(plan.n_samples)]
+    assert cli.main(argv) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and "Traceback" not in cap.err
+    assert cap.err.strip().splitlines() == ["error: boundary failed in a slice"]
+
+
+def test_sampling_works_in_a_forked_child(pool_size):
+    import multiprocessing
+
+    pool_size(2)
+    phi = get_fixture("fig1-c").symbol
+    plan = SamplePlan(n_samples=3 * torus._SLICE, seed=12, d=phi.d)
+    expected = measure_E_delta(phi, 0.7, plan)  # the pool has threads now
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send(measure_E_delta(phi, 0.7, plan))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert recv.poll(60), "forked child did not report"
+        assert recv.recv() == expected
+    finally:
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+    assert proc.exitcode == 0
+
+
+def test_exponent_sum_real_matches_mpmath():
+    import mpmath as mp
+
+    params = get_fixture("example-7.3").symbol
+    rng = np.random.default_rng(2024)
+    u = rng.uniform(0.0, 2.0 * math.pi, size=(params.d, 8))
+    Z = np.exp(1j * u)
+    primes = torus.first_primes(params.d)
+    with mp.workdps(40):
+        for sigma in (1.0, 1e-2, 1e-4, 1e-8, 1e-12):
+            got = params.exponent_sum_real(Z, sigma)
+            for i in range(Z.shape[1]):
+                ref = mp.mpf(0)
+                for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
+                    pole = mp.expj(th)
+                    z = mp.power(primes[j], -mp.mpf(sigma)) * mp.expj(u[j, i])
+                    ref += lam * ((pole + z) / (pole - z)).real
+                assert float(abs(got[i] - ref) / ref) < 1e-12, (sigma, i)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        params.exponent_sum_real(Z, 0.0)

@@ -11,10 +11,14 @@ The commands are `bounds` and `opnorm` on every shipped fixture they
 accept, the edge cases of the truncated section (one input column,
 K_out = 0, a constant symbol with no active prime, a single opnorm
 level), `measure`, `curve` and a short `curve --csv` on every
-boundary-sampleable fixture, `inner-check` at its defaults and at 16
-and 500 samples on other seeds, `majorize`, `subordinate` (exact,
-float and `--scan`), and `verify-lemmas --suite` for every suite.  They run in this process through `h2comp.cli.main`, with the
-package imported from this checkout's `src`.
+boundary-sampleable fixture, `measure` at 1,100,000 samples on the
+polynomial and one affine fixture and `curve` at 600,000 steps (both
+span more than one 2^19-column block and many 2^16-column slices),
+`inner-check` at its defaults and at 16 and 500 samples on other seeds,
+`majorize`, `subordinate` (exact, float and `--scan`), and
+`verify-lemmas --suite` for every suite.  They run in this process
+through `h2comp.cli.main`, with the package imported from this
+checkout's `src`.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ def commands() -> list[list[str]]:
             out.append(["measure", "--fixture", name, "--delta", "0.9"])
             out.append(["curve", "--fixture", name])
             out.append(["curve", "--fixture", name, "--csv", "--T", "30", "--steps", "64"])
+    for name in ("example-7.1", "fig1-c"):
+        out.append(["measure", "--fixture", name, "--delta", "0.9", "--samples", "1100000"])
+    out.append(["curve", "--fixture", "fig1-b", "--steps", "600000"])
     out.append(["inner-check"])
     out.append(["inner-check", "--samples", "16", "--seed", "3"])
     out.append(["inner-check", "--samples", "500", "--seed", "9"])
