@@ -30,6 +30,7 @@ power-mean ordering is strictly weaker than majorization.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +74,8 @@ class CoeffVector:
     def __post_init__(self):
         vals = tuple(float(x) for x in self.entries)
         for x in vals:
+            if not math.isfinite(x):
+                raise ValueError(f"coefficient {x} is not finite")
             if x < 0.0:
                 raise ValueError(f"coefficient {x} is negative")
         object.__setattr__(self, "entries", vals)
@@ -105,27 +108,27 @@ class AffineSymbol:
     """phi(s) = c + sum_j c_j chi_j p_j^{-s} on the first d primes.
 
     Coefficients are stored as moduli `coeffs`; unimodular phases, if
-    any, live in `twist`.  Construction validates class membership
-    (Re c > 1/2, and Re c - 1/2 >= sum c_j when d >= 1) unless built
-    through `unchecked`.
+    any, live in `twist`.  Construction validates that every value is
+    finite and class membership (Re c > 1/2, and Re c - 1/2 >= sum c_j
+    when d >= 1) unless built through `unchecked`.
     """
 
     __slots__ = ("c", "coeffs", "twist")
 
     def __init__(self, c, coeffs=(), twist=None, validate: bool = True):
         cc = complex(c)
-        mods: list[float] = []
-        phases: list[complex] = []
-        for z in coeffs:
-            z = complex(z)
-            m = abs(z)
-            mods.append(m)
-            phases.append(z / m if m > 0.0 else 1.0 + 0.0j)
-        if twist is not None:
-            if len(twist) != len(mods):
+        zs = [complex(z) for z in coeffs]
+        tws = None if twist is None else [complex(t) for t in twist]
+        if validate and not all(map(cmath.isfinite, [cc, *zs, *(tws or ())])):
+            raise ValueError(
+                f"symbol c={cc}, coeffs={tuple(zs)}, twist={tws} has a non-finite value"
+            )
+        mods = [abs(z) for z in zs]
+        phases = [z / m if m > 0.0 else 1.0 + 0.0j for z, m in zip(zs, mods)]
+        if tws is not None:
+            if len(tws) != len(mods):
                 raise ValueError("twist length must match coefficient length")
-            for j, t in enumerate(twist):
-                t = complex(t)
+            for j, t in enumerate(tws):
                 if abs(abs(t) - 1.0) > 1e-12:
                     raise ValueError(f"twist value {t} is not unimodular")
                 phases[j] = phases[j] * t
@@ -201,12 +204,12 @@ class AffineSymbol:
         return out
 
     @classmethod
-    def from_jsonable(cls, data: dict, validate: bool = True) -> "AffineSymbol":
+    def from_jsonable(cls, data: dict) -> "AffineSymbol":
         c = complex(data["c"][0], data["c"][1])
         tw = None
         if data.get("twist") is not None:
             tw = [complex(t[0], t[1]) for t in data["twist"]]
-        return cls(c, tuple(data["coeffs"]), twist=tw, validate=validate)
+        return cls(c, tuple(data["coeffs"]), twist=tw)
 
 
 class PolynomialSymbol:
@@ -222,7 +225,7 @@ class PolynomialSymbol:
 
     __slots__ = ("c", "terms", "radius")
 
-    def __init__(self, c, terms, radius, validate: bool = True):
+    def __init__(self, c, terms, radius):
         cc = complex(c)
         tt: dict[int, complex] = {}
         for n, a in dict(terms).items():
@@ -235,7 +238,7 @@ class PolynomialSymbol:
         rr = float(radius)
         if not rr > 0.0:
             raise ValueError("frame radius must be positive")
-        if validate and not (cc.real - 0.5 >= rr - 1e-12):
+        if not cc.real - 0.5 >= rr - 1e-12:
             raise ValueError("frame disc must satisfy Re c - 1/2 >= radius")
         object.__setattr__(self, "c", cc)
         object.__setattr__(self, "terms", dict(sorted(tt.items())))
@@ -344,7 +347,7 @@ def annulus_radii(phi: AffineSymbol) -> tuple[float, float]:
 
 # --- majorization ---------------------------------------------------------
 
-def majorizes(b, c, tol: float = 1e-12) -> bool:
+def majorizes(b, c) -> bool:
     """Whether c majorizes b: equal sums and every descending prefix of
     c dominates the matching prefix of b."""
     bv = CoeffVector.coerce(b)
@@ -352,11 +355,11 @@ def majorizes(b, c, tol: float = 1e-12) -> bool:
     if bv.d != cv.d:
         raise ValueError("majorization compares vectors of equal length")
     sb, sc = bv.r, cv.r
-    if abs(sb - sc) > tol * max(1.0, sb, sc):
+    if abs(sb - sc) > 1e-12 * max(1.0, sb, sc):
         raise ValueError(f"sum mismatch: {sb} vs {sc}")
     pb = np.cumsum(sorted(bv, reverse=True))
     pc = np.cumsum(sorted(cv, reverse=True))
-    return bool(np.all(pb <= pc + tol))
+    return bool(np.all(pb <= pc + 1e-12))
 
 
 def _compose(q: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:

@@ -8,8 +8,9 @@ except for the timestamp line.  ``curve --csv`` prints CSV instead.
 Exit codes:
 
 * 0 — the report was produced and every checked inequality held;
-* 1 — usage or domain errors (bad flags, malformed vectors, symbols
-  outside the bounded class);
+* 1 — usage or domain errors (bad flags, malformed or non-finite
+  vectors, symbols outside the bounded class, or arithmetic that
+  overflows or divides by zero on extreme inputs);
 * 2 — a mathematically guaranteed inequality failed its numerical
   check.  This is the interesting failure mode: it means a numerical
   regression, never a matter of taste.  A check inside the library
@@ -60,7 +61,9 @@ from .opnorm import (
     sigma_max_sq,
     suite_for_phi_alpha,
 )
-from .opnorm import _default_kout  # shared default between library and CLI
+# shared between library and CLI: the default output degree, the real
+# kernel grid and the sign-flipped twin the bound suite works through
+from .opnorm import _KERNEL_SIGMAS, _default_kout, _vertical_twin
 from .torus import (
     InnerSymbolParams,
     SamplePlan,
@@ -349,6 +352,7 @@ def _scan_subordination(args, echo) -> tuple[str, int]:
     d = len(_parse_vector_exactish(args.coeffs))
     if d < 2:
         raise _CliError("--scan needs a vector of length >= 2 to set the dimension")
+    _require_positive(args, "samples")
     n = args.samples
     gen = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
     counts = {"comparable": 0, "lhs_dominates": 0, "rhs_dominates": 0, "mixed": 0}
@@ -386,8 +390,6 @@ def _scan_subordination(args, echo) -> tuple[str, int]:
 
 
 def _cmd_majorize(args) -> tuple[str, int]:
-    if args.against is None:
-        raise _CliError("majorize needs --against")
     b = _parse_vector_exactish(args.coeffs)
     c = _parse_vector_exactish(args.against)
     echo = {"coeffs": args.coeffs, "against": args.against}
@@ -416,8 +418,6 @@ def _cmd_majorize(args) -> tuple[str, int]:
 def _cmd_measure(args) -> tuple[str, int]:
     kind, sym, echo = _resolve_symbol(args, ("affine", "poly", "inner"))
     delta = args.delta
-    if delta is None:
-        raise _CliError("measure needs --delta")
     try:
         plan = SamplePlan(n_samples=args.samples, seed=args.seed, d=max(sym.d, 1))
         res = measure_E_delta(sym, delta, plan)
@@ -765,7 +765,7 @@ def _suite_kernel_in_section() -> dict:
     ok = True
     rows = []
     for coeffs, n_in, k_out in (((1.0,), 512, 48), ((0.6, 0.4), 64, 40)):
-        flipped = AffineSymbol(1.5, coeffs, twist=tuple(-1.0 for _ in coeffs))
+        flipped = _vertical_twin(AffineSymbol(1.5, coeffs))
         op = build_matrix(flipped, n_in, k_out)
         smax = sigma_max_sq(op)
         best_ratio = 0.0
@@ -925,14 +925,9 @@ def _suite_kernel_order() -> dict:
             phi = fx.symbol
             rep = bound_suite(phi)
             adj = rep.entries["adjoint_lower"].value
-            flipped = AffineSymbol(
-                phi.c,
-                phi.coeffs,
-                twist=tuple(-1.0 for _ in phi.coeffs) if phi.d else None,
-                validate=False,
-            )
+            flipped = _vertical_twin(phi)
             best, allowance = 0.0, 0.0
-            for s in (0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0):
+            for s in _KERNEL_SIGMAS:
                 rk = kernel_quotient_report(flipped, complex(s, 0.0))
                 shave = rk.image_defect + rk.kernel_tail
                 best = max(best, rk.ratio**2)
@@ -1103,9 +1098,8 @@ def _build_parser() -> _Parser:
     )
     sub = top.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_symbol_flags(p, fixture=True):
-        if fixture:
-            p.add_argument("--fixture", help="named shipped symbol (see README)")
+    def add_symbol_flags(p):
+        p.add_argument("--fixture", help="named shipped symbol (see README)")
         p.add_argument("--c", help="symbol constant, re or re,im (default 1.5)")
         p.add_argument("--coeffs", help="comma-separated prime coefficients")
 
@@ -1205,6 +1199,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except ArithmeticError as e:
+        print(f"error: floating-point arithmetic failed: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)

@@ -218,13 +218,14 @@ def twist(f: DirichletPoly, chi: Character) -> DirichletPoly:
     return DirichletPoly({n: chi(n) * a for n, a in f.items()})
 
 
-def carlson_mean(f: DirichletPoly, T: float, steps: int | None = None) -> float:
+def carlson_mean(f: DirichletPoly, T: float) -> float:
     """Mean of |f(it)|^2 over [-T, T] by composite Simpson.
 
     The long-line mean converges to the square norm at speed 1/T with a
     constant controlled by the reciprocal log-gaps of the support; the
-    default step count (about 200 T max log n, capped at 10^7) keeps the
-    quadrature error far below that 1/T resolution.
+    step count, 200 T max(log n, 1) rounded up to even and kept between
+    64 and 10^7, keeps the quadrature error far below that 1/T
+    resolution.
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -232,11 +233,7 @@ def carlson_mean(f: DirichletPoly, T: float, steps: int | None = None) -> float:
     if not sup:
         return 0.0
     maxln = math.log(max(sup))
-    if steps is None:
-        steps = int(min(1e7, max(64.0, math.ceil(200.0 * T * max(maxln, 1.0)))))
-    steps = int(steps)
-    if steps < 2:
-        raise ValueError("need at least 2 quadrature steps")
+    steps = int(min(1e7, max(64.0, math.ceil(200.0 * T * max(maxln, 1.0)))))
     if steps % 2:
         steps += 1
     t = np.linspace(-T, T, steps + 1)

@@ -83,6 +83,10 @@ _ENTRY_CAP = 8_000_000
 _BLOCK_ENTRIES = 16_384     # rows x columns per block of the last lattice product (256 KB)
 _POWER_TOL = 1e-10
 _POWER_MAXIT = 100_000
+_GOLDEN_ITERS = 60
+_GATE_TOL = 1e-9
+# real kernel points of the bound suite's quotient entry
+_KERNEL_SIGMAS = (0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
 
 
 # --- truncated matrices ---------------------------------------------------
@@ -103,14 +107,6 @@ class TruncatedOperator:
     out_indices: tuple[tuple[int, ...], ...]
     entries: np.ndarray
     column_defects: np.ndarray
-
-    @property
-    def n_in(self) -> int:
-        return len(self.input_ns)
-
-    @property
-    def K_out(self) -> int:
-        return max((sum(k) for k in self.out_indices), default=0)
 
     def column_norm_sq(self) -> np.ndarray:
         return np.sum(np.abs(self.entries) ** 2, axis=0)
@@ -226,6 +222,9 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
             f"truncation size {rows} x {n_in} exceeds the configured caps "
             f"({_ROW_CAP} rows, {_ENTRY_CAP} entries)"
         )
+    # the defects come first: a tail bound that overflows ends the build
+    # before the entries do
+    defects = _column_defects(phi.c.real, [abs(z) for z in eff], np.arange(1, n_in + 1), K_out)
     idx = _multi_indices(d_act, K_out)
     A = np.zeros((rows, n_in), dtype=complex)
     A[0, 0] = 1.0
@@ -246,8 +245,6 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
         step = max(1, _BLOCK_ENTRIES // max(1, n_in - 1))
         for r0 in range(0, rows, step):
             np.multiply(P[parent[r0:r0 + step]], F[-1, expo[r0:r0 + step]], out=A[r0:r0 + step, 1:])
-    mods = [abs(z) for z in eff]
-    defects = _column_defects(phi.c.real, mods, np.arange(1, n_in + 1), K_out)
     return TruncatedOperator(
         symbol=phi,
         input_ns=tuple(range(1, n_in + 1)),
@@ -257,7 +254,7 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
     )
 
 
-def sigma_max_sq(op: TruncatedOperator, tol: float = _POWER_TOL) -> float:
+def sigma_max_sq(op: TruncatedOperator) -> float:
     """Largest squared singular value by power iteration on the Gram matrix.
 
     Deterministic all-ones start; converges on a relative Rayleigh
@@ -280,7 +277,7 @@ def sigma_max_sq(op: TruncatedOperator, tol: float = _POWER_TOL) -> float:
             return 0.0
         lam = float(np.real(np.vdot(v, u)))
         v = u / nu
-        if it >= 10 and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+        if it >= 10 and abs(lam - lam_prev) <= _POWER_TOL * max(1.0, abs(lam)):
             return lam
         lam_prev = lam
     raise NonConvergence(
@@ -353,14 +350,14 @@ def kernel_quotient(
 
 # --- adjoint suprema ------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximum of a unimodal-enough f on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
@@ -372,6 +369,17 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]
     if f1 >= f2:
         return x1, f1
     return x2, f2
+
+
+def _refined_grid_max(f, xs, vals, lo_edge: float, hi_edge: float) -> float:
+    """The best grid value vals[i] = f(xs[i]), or the golden-section maximum
+    of f between the neighbours of that grid point if it is larger.  At
+    either end of the grid, lo_edge or hi_edge stands in for the missing
+    neighbour."""
+    i = int(np.argmax(vals))
+    lo = xs[i - 1] if i > 0 else lo_edge
+    hi = xs[i + 1] if i + 1 < len(xs) else hi_edge
+    return max(vals[i], _golden_max(f, lo, hi)[1])
 
 
 def _phi_min_re(phi: AffineSymbol, sigma: float) -> float:
@@ -409,12 +417,7 @@ def adjoint_bound_general(phi: AffineSymbol, spec: LambdaSpec, sigma_grid) -> fl
     # into one vector call; `_phi_min_re` and `zeta_lambda` stay scalar
     num = zeta(np.array([2.0 * _phi_min_re(phi, s) for s in grid]))
     vals = num / np.array([zeta_lambda(spec, 2.0 * s) for s in grid])
-    i = int(np.argmax(vals))
-    best = vals[i]
-    lo = grid[i - 1] if i > 0 else half_absc + 0.5 * (grid[0] - half_absc)
-    hi = grid[i + 1] if i + 1 < len(grid) else grid[-1] * 1.5
-    _, refined = _golden_max(q, lo, hi)
-    return max(best, refined)
+    return _refined_grid_max(q, grid, vals, half_absc + 0.5 * (grid[0] - half_absc), grid[-1] * 1.5)
 
 
 def adjoint_bound_2s(c: complex, r: float) -> float:
@@ -453,12 +456,7 @@ def adjoint_bound_2s(c: complex, r: float) -> float:
     live = args > 1.0
     vals = np.zeros(len(xs))
     vals[live] = (2.0 - xs[live]) * xs[live] * zeta(args[live])
-    i = int(np.argmax(vals))
-    best = vals[i]
-    lo = xs[i - 1] if i > 0 else xs[0]
-    hi = xs[i + 1] if i + 1 < len(xs) else 1.0
-    _, refined = _golden_max(g, lo, hi)
-    best = max(best, refined)
+    best = _refined_grid_max(g, xs, vals, xs[0], 1.0)
     if abs(base - 1.0) <= 1e-12:
         best = max(best, 1.0 / rr)
     return best
@@ -481,7 +479,7 @@ class BoundEntry:
 @dataclass
 class BoundReport:
     """Named lower/upper bounds for a squared operator norm, with the
-    consistency gate max(lowers) <= min(uppers) + tol."""
+    consistency gate max(lowers) <= min(uppers) + 1e-9."""
 
     entries: dict[str, BoundEntry] = field(default_factory=dict)
 
@@ -503,18 +501,18 @@ class BoundReport:
     def bracket(self) -> tuple[float, float]:
         return (self.max_lower(), self.min_upper())
 
-    def violations(self, tol: float = 1e-9) -> list[str]:
+    def violations(self) -> list[str]:
         lows = self.applicable(LOWER_KEYS)
         ups = self.applicable(UPPER_KEYS)
         out = []
         for lk, lv in lows.items():
             for uk, uv in ups.items():
-                if lv > uv + tol:
+                if lv > uv + _GATE_TOL:
                     out.append(f"{lk}={lv:.15g} exceeds {uk}={uv:.15g} by {lv - uv:.3g}")
         return out
 
-    def gate_ok(self, tol: float = 1e-9) -> bool:
-        return not self.violations(tol)
+    def gate_ok(self) -> bool:
+        return not self.violations()
 
     def to_jsonable(self) -> dict:
         ent = {}
@@ -548,19 +546,27 @@ def _default_kout(d_act: int) -> int:
     return min(K, 40)
 
 
-def bound_suite(
-    phi: AffineSymbol,
-    n_in: int = 64,
-    K_out: int | None = None,
-    kernel_sigmas: Sequence[float] = (0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0),
-) -> BoundReport:
+def _vertical_twin(phi: AffineSymbol) -> AffineSymbol:
+    """phi with every coefficient rotated to -c_j.
+
+    A diagonal unitary on the output lattice relates the finite sections
+    of phi and its twin, so their singular values agree, while real
+    kernel points realize the minimal real part of the twin and give the
+    strongest quotients.
+    """
+    return AffineSymbol(
+        phi.c,
+        phi.coeffs,
+        twist=tuple(-1.0 for _ in phi.coeffs) if phi.d else None,
+        validate=False,
+    )
+
+
+def bound_suite(phi: AffineSymbol, n_in: int = 64, K_out: int | None = None) -> BoundReport:
     """Assemble every applicable bound for ||C_phi||^2.
 
-    The truncated matrix is built for the sign-flipped vertical twin of
-    phi (all coefficients rotated to -c_j): a diagonal unitary on the
-    output lattice relates the two sections, so the singular value is
-    unchanged, while real kernel points then realize the minimal real
-    part of the symbol and give the strongest quotients.
+    The truncated matrix and the kernel quotients go through the
+    vertical twin of phi (`_vertical_twin`).
     """
     if not in_gordon_hedenmalm(phi):
         raise ValueError("bound suite requires a symbol in the bounded class")
@@ -593,12 +599,7 @@ def bound_suite(
         )
 
     K_out_eff = _default_kout(max(d_act, 1)) if K_out is None else int(K_out)
-    flipped = AffineSymbol(
-        phi.c,
-        phi.coeffs,
-        twist=tuple(-1.0 for _ in phi.coeffs) if phi.d else None,
-        validate=False,
-    )
+    flipped = _vertical_twin(phi)
     op = build_matrix(flipped, n_in, K_out_eff)
     rep.entries["matrix_lower"] = BoundEntry(
         sigma_max_sq(op),
@@ -607,7 +608,7 @@ def bound_suite(
     )
 
     best_kernel = 0.0
-    for s in kernel_sigmas:
+    for s in _KERNEL_SIGMAS:
         # real kernel points: the flipped twin attains the minimal real
         # part of the symbol there, which maximizes the quotient
         rep_k = kernel_quotient_report(flipped, complex(s, 0.0), op=op)
@@ -690,20 +691,6 @@ class PhiAlphaSymbol:
 
     def to_jsonable(self) -> dict:
         return {"alpha": self.alpha}
-
-    def value(self, s) -> complex:
-        z = 2.0 ** (-np.asarray(s, dtype=complex))
-        return 0.5 + self.alpha * (1.0 - z) / (1.0 + z)
-
-    def disc_coeffs(self, N: int) -> np.ndarray:
-        """Taylor coefficients of 1/2 + alpha (1 - z)/(1 + z) through z^N."""
-        out = np.empty(N + 1)
-        out[0] = 0.5 + self.alpha
-        sign = -1.0
-        for m in range(1, N + 1):
-            out[m] = 2.0 * self.alpha * sign
-            sign = -sign
-        return out
 
 
 def _exp_mobius_coeffs(beta: np.ndarray, K: int) -> np.ndarray:
@@ -793,19 +780,10 @@ def phi_alpha_adjoint_sup(alpha: float) -> float:
     xs = np.geomspace(1e-5, 1.0, 512)
     # g on the whole grid, with one vector zeta call
     vals = 4.0 * xs / (1.0 + xs) ** 2 * zeta(1.0 + 2.0 * a * xs)
-    i = int(np.argmax(vals))
-    lo = xs[i - 1] if i > 0 else xs[0] * 0.5
-    hi = xs[i + 1] if i + 1 < len(xs) else 1.0
-    _, refined = _golden_max(g, lo, hi)
-    return max(max(vals), refined, 2.0 / a, zeta(1.0 + 2.0 * a))
+    return max(_refined_grid_max(g, xs, vals, xs[0] * 0.5, 1.0), 2.0 / a, zeta(1.0 + 2.0 * a))
 
 
-def suite_for_phi_alpha(
-    alpha: float,
-    n_in: int = 512,
-    K_out: int = 400,
-    kernel_ws: Sequence[float] | None = None,
-) -> BoundReport:
+def suite_for_phi_alpha(alpha: float, n_in: int = 512, K_out: int = 400) -> BoundReport:
     """Bound report for the interpolation family.
 
     The closed-form bracket is max(2/alpha, zeta(1+2 alpha)) from below
@@ -842,9 +820,7 @@ def suite_for_phi_alpha(
         True,
         f"largest singular value of the finite section ({K_out + 1}x{n_in})",
     )
-    if kernel_ws is None:
-        kernel_ws = np.geomspace(1e-4, 4.0, 64)
-    best = max(phi_alpha_kernel_ratio_sq(a, float(w)) for w in kernel_ws)
+    best = max(phi_alpha_kernel_ratio_sq(a, float(w)) for w in np.geomspace(1e-4, 4.0, 64))
     rep.entries["kernel_S_lower"] = BoundEntry(
         best, True, "best exact kernel quotient over real points near 0"
     )

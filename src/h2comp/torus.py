@@ -188,6 +188,15 @@ def _required_dim(phi) -> int:
     return max(int(phi.d), 1)
 
 
+def _line_grid(phi, t_min: float, t_max: float, n: int) -> np.ndarray:
+    """n uniform points on [t_min, t_max], where every phase t log p_j
+    the line characters take is a finite float."""
+    log_p = math.log(first_primes(_required_dim(phi))[-1])
+    if not (math.isfinite(t_max - t_min) and math.isfinite(max(abs(t_min), abs(t_max)) * log_p)):
+        raise ValueError(f"phases t log p_j on [{t_min}, {t_max}] are not finite")
+    return np.linspace(t_min, t_max, n)
+
+
 def _line_values(phi, t: np.ndarray) -> np.ndarray:
     """phi(it) along the imaginary axis: the boundary values at the
     characters Z_j = p_j^{-it}, in column slices."""
@@ -268,7 +277,7 @@ def ergodic_measure(phi, delta: float, T: float, steps: int) -> float:
     c, r = phi.c, phi.r
     if not r > 0.0:
         raise ValueError("level-set measures need a nondegenerate frame radius")
-    t = np.linspace(-T, T, int(steps))
+    t = _line_grid(phi, -T, T, int(steps))
     hits = 0
     for i in range(0, t.size, _CHUNK):
         vals = _line_values(phi, t[i : i + _CHUNK])
@@ -283,7 +292,7 @@ def curve_trace(phi, t_min: float, t_max: float, steps: int) -> np.ndarray:
         raise ValueError("need t_max > t_min")
     if steps < 1:
         raise ValueError("need at least one step")
-    t = np.linspace(t_min, t_max, int(steps) + 1)
+    t = _line_grid(phi, t_min, t_max, int(steps) + 1)
     out = np.empty((t.size, 3))
     out[:, 0] = t
     for i in range(0, t.size, _CHUNK):

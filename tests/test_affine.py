@@ -103,6 +103,22 @@ def test_coeff_vector_rejects_negative():
         CoeffVector.coerce((-0.1, 0.5))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_coeff_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        CoeffVector.coerce((bad, 0.5))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("where", ["re c", "im c", "coefficient", "twist"])
+def test_symbol_rejects_non_finite_values(bad, where):
+    c = {"re c": complex(bad, 0.0), "im c": complex(1.5, bad)}.get(where, 1.5)
+    coeffs = (0.5, complex(0.0, bad)) if where == "coefficient" else (0.5, 0.25)
+    twist = (1.0, complex(bad, 0.0)) if where == "twist" else None
+    with pytest.raises(ValueError, match="non-finite"):
+        AffineSymbol(c, coeffs, twist=twist)
+
+
 def test_polynomial_symbol_radius():
     phi = PolynomialSymbol(1.5, {2: 0.25, 4: 0.5j, 8: 0.25}, radius=1.0)
     assert phi.support == (2, 4, 8)

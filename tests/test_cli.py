@@ -429,6 +429,32 @@ def test_non_convergence_exits_three(capsys, monkeypatch, argv):
     assert issubclass(NonConvergence, RuntimeError)
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--c", "inf", "--coeffs", "0.5"],
+    ["bounds", "--c", "1.5,inf", "--coeffs", "0.5"],
+    ["opnorm", "--c", "1.5,inf", "--coeffs", "0.5"],
+    ["subordinate", "--coeffs", "0.5,0.5", "--against", "1,0", "--c", "inf"],
+    ["majorize", "--coeffs", "nan,1", "--against", "1,0"],
+    ["bounds", "--c", "1e300", "--coeffs", "1e299"],
+    ["bounds", "--c", "1.5", "--coeffs", "1e-320"],
+    ["curve", "--fixture", "fig1-a", "--T", "inf"],
+    ["curve", "--fixture", "fig1-a", "--T", "1e308"],
+    ["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"],
+])
+def test_extreme_inputs_exit_one(capsys, argv):
+    # non-finite symbols and line ranges, arithmetic that overflows or
+    # divides by zero, and an empty scan: each once ended in NaN
+    # iterations, a traceback, warnings, exit 2 or a verdict
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert caught == []
+    assert "Traceback" not in err and "Warning" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_measure_samples_once(capsys, monkeypatch):
     from h2comp.torus import shapiro_constant
 

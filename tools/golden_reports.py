@@ -15,8 +15,10 @@ boundary-sampleable fixture, `measure` at 1,100,000 samples on the
 polynomial and one affine fixture and `curve` at 600,000 steps (both
 span more than one 2^19-column block and many 2^16-column slices),
 `inner-check` at its defaults and at 16 and 500 samples on other seeds,
-`majorize`, `subordinate` (exact, float and `--scan`), and
-`verify-lemmas --suite` for every suite.  They run in this process
+`majorize`, `subordinate` (exact, float and `--scan`),
+`verify-lemmas --suite` for every suite, and last ten error paths
+(non-finite symbols and line ranges, overflowing arithmetic, a scan
+with no samples), which print no report and exit 1.  They run in this process
 through `h2comp.cli.main`, with the package imported from this
 checkout's `src`.
 """
@@ -66,6 +68,16 @@ def commands() -> list[list[str]]:
     out.append(["subordinate", "--coeffs", "1,1,1", "--scan", "--samples", "300"])
     out.append(["subordinate", "--coeffs", "1,1,1,1", "--scan", "--samples", "300", "--seed", "7"])
     out.extend(["verify-lemmas", "--suite", suite] for suite in cli._SUITES)
+    out.append(["bounds", "--c", "inf", "--coeffs", "0.5"])
+    out.append(["bounds", "--c", "1.5,inf", "--coeffs", "0.5"])
+    out.append(["opnorm", "--c", "1.5,inf", "--coeffs", "0.5"])
+    out.append(["subordinate", "--coeffs", "0.5,0.5", "--against", "1,0", "--c", "inf"])
+    out.append(["majorize", "--coeffs", "nan,1", "--against", "1,0"])
+    out.append(["bounds", "--c", "1e300", "--coeffs", "1e299"])
+    out.append(["bounds", "--c", "1.5", "--coeffs", "1e-320"])
+    out.append(["curve", "--fixture", "fig1-a", "--T", "inf"])
+    out.append(["curve", "--fixture", "fig1-a", "--T", "1e308"])
+    out.append(["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"])
     return out
 
 
