@@ -26,6 +26,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -38,6 +39,7 @@ import numpy as np
 from . import __version__
 from .affine import (
     AffineSymbol,
+    _xi_from,
     annulus_radii,
     bvn_decompose,
     comp_bruteforce_norm_sq,
@@ -47,7 +49,9 @@ from .affine import (
     hq_dominance,
     majorizes,
 )
-from .disc import littlewood_check, mobius_comp_norm_sq, psi_matrix, psi_z2z
+from .disc import (
+    PowerSeries, compose_truncated, littlewood_check, mobius_comp_norm_sq, psi_matrix, psi_z2z,
+)
 from .dseries import DirichletPoly, carlson_mean, evaluate, h2_norm_sq
 from .errors import InequalityViolation, NonConvergence
 from .fixtures import get_fixture, fixtures, poly_level_measure, poly_shapiro_closed_form
@@ -61,9 +65,9 @@ from .opnorm import (
     sigma_max_sq,
     suite_for_phi_alpha,
 )
-# shared between library and CLI: the default output degree, the real
-# kernel grid and the sign-flipped twin the bound suite works through
-from .opnorm import _KERNEL_SIGMAS, _default_kout, _vertical_twin
+# shared between library and CLI: the section sizes of the reports, the
+# real kernel grid and the sign-flipped twin the bound suite works through
+from .opnorm import _KERNEL_SIGMAS, _truncation, _vertical_twin
 from .torus import (
     InnerSymbolParams,
     SamplePlan,
@@ -230,25 +234,14 @@ def _cmd_bounds(args) -> tuple[str, int]:
     _require_positive(args, "nin")
     kind, sym, echo = _resolve_symbol(args, ("affine", "family"))
     if kind == "family":
-        n_in = args.nin if args.nin else 512
-        k_out = args.kout if args.kout is not None else 400
-        rep = suite_for_phi_alpha(sym.alpha, n_in=n_in, K_out=k_out)
-        trunc = {"n_in": n_in, "k_out": k_out}
+        rep = suite_for_phi_alpha(sym.alpha, args.nin, args.kout)
     else:
-        n_in = args.nin if args.nin else 64
-        rep = bound_suite(sym, n_in=n_in, K_out=args.kout)
-        d_act = sum(1 for x in sym.coeffs if x > 0)
-        trunc = {
-            "n_in": n_in,
-            "k_out": args.kout if args.kout is not None else _default_kout(max(d_act, 1)),
-        }
-    if args.nin:
-        echo["nin"] = args.nin
-    if args.kout is not None:
-        echo["kout"] = args.kout
+        rep = bound_suite(sym, args.nin, args.kout)
+    echo.update({k: getattr(args, k) for k in ("nin", "kout") if getattr(args, k) is not None})
     payload = _header("bounds", echo, None)
     payload["symbol"] = sym.to_jsonable()
-    payload.update(trunc)
+    payload["n_in"] = rep.n_in
+    payload["k_out"] = rep.k_out
     payload["report"] = rep.to_jsonable()
     code = 0 if rep.gate_ok() else 2
     return _render(payload) + "\n", code
@@ -257,26 +250,15 @@ def _cmd_bounds(args) -> tuple[str, int]:
 def _cmd_opnorm(args) -> tuple[str, int]:
     _require_positive(args, "nin", "levels")
     kind, sym, echo = _resolve_symbol(args, ("affine", "family"))
-    L = args.levels
-    rows = []
+    base, k_out = _truncation(kind, sym, args.nin, args.kout)
+    smallest = 4 if kind == "family" else 2
+    sizes = sorted({max(smallest, base >> s) for s in range(min(args.levels, base.bit_length() + 1))})
     if kind == "family":
-        base = args.nin if args.nin else 512
-        k_out = args.kout if args.kout is not None else 400
-        sizes = sorted({max(4, base >> s) for s in range(min(L, base.bit_length() + 1))})
-        for n in sizes:
-            op = phi_alpha_operator(sym.alpha, n_in=n, K_out=k_out)
-            rows.append({"n_in": n, "k_out": k_out, "sigma_max_sq": sigma_max_sq(op)})
+        values = [sigma_max_sq(phi_alpha_operator(sym.alpha, n, k_out)) for n in sizes]
     else:
-        base = args.nin if args.nin else 64
-        d_act = sum(1 for x in sym.coeffs if x > 0)
-        k_out = args.kout if args.kout is not None else _default_kout(max(d_act, 1))
-        sizes = sorted({max(2, base >> s) for s in range(min(L, base.bit_length() + 1))})
-        for n, k, s in sigma_max_series(sym, [(n, k_out) for n in sizes]):
-            rows.append({"n_in": n, "k_out": k, "sigma_max_sq": s})
-    monotone_ok = all(
-        rows[i + 1]["sigma_max_sq"] >= rows[i]["sigma_max_sq"] - 1e-9
-        for i in range(len(rows) - 1)
-    )
+        values = [s for _, _, s in sigma_max_series(sym, [(n, k_out) for n in sizes])]
+    rows = [{"n_in": n, "k_out": k_out, "sigma_max_sq": s} for n, s in zip(sizes, values)]
+    monotone_ok = all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
     echo.update({k: getattr(args, k) for k in ("nin", "kout", "levels") if getattr(args, k) is not None})
     payload = _header("opnorm", echo, None)
     payload["symbol"] = sym.to_jsonable()
@@ -614,7 +596,6 @@ def _series_pairs():
     f2 = DirichletPoly({1: 1.0, 2: 2.0, 3: -1.0, 6: 0.5j})
     f3 = DirichletPoly({1: 1.0, 2: 1.0, 3: 1.0, 5: 1.0, 30: 1.0 + 1.0j})
     f4 = DirichletPoly({n: 1.0 / n for n in range(1, 7)})
-    import cmath
     return [
         (AffineSymbol(1.5, (1.0,)), f1),
         (AffineSymbol(1.5, (0.6, 0.4)), f2),
@@ -713,7 +694,6 @@ def _suite_carlson_window() -> dict:
 
 
 def _suite_boundary_identity() -> dict:
-    import cmath
     pairs = [
         (AffineSymbol(1.5, (1.0,)), DirichletPoly({n: 1.0 for n in range(1, 7)})),
         (
@@ -737,7 +717,6 @@ def _suite_boundary_identity() -> dict:
 
 
 def _suite_adjoint_diagonal() -> dict:
-    from .affine import _xi_from
     ok = True
     for x in (0.1, 0.2, 0.25):
         val = adjoint_bound_2s(complex(0.5 + x, 0.0), x)
@@ -785,13 +764,12 @@ def _suite_kernel_in_section() -> dict:
 
 
 def _suite_matrix_certificates() -> dict:
-    from .dseries import DirichletPoly as DP
     ok = True
     phi = AffineSymbol(1.5, (1.0,))
     op = build_matrix(phi, 32, 40)
     colsq = op.column_norm_sq()
     for i, n in enumerate(op.input_ns):
-        exact = comp_norm_sq(phi, DP.monomial(n))
+        exact = comp_norm_sq(phi, DirichletPoly.monomial(n))
         ok &= colsq[i] - 1e-12 <= exact <= colsq[i] + op.column_defects[i] + 1e-12
     e0 = np.zeros(len(op.out_indices))
     e0[0] = 1.0
@@ -848,7 +826,6 @@ def _suite_level_measure() -> dict:
 
 
 def _suite_disc_transfer() -> dict:
-    from .disc import PowerSeries, compose_truncated
     ok = True
     M = psi_matrix(40)
     col1 = M[:, 1]
@@ -926,9 +903,10 @@ def _suite_kernel_order() -> dict:
             rep = bound_suite(phi)
             adj = rep.entries["adjoint_lower"].value
             flipped = _vertical_twin(phi)
+            op = build_matrix(flipped, 64, 40)
             best, allowance = 0.0, 0.0
             for s in _KERNEL_SIGMAS:
-                rk = kernel_quotient_report(flipped, complex(s, 0.0))
+                rk = kernel_quotient_report(flipped, complex(s, 0.0), op=op)
                 shave = rk.image_defect + rk.kernel_tail
                 best = max(best, rk.ratio**2)
                 allowance = max(allowance, 2.0 * rk.ratio * shave + shave * shave)

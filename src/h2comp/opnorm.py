@@ -223,28 +223,30 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
             f"({_ROW_CAP} rows, {_ENTRY_CAP} entries)"
         )
     # the defects come first: a tail bound that overflows ends the build
-    # before the entries do
-    defects = _column_defects(phi.c.real, [abs(z) for z in eff], np.arange(1, n_in + 1), K_out)
-    idx = _multi_indices(d_act, K_out)
-    A = np.zeros((rows, n_in), dtype=complex)
-    A[0, 0] = 1.0
-    # columns n >= 2; n^{-c} and t = -c_j log n stay Python complex
-    # scalars, so every entry keeps the bits of its scalar definition
-    ns = range(2, n_in + 1)
-    base = np.array([n ** (-phi.c) for n in ns], dtype=complex)
-    if d_act == 0:
-        A[0, 1:] = base
-    else:
-        lns = [math.log(n) for n in ns]
-        F = _factor_tables(np.array([[-cj * ln for ln in lns] for cj in eff], dtype=complex), K_out)
-        plan = _product_plan(d_act, K_out)
-        P = base[None, :]
-        for j, (parent, expo) in enumerate(plan[:-1]):
-            P = P[parent] * F[j, expo]
-        parent, expo = plan[-1]
-        step = max(1, _BLOCK_ENTRIES // max(1, n_in - 1))
-        for r0 in range(0, rows, step):
-            np.multiply(P[parent[r0:r0 + step]], F[-1, expo[r0:r0 + step]], out=A[r0:r0 + step, 1:])
+    # before the entries do.  An overflow or invalid operation raises
+    # FloatingPointError, so no non-finite entry reaches the power iteration
+    with np.errstate(over="raise", invalid="raise"):
+        defects = _column_defects(phi.c.real, [abs(z) for z in eff], np.arange(1, n_in + 1), K_out)
+        idx = _multi_indices(d_act, K_out)
+        A = np.zeros((rows, n_in), dtype=complex)
+        A[0, 0] = 1.0
+        # columns n >= 2; n^{-c} and t = -c_j log n stay Python complex
+        # scalars, so every entry keeps the bits of its scalar definition
+        ns = range(2, n_in + 1)
+        base = np.array([n ** (-phi.c) for n in ns], dtype=complex)
+        if d_act == 0:
+            A[0, 1:] = base
+        else:
+            lns = [math.log(n) for n in ns]
+            F = _factor_tables(np.array([[-cj * ln for ln in lns] for cj in eff], dtype=complex), K_out)
+            plan = _product_plan(d_act, K_out)
+            P = base[None, :]
+            for j, (parent, expo) in enumerate(plan[:-1]):
+                P = P[parent] * F[j, expo]
+            parent, expo = plan[-1]
+            step = max(1, _BLOCK_ENTRIES // max(1, n_in - 1))
+            for r0 in range(0, rows, step):
+                np.multiply(P[parent[r0:r0 + step]], F[-1, expo[r0:r0 + step]], out=A[r0:r0 + step, 1:])
     return TruncatedOperator(
         symbol=phi,
         input_ns=tuple(range(1, n_in + 1)),
@@ -309,8 +311,8 @@ class KernelQuotientReport:
 def kernel_quotient_report(
     phi: AffineSymbol,
     w: complex,
-    n_in: int = 64,
-    K_out: int = 40,
+    n_in: int | None = None,
+    K_out: int | None = None,
     op: TruncatedOperator | None = None,
 ) -> KernelQuotientReport:
     """Apply the truncated matrix to a truncated reproducing kernel.
@@ -319,13 +321,14 @@ def kernel_quotient_report(
     finite section is a true lower bound for the operator norm.  The
     report carries (i) sum |v_n| sqrt(defect_n) / ||v||, bounding what
     the dropped output rows could add, and (ii) the relative square-mass
-    of the kernel beyond the last input column.
+    of the kernel beyond the last input column.  Without `op` the section
+    of phi is built at n_in x K_out, with the defaults of `bound_suite`.
     """
     ww = complex(w)
     if not ww.real > 0.5:
         raise ValueError("kernel points need Re w > 1/2")
     if op is None:
-        op = build_matrix(phi, n_in, K_out)
+        op = build_matrix(phi, *_truncation("affine", phi, n_in, K_out))
     ns = np.array(op.input_ns, dtype=float)
     v = ns ** (-np.conj(ww))
     nv = float(np.linalg.norm(v))
@@ -341,8 +344,8 @@ def kernel_quotient_report(
 def kernel_quotient(
     phi: AffineSymbol,
     w: complex,
-    n_in: int = 64,
-    K_out: int = 40,
+    n_in: int | None = None,
+    K_out: int | None = None,
     op: TruncatedOperator | None = None,
 ) -> float:
     return kernel_quotient_report(phi, w, n_in, K_out, op).ratio
@@ -464,9 +467,26 @@ def adjoint_bound_2s(c: complex, r: float) -> float:
 
 # --- bound reports --------------------------------------------------------
 
-LOWER_KEYS = ("genlower", "adjoint_lower", "matrix_lower", "kernel_S_lower", "brevig_lower")
-UPPER_KEYS = ("mpq_upper", "combo_upper", "smallnorm_upper", "newupper", "brevig_upper")
-ENTRY_ORDER = LOWER_KEYS + UPPER_KEYS
+# Every entry of a bound report, in report order: its key, its side and
+# the kind of symbol whose suite computes it ("any" for both suites).
+# A report on one kind lists the other kind's entries as inapplicable.
+_ENTRIES = (
+    ("genlower", "lower", "any"),
+    ("adjoint_lower", "lower", "any"),
+    ("matrix_lower", "lower", "any"),
+    ("kernel_S_lower", "lower", "any"),
+    ("brevig_lower", "lower", "family"),
+    ("mpq_upper", "upper", "affine"),
+    ("combo_upper", "upper", "affine"),
+    ("smallnorm_upper", "upper", "affine"),
+    ("newupper", "upper", "affine"),
+    ("brevig_upper", "upper", "family"),
+)
+LOWER_KEYS = tuple(key for key, side, _ in _ENTRIES if side == "lower")
+UPPER_KEYS = tuple(key for key, side, _ in _ENTRIES if side == "upper")
+ENTRY_ORDER = tuple(key for key, _, _ in _ENTRIES)
+# provenance of an entry in a report on the other kind of symbol
+_ONLY_FOR = {"affine": "affine-symbol bound only", "family": "only for the interpolation family"}
 
 
 @dataclass(frozen=True)
@@ -479,9 +499,12 @@ class BoundEntry:
 @dataclass
 class BoundReport:
     """Named lower/upper bounds for a squared operator norm, with the
-    consistency gate max(lowers) <= min(uppers) + 1e-9."""
+    consistency gate max(lowers) <= min(uppers) + 1e-9, and the section
+    size (n_in input columns, output degree k_out) its suite used."""
 
     entries: dict[str, BoundEntry] = field(default_factory=dict)
+    n_in: int | None = None
+    k_out: int | None = None
 
     def applicable(self, keys: Sequence[str]) -> dict[str, float]:
         return {
@@ -546,6 +569,22 @@ def _default_kout(d_act: int) -> int:
     return min(K, 40)
 
 
+def _active_primes(phi: AffineSymbol) -> int:
+    return sum(1 for x in phi.coeffs if x > 0)
+
+
+def _truncation(kind: str, sym, n_in: int | None, K_out: int | None) -> tuple[int, int]:
+    """The section size (n_in, K_out) of a report on `sym`, a symbol of
+    `kind`, with None for a size that takes the kind's default: 64
+    columns and `_default_kout` of the active-prime count for affine
+    symbols, 512 columns and 400 lattice levels for the family."""
+    if kind == "family":
+        return (512 if n_in is None else n_in), (400 if K_out is None else K_out)
+    if K_out is None:
+        K_out = _default_kout(_active_primes(sym))
+    return (64 if n_in is None else n_in), K_out
+
+
 def _vertical_twin(phi: AffineSymbol) -> AffineSymbol:
     """phi with every coefficient rotated to -c_j.
 
@@ -562,11 +601,28 @@ def _vertical_twin(phi: AffineSymbol) -> AffineSymbol:
     )
 
 
-def bound_suite(phi: AffineSymbol, n_in: int = 64, K_out: int | None = None) -> BoundReport:
+def _when(applies: bool, value, provenance: str, reason: str) -> BoundEntry:
+    """The entry value() with its provenance if the bound applies, else a
+    placeholder giving the reason; value is called only when it applies."""
+    return BoundEntry(value(), True, provenance) if applies else BoundEntry(math.nan, False, reason)
+
+
+def _report(kind: str, entries: dict[str, BoundEntry], n_in: int, k_out: int) -> BoundReport:
+    """The report on a symbol of `kind` from the entries its suite computed,
+    in table order, with a placeholder for each entry of the other kind."""
+    rep = BoundReport(n_in=n_in, k_out=k_out)
+    for key, _, owner in _ENTRIES:
+        own = owner in ("any", kind)
+        rep.entries[key] = entries[key] if own else BoundEntry(math.nan, False, _ONLY_FOR[owner])
+    return rep
+
+
+def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = None) -> BoundReport:
     """Assemble every applicable bound for ||C_phi||^2.
 
     The truncated matrix and the kernel quotients go through the
-    vertical twin of phi (`_vertical_twin`).
+    vertical twin of phi (`_vertical_twin`), on a section of n_in
+    columns and output degree K_out (defaults as in `_truncation`).
     """
     if not in_gordon_hedenmalm(phi):
         raise ValueError("bound suite requires a symbol in the bounded class")
@@ -574,37 +630,36 @@ def bound_suite(phi: AffineSymbol, n_in: int = 64, K_out: int | None = None) -> 
     gap = re_c - 0.5
     r = phi.r
     d_all = phi.d
-    d_act = sum(1 for x in phi.coeffs if x > 0)
-    rep = BoundReport()
-
-    rep.entries["genlower"] = BoundEntry(
+    d_act = _active_primes(phi)
+    n_in, K_out = _truncation("affine", phi, n_in, K_out)
+    e: dict[str, BoundEntry] = {}
+    e["genlower"] = BoundEntry(
         zeta(2.0 * re_c), True, "square norm of the image of the constant-direction kernel"
     )
 
     if r == 0.0:
-        rep.entries["adjoint_lower"] = BoundEntry(
+        e["adjoint_lower"] = BoundEntry(
             zeta(2.0 * re_c), True, "degenerate constant symbol: adjoint of the trivial kernel"
         )
     elif d_act == 1:
-        rep.entries["adjoint_lower"] = BoundEntry(
+        e["adjoint_lower"] = BoundEntry(
             adjoint_bound_2s(phi.c, r), True, "closed-form one-prime adjoint supremum"
         )
     else:
         spec = PrimeSemigroup(tuple(p for p, cj in zip(phi.primes, phi.coeffs) if cj > 0))
         grid = np.geomspace(0.1, 50.0, 96)
-        rep.entries["adjoint_lower"] = BoundEntry(
+        e["adjoint_lower"] = BoundEntry(
             adjoint_bound_general(phi, spec, grid),
             True,
             "restricted-frequency adjoint quotient, grid plus golden refinement",
         )
 
-    K_out_eff = _default_kout(max(d_act, 1)) if K_out is None else int(K_out)
     flipped = _vertical_twin(phi)
-    op = build_matrix(flipped, n_in, K_out_eff)
-    rep.entries["matrix_lower"] = BoundEntry(
+    op = build_matrix(flipped, n_in, K_out)
+    e["matrix_lower"] = BoundEntry(
         sigma_max_sq(op),
         True,
-        f"largest singular value of the {len(op.out_indices)}x{n_in} section (K_out={K_out_eff})",
+        f"largest singular value of the {len(op.out_indices)}x{n_in} section (K_out={K_out})",
     )
 
     best_kernel = 0.0
@@ -613,62 +668,31 @@ def bound_suite(phi: AffineSymbol, n_in: int = 64, K_out: int | None = None) -> 
         # part of the symbol there, which maximizes the quotient
         rep_k = kernel_quotient_report(flipped, complex(s, 0.0), op=op)
         best_kernel = max(best_kernel, rep_k.ratio**2)
-    rep.entries["kernel_S_lower"] = BoundEntry(
+    e["kernel_S_lower"] = BoundEntry(
         best_kernel, True, "best truncated reproducing-kernel quotient on the real grid"
     )
 
-    rep.entries["brevig_lower"] = BoundEntry(float("nan"), False, "only for the interpolation family")
-    rep.entries["brevig_upper"] = BoundEntry(float("nan"), False, "only for the interpolation family")
-
-    if d_act <= 1:
-        x = _xi_from(gap, r)
-        rep.entries["mpq_upper"] = BoundEntry(
-            zeta(1.0 + x), True, "one-prime contraction to the widest half-plane"
-        )
-    else:
-        rep.entries["mpq_upper"] = BoundEntry(
-            float("nan"), False, "several active primes: only the mixture bound applies"
-        )
-
-    if r > 0.0:
-        C = effective_constant(phi.coeffs)
-        x = _xi_from(gap, r)
-        rep.entries["combo_upper"] = BoundEntry(
-            (1.0 - C) * zeta(2.0 * re_c) + C * zeta(1.0 + x),
-            True,
-            f"effective-constant mixture with C={C:.15g}",
-        )
-    else:
-        rep.entries["combo_upper"] = BoundEntry(float("nan"), False, "no prime part")
-
+    x = _xi_from(gap, r)
+    e["mpq_upper"] = _when(d_act <= 1, lambda: zeta(1.0 + x),
+                           "one-prime contraction to the widest half-plane",
+                           "several active primes: only the mixture bound applies")
+    C = effective_constant(phi.coeffs) if r > 0.0 else math.nan
+    e["combo_upper"] = _when(r > 0.0, lambda: (1.0 - C) * zeta(2.0 * re_c) + C * zeta(1.0 + x),
+                             f"effective-constant mixture with C={C:.15g}", "no prime part")
     uniform = (
         d_all >= 1
         and r > 0.0
         and (max(phi.coeffs) - min(phi.coeffs)) <= 1e-12 * max(phi.coeffs)
     )
-    if uniform:
-        rep.entries["smallnorm_upper"] = BoundEntry(
-            zeta(2.0 * re_c) * (1.0 + 1.0 / d_all), True, f"uniform coefficients over d={d_all} primes"
-        )
-    else:
-        rep.entries["smallnorm_upper"] = BoundEntry(
-            float("nan"), False, "coefficients not uniform"
-        )
-
+    e["smallnorm_upper"] = _when(uniform, lambda: zeta(2.0 * re_c) * (1.0 + 1.0 / d_all),
+                                 f"uniform coefficients over d={d_all} primes",
+                                 "coefficients not uniform")
     on_diag = d_act == 1 and abs(gap - r) <= 1e-12
-    if on_diag and r >= alpha0() - 1e-12:
-        rep.entries["newupper"] = BoundEntry(
-            0.5 * (zeta(1.0 + 2.0 * r) + zeta(1.0 + r)),
-            True,
-            "averaged half-sum refinement on the diagonal",
-        )
-    else:
-        rep.entries["newupper"] = BoundEntry(
-            float("nan"),
-            False,
-            "needs one prime, Re c - 1/2 = r, and r at least the crossing point",
-        )
-    return rep
+    e["newupper"] = _when(on_diag and r >= alpha0() - 1e-12,
+                          lambda: 0.5 * (zeta(1.0 + 2.0 * r) + zeta(1.0 + r)),
+                          "averaged half-sum refinement on the diagonal",
+                          "needs one prime, Re c - 1/2 = r, and r at least the crossing point")
+    return _report("affine", e, n_in, K_out)
 
 
 # --- the interpolation family phi_alpha -----------------------------------
@@ -711,7 +735,7 @@ def _exp_mobius_coeffs(beta: np.ndarray, K: int) -> np.ndarray:
     return E
 
 
-def phi_alpha_operator(alpha: float, n_in: int = 512, K_out: int = 400) -> TruncatedOperator:
+def phi_alpha_operator(alpha: float, n_in: int, K_out: int) -> TruncatedOperator:
     """Finite section of C_{phi_alpha} into the powers-of-two lattice.
 
     Columns are the input frequencies n = 1..n_in; rows the output
@@ -783,18 +807,19 @@ def phi_alpha_adjoint_sup(alpha: float) -> float:
     return max(_refined_grid_max(g, xs, vals, xs[0] * 0.5, 1.0), 2.0 / a, zeta(1.0 + 2.0 * a))
 
 
-def suite_for_phi_alpha(alpha: float, n_in: int = 512, K_out: int = 400) -> BoundReport:
+def suite_for_phi_alpha(alpha: float, n_in: int | None = None, K_out: int | None = None) -> BoundReport:
     """Bound report for the interpolation family.
 
     The closed-form bracket is max(2/alpha, zeta(1+2 alpha)) from below
     and max(2/alpha, zeta(1+alpha)) from above; below the crossing point
     alpha0 both collapse to 2/alpha and the report certifies the norm
     exactly.  The matrix entry goes through the finite section with
-    integer input columns and lattice output rows; the kernel entry
-    evaluates the exact quotient on a grid of real points near 0.
+    n_in integer input columns and K_out + 1 lattice output rows
+    (defaults as in `_truncation`); the kernel entry evaluates the exact
+    quotient on a grid of real points near 0.
     """
     a = float(alpha)
-    rep = BoundReport()
+    n_in, K_out = _truncation("family", None, n_in, K_out)
     lower = max(2.0 / a, zeta(1.0 + 2.0 * a))
     upper = max(2.0 / a, zeta(1.0 + a))
     if a <= alpha0():
@@ -802,28 +827,23 @@ def suite_for_phi_alpha(alpha: float, n_in: int = 512, K_out: int = 400) -> Boun
             raise InequalityViolation(
                 "below the crossing point both closed-form bounds must equal 2/alpha"
             )
-    rep.entries["genlower"] = BoundEntry(
+    e: dict[str, BoundEntry] = {}
+    e["genlower"] = BoundEntry(
         zeta(1.0 + 2.0 * a), True, "square norm of the image of the constant-direction kernel"
     )
-    rep.entries["brevig_lower"] = BoundEntry(
-        lower, True, "closed-form family bracket, lower side"
-    )
-    rep.entries["brevig_upper"] = BoundEntry(
-        upper, True, "closed-form family bracket, upper side"
-    )
-    rep.entries["adjoint_lower"] = BoundEntry(
+    e["brevig_lower"] = BoundEntry(lower, True, "closed-form family bracket, lower side")
+    e["brevig_upper"] = BoundEntry(upper, True, "closed-form family bracket, upper side")
+    e["adjoint_lower"] = BoundEntry(
         phi_alpha_adjoint_sup(a), True, "kernel-line adjoint supremum for the family"
     )
     op = phi_alpha_operator(a, n_in, K_out)
-    rep.entries["matrix_lower"] = BoundEntry(
+    e["matrix_lower"] = BoundEntry(
         sigma_max_sq(op),
         True,
         f"largest singular value of the finite section ({K_out + 1}x{n_in})",
     )
     best = max(phi_alpha_kernel_ratio_sq(a, float(w)) for w in np.geomspace(1e-4, 4.0, 64))
-    rep.entries["kernel_S_lower"] = BoundEntry(
+    e["kernel_S_lower"] = BoundEntry(
         best, True, "best exact kernel quotient over real points near 0"
     )
-    for k in ("mpq_upper", "combo_upper", "smallnorm_upper", "newupper"):
-        rep.entries[k] = BoundEntry(float("nan"), False, "affine-symbol bound only")
-    return rep
+    return _report("family", e, n_in, K_out)

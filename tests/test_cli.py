@@ -440,6 +440,7 @@ def test_non_convergence_exits_three(capsys, monkeypatch, argv):
     ["curve", "--fixture", "fig1-a", "--T", "inf"],
     ["curve", "--fixture", "fig1-a", "--T", "1e308"],
     ["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"],
+    ["bounds", "--c", "1e9", "--coeffs", "2e8"],
 ])
 def test_extreme_inputs_exit_one(capsys, argv):
     # non-finite symbols and line ranges, arithmetic that overflows or

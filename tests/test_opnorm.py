@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from h2comp.affine import AffineSymbol, _xi_from, comp_norm_sq, xi
 from h2comp.dseries import DirichletPoly
 from h2comp.fixtures import fixtures
 from h2comp.opnorm import (
+    ENTRY_ORDER,
     LOWER_KEYS,
     UPPER_KEYS,
     _golden_max,
@@ -440,6 +442,35 @@ def test_suite_json_shape():
         assert set(e) == {"value", "applicable", "provenance"}
     assert data["gate_ok"] is True
     assert data["violations"] == []
+
+
+@pytest.mark.parametrize("name,n_in,k_out", [
+    *((name, None, None) for name, fx in fixtures().items() if fx.kind in ("affine", "family")),
+    ("fig1-c", 1, 0),
+])
+def test_report_lists_the_entry_table_and_its_section(name, n_in, k_out):
+    fx = fixtures()[name]
+    if fx.kind == "family":
+        rep = suite_for_phi_alpha(fx.symbol.alpha, n_in, k_out)
+    else:
+        rep = bound_suite(fx.symbol, n_in, k_out)
+    data = rep.to_jsonable()
+    assert tuple(data["entries"]) == ENTRY_ORDER
+    sides = {key: side for key, side, _ in opnorm._ENTRIES}
+    assert set(LOWER_KEYS) == {k for k in data["entries"] if sides[k] == "lower"}
+    assert set(UPPER_KEYS) == {k for k in data["entries"] if sides[k] == "upper"}
+    for e in data["entries"].values():
+        assert e["applicable"] or e["value"] is None
+    # the section size the report carries is the one its matrix entry names
+    prov = rep.entries["matrix_lower"].provenance
+    if fx.kind == "family":
+        rows, cols = map(int, re.search(r"\((\d+)x(\d+)\)", prov).groups())
+        assert (rep.n_in, rep.k_out) == (cols, rows - 1)
+    else:
+        cols, k = map(int, re.search(r"x(\d+) section \(K_out=(\d+)\)", prov).groups())
+        assert (rep.n_in, rep.k_out) == (cols, k)
+    if n_in is not None:
+        assert (rep.n_in, rep.k_out) == (n_in, k_out)
 
 
 # --- the boundary-fixing family -------------------------------------------

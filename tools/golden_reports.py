@@ -10,15 +10,17 @@ byte-identical apart from the timestamp shows no difference.
 The commands are `bounds` and `opnorm` on every shipped fixture they
 accept, the edge cases of the truncated section (one input column,
 K_out = 0, a constant symbol with no active prime, a single opnorm
-level), `measure`, `curve` and a short `curve --csv` on every
+level), explicit sections for an affine `opnorm` and a family `bounds`
+and `opnorm`, `measure`, `curve` and a short `curve --csv` on every
 boundary-sampleable fixture, `measure` at 1,100,000 samples on the
 polynomial and one affine fixture and `curve` at 600,000 steps (both
 span more than one 2^19-column block and many 2^16-column slices),
 `inner-check` at its defaults and at 16 and 500 samples on other seeds,
 `majorize`, `subordinate` (exact, float and `--scan`),
-`verify-lemmas --suite` for every suite, and last ten error paths
-(non-finite symbols and line ranges, overflowing arithmetic, a scan
-with no samples), which print no report and exit 1.  They run in this process
+`verify-lemmas --suite` for every suite, and last eleven error paths
+(non-finite symbols and line ranges, overflowing arithmetic, a finite
+symbol whose section overflows, a scan with no samples), which print no
+report and exit 1.  They run in this process
 through `h2comp.cli.main`, with the package imported from this
 checkout's `src`.
 """
@@ -46,6 +48,9 @@ def commands() -> list[list[str]]:
     out.append(["bounds", "--fixture", "fig1-c", "--kout", "0", "--nin", "1"])
     out.append(["bounds", "--c", "2", "--coeffs", "0"])
     out.append(["opnorm", "--fixture", "fig1-c", "--levels", "1", "--nin", "2"])
+    out.append(["opnorm", "--fixture", "fig1-a", "--kout", "12"])
+    out.append(["bounds", "--fixture", "phi-alpha-0.5", "--nin", "32", "--kout", "60"])
+    out.append(["opnorm", "--fixture", "phi-alpha-1", "--nin", "64", "--kout", "50", "--levels", "2"])
     for name, fx in fixtures().items():
         if fx.kind in ("affine", "poly", "inner"):
             out.append(["measure", "--fixture", name, "--delta", "0.5"])
@@ -78,6 +83,7 @@ def commands() -> list[list[str]]:
     out.append(["curve", "--fixture", "fig1-a", "--T", "inf"])
     out.append(["curve", "--fixture", "fig1-a", "--T", "1e308"])
     out.append(["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"])
+    out.append(["bounds", "--c", "1e9", "--coeffs", "2e8"])
     return out
 
 
