@@ -903,7 +903,9 @@ def _suite_kernel_order() -> dict:
             rep = bound_suite(phi)
             adj = rep.entries["adjoint_lower"].value
             flipped = _vertical_twin(phi)
-            op = build_matrix(flipped, 64, 40)
+            # the report's columns at a fixed output degree 40 for every
+            # fixture, one section shared by all the kernel points
+            op = build_matrix(flipped, *_truncation("affine", flipped, None, 40))
             best, allowance = 0.0, 0.0
             for s in _KERNEL_SIGMAS:
                 rk = kernel_quotient_report(flipped, complex(s, 0.0), op=op)

@@ -222,11 +222,13 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
             f"truncation size {rows} x {n_in} exceeds the configured caps "
             f"({_ROW_CAP} rows, {_ENTRY_CAP} entries)"
         )
-    # the defects come first: a tail bound that overflows ends the build
-    # before the entries do.  An overflow or invalid operation raises
-    # FloatingPointError, so no non-finite entry reaches the power iteration
-    with np.errstate(over="raise", invalid="raise"):
+    # a tail that overflows floats is still bounded above by inf
+    with np.errstate(over="ignore", invalid="ignore"):
         defects = _column_defects(phi.c.real, [abs(z) for z in eff], np.arange(1, n_in + 1), K_out)
+    defects[~np.isfinite(defects)] = np.inf
+    # an entry that overflows or turns invalid raises FloatingPointError,
+    # so no non-finite entry reaches the power iteration
+    with np.errstate(over="raise", invalid="raise"):
         idx = _multi_indices(d_act, K_out)
         A = np.zeros((rows, n_in), dtype=complex)
         A[0, 0] = 1.0
@@ -311,8 +313,8 @@ class KernelQuotientReport:
 def kernel_quotient_report(
     phi: AffineSymbol,
     w: complex,
-    n_in: int | None = None,
-    K_out: int | None = None,
+    n_in: int = 64,
+    K_out: int = 40,
     op: TruncatedOperator | None = None,
 ) -> KernelQuotientReport:
     """Apply the truncated matrix to a truncated reproducing kernel.
@@ -321,14 +323,13 @@ def kernel_quotient_report(
     finite section is a true lower bound for the operator norm.  The
     report carries (i) sum |v_n| sqrt(defect_n) / ||v||, bounding what
     the dropped output rows could add, and (ii) the relative square-mass
-    of the kernel beyond the last input column.  Without `op` the section
-    of phi is built at n_in x K_out, with the defaults of `bound_suite`.
+    of the kernel beyond the last input column.
     """
     ww = complex(w)
     if not ww.real > 0.5:
         raise ValueError("kernel points need Re w > 1/2")
     if op is None:
-        op = build_matrix(phi, *_truncation("affine", phi, n_in, K_out))
+        op = build_matrix(phi, n_in, K_out)
     ns = np.array(op.input_ns, dtype=float)
     v = ns ** (-np.conj(ww))
     nv = float(np.linalg.norm(v))
@@ -344,8 +345,8 @@ def kernel_quotient_report(
 def kernel_quotient(
     phi: AffineSymbol,
     w: complex,
-    n_in: int | None = None,
-    K_out: int | None = None,
+    n_in: int = 64,
+    K_out: int = 40,
     op: TruncatedOperator | None = None,
 ) -> float:
     return kernel_quotient_report(phi, w, n_in, K_out, op).ratio
@@ -467,24 +468,26 @@ def adjoint_bound_2s(c: complex, r: float) -> float:
 
 # --- bound reports --------------------------------------------------------
 
-# Every entry of a bound report, in report order: its key, its side and
-# the kind of symbol whose suite computes it ("any" for both suites).
-# A report on one kind lists the other kind's entries as inapplicable.
+# Every entry of a bound report, in report order: its key, its side, the
+# kind of symbol whose suite computes it ("any" for both suites) and, if
+# its suite may find it inapplicable, the condition it needs.  A report
+# on one kind lists the other kind's entries as inapplicable.
 _ENTRIES = (
-    ("genlower", "lower", "any"),
-    ("adjoint_lower", "lower", "any"),
-    ("matrix_lower", "lower", "any"),
-    ("kernel_S_lower", "lower", "any"),
-    ("brevig_lower", "lower", "family"),
-    ("mpq_upper", "upper", "affine"),
-    ("combo_upper", "upper", "affine"),
-    ("smallnorm_upper", "upper", "affine"),
-    ("newupper", "upper", "affine"),
-    ("brevig_upper", "upper", "family"),
+    ("genlower", "lower", "any", None),
+    ("adjoint_lower", "lower", "any", None),
+    ("matrix_lower", "lower", "any", None),
+    ("kernel_S_lower", "lower", "any", None),
+    ("brevig_lower", "lower", "family", None),
+    ("mpq_upper", "upper", "affine", "several active primes: only the mixture bound applies"),
+    ("combo_upper", "upper", "affine", "no prime part"),
+    ("smallnorm_upper", "upper", "affine", "coefficients not uniform"),
+    ("newupper", "upper", "affine",
+     "needs one prime, Re c - 1/2 = r, and r at least the crossing point"),
+    ("brevig_upper", "upper", "family", None),
 )
-LOWER_KEYS = tuple(key for key, side, _ in _ENTRIES if side == "lower")
-UPPER_KEYS = tuple(key for key, side, _ in _ENTRIES if side == "upper")
-ENTRY_ORDER = tuple(key for key, _, _ in _ENTRIES)
+LOWER_KEYS = tuple(key for key, side, _, _ in _ENTRIES if side == "lower")
+UPPER_KEYS = tuple(key for key, side, _, _ in _ENTRIES if side == "upper")
+ENTRY_ORDER = tuple(key for key, _, _, _ in _ENTRIES)
 # provenance of an entry in a report on the other kind of symbol
 _ONLY_FOR = {"affine": "affine-symbol bound only", "family": "only for the interpolation family"}
 
@@ -601,19 +604,14 @@ def _vertical_twin(phi: AffineSymbol) -> AffineSymbol:
     )
 
 
-def _when(applies: bool, value, provenance: str, reason: str) -> BoundEntry:
-    """The entry value() with its provenance if the bound applies, else a
-    placeholder giving the reason; value is called only when it applies."""
-    return BoundEntry(value(), True, provenance) if applies else BoundEntry(math.nan, False, reason)
-
-
 def _report(kind: str, entries: dict[str, BoundEntry], n_in: int, k_out: int) -> BoundReport:
-    """The report on a symbol of `kind` from the entries its suite computed,
-    in table order, with a placeholder for each entry of the other kind."""
+    """The report on a symbol of `kind` from the entries its suite found
+    applicable, in table order; every other entry is a placeholder that
+    names the condition it needs or the kind it belongs to."""
     rep = BoundReport(n_in=n_in, k_out=k_out)
-    for key, _, owner in _ENTRIES:
-        own = owner in ("any", kind)
-        rep.entries[key] = entries[key] if own else BoundEntry(math.nan, False, _ONLY_FOR[owner])
+    for key, _, owner, needs in _ENTRIES:
+        reason = needs if owner in ("any", kind) else _ONLY_FOR[owner]
+        rep.entries[key] = entries.get(key, BoundEntry(math.nan, False, reason))
     return rep
 
 
@@ -672,26 +670,35 @@ def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = 
         best_kernel, True, "best truncated reproducing-kernel quotient on the real grid"
     )
 
-    x = _xi_from(gap, r)
-    e["mpq_upper"] = _when(d_act <= 1, lambda: zeta(1.0 + x),
-                           "one-prime contraction to the widest half-plane",
-                           "several active primes: only the mixture bound applies")
-    C = effective_constant(phi.coeffs) if r > 0.0 else math.nan
-    e["combo_upper"] = _when(r > 0.0, lambda: (1.0 - C) * zeta(2.0 * re_c) + C * zeta(1.0 + x),
-                             f"effective-constant mixture with C={C:.15g}", "no prime part")
+    # the upper entries below are written only where they apply; the
+    # table names what each one needs
+    if d_act <= 1:
+        e["mpq_upper"] = BoundEntry(
+            zeta(1.0 + _xi_from(gap, r)), True, "one-prime contraction to the widest half-plane"
+        )
+    if r > 0.0:
+        C = effective_constant(phi.coeffs)
+        e["combo_upper"] = BoundEntry(
+            (1.0 - C) * zeta(2.0 * re_c) + C * zeta(1.0 + _xi_from(gap, r)),
+            True,
+            f"effective-constant mixture with C={C:.15g}",
+        )
     uniform = (
         d_all >= 1
         and r > 0.0
         and (max(phi.coeffs) - min(phi.coeffs)) <= 1e-12 * max(phi.coeffs)
     )
-    e["smallnorm_upper"] = _when(uniform, lambda: zeta(2.0 * re_c) * (1.0 + 1.0 / d_all),
-                                 f"uniform coefficients over d={d_all} primes",
-                                 "coefficients not uniform")
+    if uniform:
+        e["smallnorm_upper"] = BoundEntry(
+            zeta(2.0 * re_c) * (1.0 + 1.0 / d_all), True, f"uniform coefficients over d={d_all} primes"
+        )
     on_diag = d_act == 1 and abs(gap - r) <= 1e-12
-    e["newupper"] = _when(on_diag and r >= alpha0() - 1e-12,
-                          lambda: 0.5 * (zeta(1.0 + 2.0 * r) + zeta(1.0 + r)),
-                          "averaged half-sum refinement on the diagonal",
-                          "needs one prime, Re c - 1/2 = r, and r at least the crossing point")
+    if on_diag and r >= alpha0() - 1e-12:
+        e["newupper"] = BoundEntry(
+            0.5 * (zeta(1.0 + 2.0 * r) + zeta(1.0 + r)),
+            True,
+            "averaged half-sum refinement on the diagonal",
+        )
     return _report("affine", e, n_in, K_out)
 
 

@@ -456,6 +456,17 @@ def test_extreme_inputs_exit_one(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("cmd", ["bounds", "opnorm"])
+def test_overflowing_defect_tail_still_reports(capsys, cmd):
+    # the float tail of the section's last columns overflows, but no
+    # entry does: the report prints with no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, [cmd, "--c", "100", "--coeffs", "90"])
+    assert code == 0 and caught == [] and err == ""
+    assert json.loads(out)["command"] == cmd
+
+
 def test_measure_samples_once(capsys, monkeypatch):
     from h2comp.torus import shapiro_constant
 

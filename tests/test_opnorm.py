@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -455,10 +456,10 @@ def test_report_lists_the_entry_table_and_its_section(name, n_in, k_out):
     else:
         rep = bound_suite(fx.symbol, n_in, k_out)
     data = rep.to_jsonable()
-    assert tuple(data["entries"]) == ENTRY_ORDER
-    sides = {key: side for key, side, _ in opnorm._ENTRIES}
-    assert set(LOWER_KEYS) == {k for k in data["entries"] if sides[k] == "lower"}
-    assert set(UPPER_KEYS) == {k for k in data["entries"] if sides[k] == "upper"}
+    lower = ("genlower", "adjoint_lower", "matrix_lower", "kernel_S_lower", "brevig_lower")
+    upper = ("mpq_upper", "combo_upper", "smallnorm_upper", "newupper", "brevig_upper")
+    assert (LOWER_KEYS, UPPER_KEYS, ENTRY_ORDER) == (lower, upper, lower + upper)
+    assert tuple(data["entries"]) == lower + upper
     for e in data["entries"].values():
         assert e["applicable"] or e["value"] is None
     # the section size the report carries is the one its matrix entry names
@@ -471,6 +472,19 @@ def test_report_lists_the_entry_table_and_its_section(name, n_in, k_out):
         assert (rep.n_in, rep.k_out) == (cols, k)
     if n_in is not None:
         assert (rep.n_in, rep.k_out) == (n_in, k_out)
+
+
+def test_overflowing_defect_tail_is_infinite():
+    # r log n passes about 355 from n = 53 on: the float tail of those
+    # columns overflows while every entry stays finite, and inf is still
+    # an upper bound for the mass beyond K_out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = build_matrix(AffineSymbol(100.0, (90.0,)), 64, 40)
+    assert np.isfinite(op.entries).all()
+    d = op.column_defects
+    assert not np.isnan(d).any()
+    assert np.isinf(d[52:]).all() and np.isfinite(d[:52]).all()
 
 
 # --- the boundary-fixing family -------------------------------------------

@@ -11,7 +11,8 @@ The commands are `bounds` and `opnorm` on every shipped fixture they
 accept, the edge cases of the truncated section (one input column,
 K_out = 0, a constant symbol with no active prime, a single opnorm
 level), explicit sections for an affine `opnorm` and a family `bounds`
-and `opnorm`, `measure`, `curve` and a short `curve --csv` on every
+and `opnorm`, `bounds` and `opnorm` on a symbol whose column-defect
+tails overflow, `measure`, `curve` and a short `curve --csv` on every
 boundary-sampleable fixture, `measure` at 1,100,000 samples on the
 polynomial and one affine fixture and `curve` at 600,000 steps (both
 span more than one 2^19-column block and many 2^16-column slices),
@@ -19,7 +20,7 @@ span more than one 2^19-column block and many 2^16-column slices),
 `majorize`, `subordinate` (exact, float and `--scan`),
 `verify-lemmas --suite` for every suite, and last eleven error paths
 (non-finite symbols and line ranges, overflowing arithmetic, a finite
-symbol whose section overflows, a scan with no samples), which print no
+symbol whose section entries overflow, a scan with no samples), which print no
 report and exit 1.  They run in this process
 through `h2comp.cli.main`, with the package imported from this
 checkout's `src`.
@@ -51,6 +52,8 @@ def commands() -> list[list[str]]:
     out.append(["opnorm", "--fixture", "fig1-a", "--kout", "12"])
     out.append(["bounds", "--fixture", "phi-alpha-0.5", "--nin", "32", "--kout", "60"])
     out.append(["opnorm", "--fixture", "phi-alpha-1", "--nin", "64", "--kout", "50", "--levels", "2"])
+    out.append(["bounds", "--c", "100", "--coeffs", "90"])
+    out.append(["opnorm", "--c", "100", "--coeffs", "90"])
     for name, fx in fixtures().items():
         if fx.kind in ("affine", "poly", "inner"):
             out.append(["measure", "--fixture", name, "--delta", "0.5"])
