@@ -18,9 +18,9 @@ Exit codes:
   one ``error:`` line on stderr.  ``verify-lemmas`` still prints its
   report, with the failing suite marked ``"passed": false`` and the
   message under ``details.violation``; other commands print none.
-* 3 — an iteration did not converge (the power iteration behind the
-  truncated-matrix lower bound ran out of steps).  No report is
-  printed, and stderr holds one ``error: did not converge:`` line.
+* 3 — an iteration did not converge (the Hermitian eigensolver behind
+  the truncated-matrix lower bound failed).  No report is printed, and
+  stderr holds one ``error: did not converge:`` line.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ from .opnorm import (
     suite_for_phi_alpha,
 )
 # shared between library and CLI: the section sizes of the reports, the
-# real kernel grid and the sign-flipped twin the bound suite works through
-from .opnorm import _KERNEL_SIGMAS, _truncation, _vertical_twin
+# real kernel grid, the sign-flipped twin the bound suite works through
+# and its adjoint entry
+from .opnorm import _KERNEL_SIGMAS, _adjoint_entry, _truncation, _vertical_twin
 from .torus import (
     InnerSymbolParams,
     SamplePlan,
@@ -900,8 +901,7 @@ def _suite_kernel_order() -> dict:
     for name, fx in fixtures().items():
         if fx.kind == "affine":
             phi = fx.symbol
-            rep = bound_suite(phi)
-            adj = rep.entries["adjoint_lower"].value
+            adj = _adjoint_entry(phi).value
             flipped = _vertical_twin(phi)
             # the report's columns at a fixed output degree 40 for every
             # fixture, one section shared by all the kernel points

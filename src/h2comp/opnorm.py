@@ -81,8 +81,6 @@ __all__ = [
 _ROW_CAP = 200_000
 _ENTRY_CAP = 8_000_000
 _BLOCK_ENTRIES = 16_384     # rows x columns per block of the last lattice product (256 KB)
-_POWER_TOL = 1e-10
-_POWER_MAXIT = 100_000
 _GOLDEN_ITERS = 60
 _GATE_TOL = 1e-9
 # real kernel points of the bound suite's quotient entry
@@ -227,7 +225,7 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
         defects = _column_defects(phi.c.real, [abs(z) for z in eff], np.arange(1, n_in + 1), K_out)
     defects[~np.isfinite(defects)] = np.inf
     # an entry that overflows or turns invalid raises FloatingPointError,
-    # so no non-finite entry reaches the power iteration
+    # so no non-finite entry reaches the eigensolver
     with np.errstate(over="raise", invalid="raise"):
         idx = _multi_indices(d_act, K_out)
         A = np.zeros((rows, n_in), dtype=complex)
@@ -259,34 +257,20 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
 
 
 def sigma_max_sq(op: TruncatedOperator) -> float:
-    """Largest squared singular value by power iteration on the Gram matrix.
+    """Largest squared singular value: the top eigenvalue of the smaller
+    Gram matrix, from LAPACK's Hermitian eigensolver.
 
-    Deterministic all-ones start; converges on a relative Rayleigh
-    plateau.  The result is a valid lower bound for the full operator's
-    squared norm: a finite section never exceeds it.
+    The result is a valid lower bound for the full operator's squared
+    norm: a finite section never exceeds it.
     """
     A = op.entries
     rows, cols = A.shape
-    if rows <= cols:
-        G = A @ A.conj().T
-    else:
-        G = A.conj().T @ A
-    m = G.shape[0]
-    v = np.ones(m, dtype=complex) / math.sqrt(m)
-    lam_prev = -1.0
-    for it in range(_POWER_MAXIT):
-        u = G @ v
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return 0.0
-        lam = float(np.real(np.vdot(v, u)))
-        v = u / nu
-        if it >= 10 and abs(lam - lam_prev) <= _POWER_TOL * max(1.0, abs(lam)):
-            return lam
-        lam_prev = lam
-    raise NonConvergence(
-        f"power iteration did not converge in {_POWER_MAXIT} steps (last {lam_prev})"
-    )
+    G = A @ A.conj().T if rows <= cols else A.conj().T @ A
+    try:
+        return float(np.linalg.eigvalsh(G)[-1])
+    except np.linalg.LinAlgError as e:
+        # a LinAlgError is a ValueError, which would read as bad input
+        raise NonConvergence(f"Hermitian eigensolver failed: {e}") from None
 
 
 def sigma_max_series(phi: AffineSymbol, levels: Sequence[tuple[int, int]]) -> list[tuple[int, int, float]]:
@@ -615,6 +599,25 @@ def _report(kind: str, entries: dict[str, BoundEntry], n_in: int, k_out: int) ->
     return rep
 
 
+def _adjoint_entry(phi: AffineSymbol) -> BoundEntry:
+    """The `adjoint_lower` entry of `bound_suite`: the trivial kernel for
+    a constant symbol, the closed form for one active prime, and the
+    quotient restricted to the active primes' frequencies otherwise."""
+    r = phi.r
+    if r == 0.0:
+        return BoundEntry(
+            zeta(2.0 * phi.c.real), True, "degenerate constant symbol: adjoint of the trivial kernel"
+        )
+    if _active_primes(phi) == 1:
+        return BoundEntry(adjoint_bound_2s(phi.c, r), True, "closed-form one-prime adjoint supremum")
+    spec = PrimeSemigroup(tuple(p for p, cj in zip(phi.primes, phi.coeffs) if cj > 0))
+    return BoundEntry(
+        adjoint_bound_general(phi, spec, np.geomspace(0.1, 50.0, 96)),
+        True,
+        "restricted-frequency adjoint quotient, grid plus golden refinement",
+    )
+
+
 def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = None) -> BoundReport:
     """Assemble every applicable bound for ||C_phi||^2.
 
@@ -635,22 +638,7 @@ def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = 
         zeta(2.0 * re_c), True, "square norm of the image of the constant-direction kernel"
     )
 
-    if r == 0.0:
-        e["adjoint_lower"] = BoundEntry(
-            zeta(2.0 * re_c), True, "degenerate constant symbol: adjoint of the trivial kernel"
-        )
-    elif d_act == 1:
-        e["adjoint_lower"] = BoundEntry(
-            adjoint_bound_2s(phi.c, r), True, "closed-form one-prime adjoint supremum"
-        )
-    else:
-        spec = PrimeSemigroup(tuple(p for p, cj in zip(phi.primes, phi.coeffs) if cj > 0))
-        grid = np.geomspace(0.1, 50.0, 96)
-        e["adjoint_lower"] = BoundEntry(
-            adjoint_bound_general(phi, spec, grid),
-            True,
-            "restricted-frequency adjoint quotient, grid plus golden refinement",
-        )
+    e["adjoint_lower"] = _adjoint_entry(phi)
 
     flipped = _vertical_twin(phi)
     op = build_matrix(flipped, n_in, K_out)

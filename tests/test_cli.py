@@ -419,13 +419,16 @@ def test_non_convergence_exits_three(capsys, monkeypatch, argv):
     from h2comp import opnorm
     from h2comp.errors import NonConvergence
 
-    monkeypatch.setattr(opnorm, "_POWER_MAXIT", 3)
+    def fail(G):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     code, out, err = _run(capsys, argv)
     assert code == 3
     assert out == "" and "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: did not converge: power iteration did not converge in 3 steps")
+    assert lines[0].startswith("error: did not converge: Hermitian eigensolver failed: Eigenvalues did not converge")
     assert issubclass(NonConvergence, RuntimeError)
 
 

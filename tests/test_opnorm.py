@@ -125,6 +125,28 @@ def test_sigma_beats_point_evaluation_bound():
     assert val > zeta(3.0)
 
 
+def test_sigma_is_the_top_squared_singular_value():
+    # the singular values of the entries themselves, with no Gram matrix,
+    # are an independent route to the section's squared norm
+    phi = fixtures()["single-prime"].symbol
+    fig1c = fixtures()["fig1-c"].symbol
+    ops = {
+        "phi": build_matrix(phi, 64, 40),
+        "twin": build_matrix(opnorm._vertical_twin(phi), 64, 40),
+        "fig1-c": build_matrix(
+            opnorm._vertical_twin(fig1c), *opnorm._truncation("affine", fig1c, None, None)
+        ),
+        "alpha-1.4": phi_alpha_operator(1.4, 512, 400),
+    }
+    vals = {}
+    for name, op in ops.items():
+        vals[name] = sigma_max_sq(op)
+        svd = float(np.linalg.svd(op.entries, compute_uv=False)[0]) ** 2
+        assert vals[name] == pytest.approx(svd, rel=1e-13, abs=0.0), name
+    # a diagonal unitary relates the sections of phi and its twin
+    assert vals["phi"] == pytest.approx(vals["twin"], rel=1e-13, abs=0.0)
+
+
 def _build_matrix_columnwise(phi, n_in, K_out):
     """Reference: the entries column by column, a scalar recurrence per prime."""
     eff = [z for z in phi.effective_coeffs() if z != 0]
