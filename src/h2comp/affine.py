@@ -104,22 +104,26 @@ class CoeffVector:
         return self.entries[i]
 
 
+@dataclass(frozen=True, slots=True)
 class AffineSymbol:
     """phi(s) = c + sum_j c_j chi_j p_j^{-s} on the first d primes.
 
     Coefficients are stored as moduli `coeffs`; unimodular phases, if
-    any, live in `twist`.  Construction validates that every value is
-    finite and class membership (Re c > 1/2, and Re c - 1/2 >= sum c_j
-    when d >= 1) unless built through `unchecked`.
+    any, live in `twist`.  Construction, `dataclasses.replace` included,
+    validates that every value is finite and class membership (Re c >
+    1/2, and Re c - 1/2 >= sum c_j when d >= 1), so every instance
+    generates a bounded operator and no function re-checks it.
     """
 
-    __slots__ = ("c", "coeffs", "twist")
+    c: complex
+    coeffs: tuple[float, ...] = ()
+    twist: tuple[complex, ...] | None = None
 
-    def __init__(self, c, coeffs=(), twist=None, validate: bool = True):
-        cc = complex(c)
-        zs = [complex(z) for z in coeffs]
-        tws = None if twist is None else [complex(t) for t in twist]
-        if validate and not all(map(cmath.isfinite, [cc, *zs, *(tws or ())])):
+    def __post_init__(self):
+        cc = complex(self.c)
+        zs = [complex(z) for z in self.coeffs]
+        tws = None if self.twist is None else [complex(t) for t in self.twist]
+        if not all(map(cmath.isfinite, [cc, *zs, *(tws or ())])):
             raise ValueError(
                 f"symbol c={cc}, coeffs={tuple(zs)}, twist={tws} has a non-finite value"
             )
@@ -139,18 +143,11 @@ class AffineSymbol:
         object.__setattr__(self, "c", cc)
         object.__setattr__(self, "coeffs", tuple(mods))
         object.__setattr__(self, "twist", tw)
-        if validate and not in_gordon_hedenmalm(self):
+        if not in_gordon_hedenmalm(self):
             raise ValueError(
                 f"symbol c={cc}, coeffs={tuple(mods)} is outside the bounded class "
                 "(need Re c > 1/2 and Re c - 1/2 >= sum of coefficients)"
             )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineSymbol is immutable")
-
-    @classmethod
-    def unchecked(cls, c, coeffs=(), twist=None) -> "AffineSymbol":
-        return cls(c, coeffs, twist, validate=False)
 
     @property
     def d(self) -> int:
@@ -169,18 +166,6 @@ class AffineSymbol:
         if self.twist is None:
             return tuple(complex(x) for x in self.coeffs)
         return tuple(x * t for x, t in zip(self.coeffs, self.twist))
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineSymbol):
-            return NotImplemented
-        return (self.c, self.coeffs, self.twist) == (other.c, other.coeffs, other.twist)
-
-    def __hash__(self):
-        return hash((self.c, self.coeffs, self.twist))
-
-    def __repr__(self):
-        tw = "" if self.twist is None else f", twist={self.twist!r}"
-        return f"AffineSymbol(c={self.c!r}, coeffs={self.coeffs!r}{tw})"
 
     def boundary(self, Z: np.ndarray) -> np.ndarray:
         """phi*(chi) for a (d, m) block Z of character values.
@@ -212,6 +197,7 @@ class AffineSymbol:
         return cls(c, tuple(data["coeffs"]), twist=tw)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class PolynomialSymbol:
     """phi(s) = c + sum_{n >= 2} a_n n^{-s}, framed by the disc D(c, radius).
 
@@ -220,22 +206,25 @@ class PolynomialSymbol:
     the radius of the frame disc the boundary curve is expected to fill;
     boundary operations check |phi* - c| <= radius sample by sample
     rather than by a coefficient inequality, because the triangle
-    inequality is far from sharp for these symbols.
+    inequality is far from sharp for these symbols.  Equality and
+    hashing are by identity, since `terms` is a dict.
     """
 
-    __slots__ = ("c", "terms", "radius")
+    c: complex
+    terms: dict[int, complex]
+    radius: float
 
-    def __init__(self, c, terms, radius):
-        cc = complex(c)
+    def __post_init__(self):
+        cc = complex(self.c)
         tt: dict[int, complex] = {}
-        for n, a in dict(terms).items():
+        for n, a in dict(self.terms).items():
             idx = int(n)
             if idx < 2 or idx != n:
                 raise ValueError(f"term index {n!r} must be an integer >= 2")
             a = complex(a)
             if a != 0:
                 tt[idx] = a
-        rr = float(radius)
+        rr = float(self.radius)
         if not rr > 0.0:
             raise ValueError("frame radius must be positive")
         if not cc.real - 0.5 >= rr - 1e-12:
@@ -243,9 +232,6 @@ class PolynomialSymbol:
         object.__setattr__(self, "c", cc)
         object.__setattr__(self, "terms", dict(sorted(tt.items())))
         object.__setattr__(self, "radius", rr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolynomialSymbol is immutable")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -280,9 +266,6 @@ class PolynomialSymbol:
             "radius": self.radius,
         }
 
-    def __repr__(self):
-        return f"PolynomialSymbol(c={self.c!r}, terms={self.terms!r}, radius={self.radius!r})"
-
 
 # --- class membership and disc geometry ----------------------------------
 
@@ -302,8 +285,6 @@ def in_gordon_hedenmalm(phi: AffineSymbol) -> bool:
 
 def mapping_disc(phi: AffineSymbol) -> tuple[complex, float]:
     """(center, radius) of the closed disc swept by the symbol's values."""
-    if not in_gordon_hedenmalm(phi):
-        raise ValueError("mapping disc is only defined for members of the bounded class")
     return (phi.c, phi.r)
 
 
@@ -319,8 +300,6 @@ def _xi_from(a: float, r: float) -> float:
 def xi(phi: AffineSymbol) -> float:
     """Largest half-plane parameter: the disc D(c, r) sits inside
     Re s > 1/2 tangentially measured by xi = (Re c - 1/2) + sqrt((Re c - 1/2)^2 - r^2)."""
-    if not in_gordon_hedenmalm(phi):
-        raise ValueError("xi is only defined for members of the bounded class")
     return _xi_from(phi.c.real - 0.5, phi.r)
 
 
@@ -337,8 +316,6 @@ def effective_constant(coeffs) -> float:
 def annulus_radii(phi: AffineSymbol) -> tuple[float, float]:
     """(inner, outer) radii of the closure of the boundary curve
     |phi(it) - c|: outer is r, inner is max(0, 2 max_j c_j - r)."""
-    if not in_gordon_hedenmalm(phi):
-        raise ValueError("annulus radii are only defined for members of the bounded class")
     r = phi.r
     if phi.d == 0 or r == 0.0:
         return (0.0, 0.0)
@@ -528,8 +505,6 @@ def comp_norm_sq(phi: AffineSymbol, f: DirichletPoly, K_max: int | None = None) 
     of the normalized coefficient vector; the twist never enters because
     twisting is a complete isometry on each convolution power.
     """
-    if not in_gordon_hedenmalm(phi):
-        raise ValueError("composition norms require a symbol in the bounded class")
     if not f:
         return 0.0
     r = phi.r
@@ -551,8 +526,6 @@ def comp_bruteforce_norm_sq(phi: AffineSymbol, f: DirichletPoly, K_max: int | No
     independent of it (hash-map convolution instead of power means), as
     the cross-check oracle.
     """
-    if not in_gordon_hedenmalm(phi):
-        raise ValueError("composition norms require a symbol in the bounded class")
     if not f:
         return 0.0
     r = phi.r
@@ -620,8 +593,8 @@ def hq_dominance(b, c, K: int = 60) -> list[tuple]:
         raise ValueError("K must be a positive integer")
     if K > 60:
         raise ValueError("exact dominance comparison is capped at K = 60")
-    bl = list(b.entries if isinstance(b, CoeffVector) else b)
-    cl = list(c.entries if isinstance(c, CoeffVector) else c)
+    bl = list(b)
+    cl = list(c)
     if len(bl) == 0 or len(cl) == 0:
         raise ValueError("dominance comparison needs nonempty vectors")
     exact = all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in bl + cl)

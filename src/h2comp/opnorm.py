@@ -45,7 +45,6 @@ from .affine import (
     _xi_from,
     effective_constant,
     h2k_means,
-    in_gordon_hedenmalm,
     xi,
 )
 from .errors import InequalityViolation, NonConvergence
@@ -206,8 +205,6 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
     (nonzero-coefficient) primes up to total degree K_out.  Column n = 1
     is the unit vector at the zero index: constants map to constants.
     """
-    if not in_gordon_hedenmalm(phi):
-        raise ValueError("truncated matrices require a symbol in the bounded class")
     if n_in < 1:
         raise ValueError("need at least one input column")
     if K_out < 0:
@@ -386,8 +383,6 @@ def adjoint_bound_general(phi: AffineSymbol, spec: LambdaSpec, sigma_grid) -> fl
     of the coefficients attains.  Grid maximum plus golden-section
     refinement around it.
     """
-    if not in_gordon_hedenmalm(phi):
-        raise ValueError("adjoint bounds require a symbol in the bounded class")
     grid = sorted(float(s) for s in sigma_grid)
     if not grid:
         raise ValueError("sigma grid is empty")
@@ -584,7 +579,6 @@ def _vertical_twin(phi: AffineSymbol) -> AffineSymbol:
         phi.c,
         phi.coeffs,
         twist=tuple(-1.0 for _ in phi.coeffs) if phi.d else None,
-        validate=False,
     )
 
 
@@ -625,8 +619,6 @@ def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = 
     vertical twin of phi (`_vertical_twin`), on a section of n_in
     columns and output degree K_out (defaults as in `_truncation`).
     """
-    if not in_gordon_hedenmalm(phi):
-        raise ValueError("bound suite requires a symbol in the bounded class")
     re_c = phi.c.real
     gap = re_c - 0.5
     r = phi.r

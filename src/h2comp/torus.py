@@ -41,7 +41,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .affine import AffineSymbol, in_gordon_hedenmalm
 from .dseries import Character, DirichletPoly, evaluate
 from .primes import first_primes
 
@@ -260,8 +259,6 @@ def _shapiro_weight(delta: float) -> float:
 def shapiro_constant(phi, delta: float, plan: SamplePlan) -> float:
     """C_delta = (1/2) (1-delta)/(1+delta) m(E_delta): the weight the
     level set lends to the point evaluation in the pointwise bound."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
     if delta == 1.0:
         return 0.0
     est, _ = measure_E_delta(phi, delta, plan)
@@ -311,8 +308,6 @@ def mc_comp_norm_sq(phi, f: DirichletPoly, plan: SamplePlan) -> MeasureResult:
     d = _required_dim(phi)
     if plan.d != d:
         raise ValueError(f"plan has d={plan.d}, symbol needs d={d}")
-    if isinstance(phi, AffineSymbol) and not in_gordon_hedenmalm(phi):
-        raise ValueError("Monte Carlo norms require a symbol in the bounded class")
     n = plan.n_samples
     total = 0.0
     total_sq = 0.0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +27,7 @@ from h2comp.affine import (
     xi,
 )
 from h2comp.dseries import DirichletPoly, evaluate
-from h2comp.fixtures import single_prime_symbol
+from h2comp.fixtures import get_fixture, single_prime_symbol
 
 
 def _random_symbol(rng, d=None):
@@ -49,7 +51,7 @@ def _random_poly(rng, max_n=30, terms=6):
 
 def test_membership():
     assert in_gordon_hedenmalm(AffineSymbol(1.5, (1.0,)))
-    assert not in_gordon_hedenmalm(AffineSymbol.unchecked(1.0, (1.0,)))
+    assert not in_gordon_hedenmalm(types.SimpleNamespace(c=1.0 + 0j, r=1.0))
     assert in_gordon_hedenmalm(AffineSymbol(2.0 + 5.0j, (0.5, 0.5)))
 
 
@@ -58,8 +60,34 @@ def test_validation_rejects_bad_symbols():
         AffineSymbol(1.0, (1.0,))  # Re c - 1/2 < r
     with pytest.raises(ValueError):
         AffineSymbol(0.4, ())  # Re c <= 1/2
-    # unchecked constructor admits both for negative testing
-    assert AffineSymbol.unchecked(1.0, (1.0,)).r == 1.0
+
+
+def test_replace_revalidates_affine_symbol():
+    # dataclasses.replace goes through the constructor, so it cannot
+    # leave the bounded class either
+    with pytest.raises(ValueError):
+        dataclasses.replace(AffineSymbol(1.5, (1.0,)), c=1.0)
+    assert dataclasses.replace(AffineSymbol(1.5, (1.0,)), c=2.0) == AffineSymbol(2.0, (1.0,))
+
+
+def test_replace_revalidates_polynomial_symbol():
+    with pytest.raises(ValueError):
+        dataclasses.replace(get_fixture("example-7.1").symbol, radius=0.0)
+
+
+def test_polynomial_symbol_identity_equality():
+    poly = get_fixture("example-7.1").symbol
+    twin = get_fixture("example-7.1").symbol
+    assert poly == poly
+    assert poly != twin
+    assert hash(poly) == object.__hash__(poly)
+
+
+def test_affine_symbol_value_equality():
+    a = AffineSymbol(1.5, (0.5, 0.5), twist=(1j, 1.0))
+    b = AffineSymbol(1.5 + 0j, [0.5, 0.5], twist=[1j, 1.0])
+    assert a == b and hash(a) == hash(b) == hash((a.c, a.coeffs, a.twist))
+    assert a != AffineSymbol(1.5, (0.5, 0.5))
 
 
 def test_mapping_disc():
@@ -428,12 +456,6 @@ def test_comp_norm_twist_invariance():
     plain = AffineSymbol(1.8, (0.4, 0.3))
     twisted = AffineSymbol(1.8, (0.4, 0.3), twist=(np.exp(0.7j), np.exp(2.1j)))
     assert comp_norm_sq(twisted, f) == pytest.approx(comp_norm_sq(plain, f), rel=1e-12)
-
-
-def test_comp_norm_rejects_outside_class():
-    phi = AffineSymbol.unchecked(1.0, (1.0,))
-    with pytest.raises(ValueError):
-        comp_norm_sq(phi, DirichletPoly.one())
 
 
 def test_subordination_ordering():

@@ -209,6 +209,13 @@ def test_shapiro_constant_endpoints():
     assert shapiro_constant(phi, 0.0, plan) == 0.0
 
 
+@pytest.mark.parametrize("delta", [-0.1, 1.5, math.nan, math.inf])
+def test_shapiro_constant_rejects_delta_outside_unit_interval(delta):
+    phi = AffineSymbol(1.5, (0.5, 0.5))
+    with pytest.raises(ValueError, match="delta must lie in"):
+        shapiro_constant(phi, delta, SamplePlan(100, 1, 2))
+
+
 def test_shapiro_constant_poly_fixture():
     phi = get_fixture("example-7.1").symbol
     plan = SamplePlan(n_samples=200_000, seed=4, d=1)
@@ -310,12 +317,6 @@ def test_mc_comp_norm_matches_exact():
         est, ci = mc_comp_norm_sq(phi, f, plan)
         exact = comp_norm_sq(phi, f)
         assert abs(est - exact) <= 2.0 * ci + 1e-9
-
-
-def test_mc_comp_norm_rejects_outside_class():
-    phi = AffineSymbol.unchecked(1.0, (1.0,))
-    with pytest.raises(ValueError):
-        mc_comp_norm_sq(phi, DirichletPoly.one(), SamplePlan(100, 1, 1))
 
 
 # --- inner-factor symbols -------------------------------------------------

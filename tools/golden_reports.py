@@ -24,6 +24,12 @@ symbol whose section entries overflow, a scan with no samples), which print no
 report and exit 1.  They run in this process
 through `h2comp.cli.main`, with the package imported from this
 checkout's `src`.
+
+After the commands come the demos: one line per `demos/*.py`, the
+sha256 of everything it prints and its path.  Each demo runs in this
+process through `runpy.run_path(..., run_name="__main__")` with no
+arguments, against the same package, so a diff of the two outputs also
+shows whether every demo prints byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,10 +37,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import runpy
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from h2comp import cli  # noqa: E402
 from h2comp.fixtures import fixtures  # noqa: E402
@@ -101,10 +109,24 @@ def report_digest(argv: list[str]) -> tuple[str, int]:
     return hashlib.sha256(body.encode()).hexdigest(), code
 
 
+def demo_digest(path: Path) -> str:
+    """sha256 of what the demo script at `path` prints when run with no arguments."""
+    out = io.StringIO()
+    saved, sys.argv = sys.argv, [str(path)]
+    try:
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(path), run_name="__main__")
+    finally:
+        sys.argv = saved
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def main() -> int:
     for argv in commands():
         digest, code = report_digest(argv)
         print(digest, code, " ".join(argv), flush=True)
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        print(demo_digest(path), path.relative_to(ROOT).as_posix(), flush=True)
     return 0
 
 
