@@ -72,7 +72,7 @@ from .opnorm import _KERNEL_SIGMAS, _adjoint_entry, _truncation, _vertical_twin
 from .torus import (
     InnerSymbolParams,
     SamplePlan,
-    _character_blocks,
+    _characters,
     _map_slices,
     _shapiro_weight,
     curve_trace,
@@ -482,33 +482,29 @@ def _maybe_warn_curve(outer_ok: bool, inner_ok: bool) -> None:
 def _inner_rows(params: InnerSymbolParams, plan: SamplePlan, sigmas) -> tuple[dict, bool]:
     """Diagnostics rows per depth in `sigmas` over the characters of
     `plan`, |g| at depth 40 along the first character, and whether all
-    of them hold.  A block of characters is evaluated at every depth at
-    once, in column slices on every CPU, so memory is one block plus 8
-    bytes of 1 - |g| per sample per depth, which the medians need.  The
-    gap 1 - |g| = -expm1(-Re S) takes Re S from its closed form, which
-    keeps every digit at small depths; the moduli and offsets come from
-    the complex sum."""
+    of them hold.  Each column slice of characters is drawn and
+    evaluated at every depth at once, in one task on every CPU, so
+    memory is one slice per worker plus 8 bytes of 1 - |g| per sample
+    per depth, which the medians need.  The gap 1 - |g| = -expm1(-Re S)
+    takes Re S from its closed form, which keeps every digit at small
+    depths; the moduli and offsets come from the complex sum."""
     gaps = np.empty((len(sigmas), plan.n_samples))
-    extremes = []  # (|g| min, |g| max, offset max) per depth, per slice
-    i = 0
-    for Z in _character_blocks(plan):
-        if i == 0:
-            deep = inner_boundary_modulus(params, Z[:, 0], 40.0)
+    deep = inner_boundary_modulus(params, _characters(plan, 0, 1)[:, 0], 40.0)
 
-        def scan(lo, hi):
-            out = []
-            for row, s in enumerate(sigmas):
-                S = params.exponent_sum(Z[:, lo:hi], s)
-                re_S = params.exponent_sum_real(Z[:, lo:hi], s)
-                np.negative(np.expm1(-re_S), out=gaps[row, i + lo : i + hi])
-                mods = np.exp(-S.real)
-                offs = np.abs(params.frame(np.exp(-S)) - params.c)
-                out.append((mods.min(), mods.max(), offs.max()))
-            return out
+    def scan(lo, hi):
+        Z = _characters(plan, lo, hi)
+        out = []
+        for row, s in enumerate(sigmas):
+            S = params.exponent_sum(Z, s)
+            re_S = params.exponent_sum_real(Z, s)
+            np.negative(np.expm1(-re_S), out=gaps[row, lo:hi])
+            mods = np.exp(-S.real)
+            offs = np.abs(params.frame(np.exp(-S)) - params.c)
+            out.append((mods.min(), mods.max(), offs.max()))
+        return out
 
-        extremes += _map_slices(scan, Z.shape[1])
-        i += Z.shape[1]
-    ext = np.array(extremes)
+    # (|g| min, |g| max, offset max) per depth, per slice
+    ext = np.array(_map_slices(scan, plan.n_samples))
     mod_min = ext[..., 0].min(axis=0)
     mod_max, off_max = ext[..., 1].max(axis=0), ext[..., 2].max(axis=0)
     rows = [{

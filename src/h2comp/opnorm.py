@@ -49,8 +49,6 @@ from .affine import (
 )
 from .errors import InequalityViolation, NonConvergence
 from .zeta import (
-    FullIntegers,
-    GeometricPowers,
     LambdaSpec,
     PrimeSemigroup,
     abscissa,

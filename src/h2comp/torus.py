@@ -13,10 +13,12 @@ reported alongside.
 
 Sampling is bit-for-bit reproducible: a counter-based generator keyed
 by (seed, coordinate) drives each torus coordinate on its own stream,
-so estimates do not depend on evaluation order or chunking.  The
-elementwise work runs on every CPU the process may use, in column
-slices; reductions run afterwards on the whole block in a fixed order,
-so no result depends on the number of workers either.
+so estimates do not depend on evaluation order or chunking.  A column
+slice of the samples is drawn straight from its own counter offset in
+each stream, so every slice is drawn, evaluated and reduced in one task
+on every CPU the process may use, and memory stays at one slice per
+worker for any sample count.  Float reductions run afterwards in a
+fixed order, so no result depends on the number of workers either.
 
 Vertical-line versions (`ergodic_measure`, `curve_trace`) average over
 t in [-T, T] instead; the flow t -> (p_j^{-it})_j equidistributes over
@@ -60,6 +62,9 @@ __all__ = [
     "mobius_symbol_value",
 ]
 
+# Both are multiples of 4: a Philox counter step gives 4 of the uint64s
+# that `Generator.uniform` turns into one double each, so a slice that
+# starts at a multiple of 4 starts on a counter step (see `_characters`).
 _CHUNK = 1 << 19
 _SLICE = 1 << 16
 
@@ -153,28 +158,28 @@ def sample_characters(plan: SamplePlan) -> np.ndarray:
     same (seed, j) always reproduces the same column of phases no
     matter how many coordinates any particular symbol needs.
     """
-    return np.concatenate([Z.copy() for Z in _character_blocks(plan)], axis=1)
+    out = np.empty((plan.d, plan.n_samples), dtype=complex)
+
+    def fill(lo, hi):
+        out[:, lo:hi] = _characters(plan, lo, hi)
+
+    _map_slices(fill, plan.n_samples)
+    return out
 
 
-def _character_blocks(plan: SamplePlan):
-    """The samples of `plan` as (d, m) blocks of at most _CHUNK columns,
-    drawn straight from the per-coordinate streams.
+def _characters(plan: SamplePlan, lo: int, hi: int) -> np.ndarray:
+    """Columns [lo, hi) of `sample_characters(plan)`, bit for bit, as a
+    (d, hi - lo) block drawn without the columns before `lo`.
 
-    A stream hands out the same phases whether it is read in one draw or
-    in pieces, so the blocks side by side are `sample_characters(plan)`
-    bit for bit.  Every block is written into one buffer, so memory stays
-    at one block for any n_samples, and a block is valid only until the
-    next one is drawn.  Each stream is drawn serially; the cos and sin
-    of its phases run in column slices.
+    Philox4x64 gives 4 uint64 per counter step and `Generator.uniform`
+    turns each into one double, so the stream opened at counter lo // 4
+    starts exactly at column lo; lo must be a multiple of 4.
     """
-    gens = [np.random.Generator(np.random.Philox(key=[plan.seed, j])) for j in range(plan.d)]
-    buf = np.empty((plan.d, min(_CHUNK, plan.n_samples)), dtype=complex)
-    for i in range(0, plan.n_samples, _CHUNK):
-        m = min(_CHUNK, plan.n_samples - i)
-        for j, gen in enumerate(gens):
-            u, row = gen.uniform(0.0, 2.0 * math.pi, m), buf[j, :m]
-            _map_slices(lambda lo, hi: _unimodular(u[lo:hi], row[lo:hi]), m)
-        yield buf[:, :m]
+    Z = np.empty((plan.d, hi - lo), dtype=complex)
+    for j, row in enumerate(Z):
+        gen = np.random.Generator(np.random.Philox(key=[plan.seed, j], counter=lo // 4))
+        _unimodular(gen.uniform(0.0, 2.0 * math.pi, hi - lo), row)
+    return Z
 
 
 # --- boundary values ------------------------------------------------------
@@ -240,12 +245,12 @@ def measure_E_delta(phi, delta: float, plan: SamplePlan) -> MeasureResult:
     if plan.d != d:
         raise ValueError(f"plan has d={plan.d}, symbol needs d={d}")
     n = plan.n_samples
-    hits = 0
-    for Z in _character_blocks(plan):
-        hits += sum(_map_slices(
-            lambda lo, hi: int(np.count_nonzero(np.abs(phi.boundary(Z[:, lo:hi]) - c) < delta * r)),
-            Z.shape[1],
-        ))
+
+    def count(lo, hi):
+        vals = phi.boundary(_characters(plan, lo, hi))
+        return int(np.count_nonzero(np.abs(vals - c) < delta * r))
+
+    hits = sum(_map_slices(count, n))
     est = hits / n
     ci = 1.96 * math.sqrt(max(est * (1.0 - est), 0.0) / n)
     return MeasureResult(est, ci)
@@ -312,11 +317,11 @@ def mc_comp_norm_sq(phi, f: DirichletPoly, plan: SamplePlan) -> MeasureResult:
     total = 0.0
     total_sq = 0.0
     buf = np.empty(min(_CHUNK, n))
-    for Z in _character_blocks(plan):
-        v = buf[: Z.shape[1]]
+    for i in range(0, n, _CHUNK):
+        v = buf[: min(_CHUNK, n - i)]
 
         def fill(lo, hi):
-            v[lo:hi] = np.abs(evaluate(f, phi.boundary(Z[:, lo:hi]))) ** 2
+            v[lo:hi] = np.abs(evaluate(f, phi.boundary(_characters(plan, i + lo, i + hi)))) ** 2
 
         _map_slices(fill, v.size)
         # the sums run on the whole block, so they add in one fixed order

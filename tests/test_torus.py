@@ -72,6 +72,24 @@ def test_sampling_matches_one_full_draw_across_blocks():
         assert sample_characters(plan).tobytes() == _full_array_draw(plan).tobytes()
 
 
+def test_characters_start_at_their_counter_offset():
+    # each slice opens every stream at counter lo // 4, skipping the
+    # columns before lo; the last range is the short last slice
+    n = 2 * torus._CHUNK + 12345
+    plan = SamplePlan(n_samples=n, seed=2718, d=6)
+    full = _full_array_draw(plan)
+    last = n - n % torus._SLICE
+    for lo, hi in [
+        (0, 1),
+        (0, torus._SLICE),
+        (4, torus._SLICE),
+        (torus._SLICE, 2 * torus._SLICE),
+        (torus._CHUNK + torus._SLICE, torus._CHUNK + 2 * torus._SLICE),
+        (last, n),
+    ]:
+        assert torus._characters(plan, lo, hi).tobytes() == full[:, lo:hi].tobytes(), (lo, hi)
+
+
 def test_chunked_estimates_match_full_array_route():
     # n straddles a block boundary; the full-array route slices one draw
     n = torus._CHUNK + 4097
@@ -587,6 +605,27 @@ def test_results_do_not_depend_on_worker_count(pool_size):
     finally:
         sys.setswitchinterval(interval)
     assert torus._pool is not None and torus._pool._max_workers == 3
+
+
+def _traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_memory_is_one_slice_per_worker(pool_size):
+    # a (6, 2^19) block of characters alone would take 48 MiB, and a
+    # (3, 2^19) block 24 MiB; a (6, 2^16) slice takes 6 MiB
+    pool_size(2)
+    inner = get_fixture("example-7.3").symbol
+    plan = SamplePlan(n_samples=1 << 20, seed=21, d=inner.d)
+    assert _traced_peak_mib(lambda: measure_E_delta(inner, 0.9, plan)) < 32
+    phi = get_fixture("fig1-c").symbol
+    plan = SamplePlan(n_samples=1 << 20, seed=22, d=phi.d)
+    assert _traced_peak_mib(lambda: mc_comp_norm_sq(phi, F5, plan)) < 40
 
 
 def test_worker_error_reaches_the_caller(pool_size, monkeypatch, capsys):

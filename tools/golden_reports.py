@@ -14,9 +14,10 @@ level), explicit sections for an affine `opnorm` and a family `bounds`
 and `opnorm`, `bounds` and `opnorm` on a symbol whose column-defect
 tails overflow, `measure`, `curve` and a short `curve --csv` on every
 boundary-sampleable fixture, `measure` at 1,100,000 samples on the
-polynomial and one affine fixture and `curve` at 600,000 steps (both
-span more than one 2^19-column block and many 2^16-column slices),
-`inner-check` at its defaults and at 16 and 500 samples on other seeds,
+polynomial, one affine and the inner fixture, `curve` at 600,000 steps
+and `inner-check` at 600,000 samples (each spans more than one
+2^19-column block and many 2^16-column slices), `inner-check` at its
+defaults and at 16 and 500 samples on other seeds,
 `majorize`, `subordinate` (exact, float and `--scan`),
 `verify-lemmas --suite` for every suite, and last eleven error paths
 (non-finite symbols and line ranges, overflowing arithmetic, a finite
@@ -68,12 +69,13 @@ def commands() -> list[list[str]]:
             out.append(["measure", "--fixture", name, "--delta", "0.9"])
             out.append(["curve", "--fixture", name])
             out.append(["curve", "--fixture", name, "--csv", "--T", "30", "--steps", "64"])
-    for name in ("example-7.1", "fig1-c"):
+    for name in ("example-7.1", "fig1-c", "example-7.3"):
         out.append(["measure", "--fixture", name, "--delta", "0.9", "--samples", "1100000"])
     out.append(["curve", "--fixture", "fig1-b", "--steps", "600000"])
     out.append(["inner-check"])
     out.append(["inner-check", "--samples", "16", "--seed", "3"])
     out.append(["inner-check", "--samples", "500", "--seed", "9"])
+    out.append(["inner-check", "--samples", "600000", "--seed", "11"])
     out.append(["majorize", "--coeffs", "0.4,0.35,0.25", "--against", "0.7,0.2,0.1"])
     out.append(["majorize", "--coeffs", "2,2,2", "--against", "4,1,1"])
     out.append(["majorize", "--coeffs", "4,1,1", "--against", "3,3,0"])
