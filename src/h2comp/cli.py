@@ -9,8 +9,9 @@ Exit codes:
 
 * 0 — the report was produced and every checked inequality held;
 * 1 — usage or domain errors (bad flags, malformed or non-finite
-  vectors, symbols outside the bounded class, or arithmetic that
-  overflows or divides by zero on extreme inputs);
+  vectors, symbols outside the bounded class, arithmetic that
+  overflows or divides by zero on extreme inputs, or an ``--out`` path
+  that cannot be written);
 * 2 — a mathematically guaranteed inequality failed its numerical
   check.  This is the interesting failure mode: it means a numerical
   regression, never a matter of taste.  A check inside the library
@@ -91,16 +92,13 @@ from .zeta import (
 DEFAULT_SEED = 12345
 
 
-class _CliError(Exception):
-    """Raised for anything that should terminate with exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags, which this interface
     # reserves for violated inequalities; reroute to the usage path
+    # (argparse catches only ArgumentError, so this reaches `main`)
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 # --- deterministic JSON rendering -----------------------------------------
@@ -171,51 +169,43 @@ def _parse_complex(text: str) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise _CliError(f"expected re or re,im — got {text!r}")
+    raise ValueError(f"expected re or re,im — got {text!r}")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(",") if p.strip() != "")
     except ValueError:
-        raise _CliError(f"expected a comma-separated number list — got {text!r}")
+        raise ValueError(f"expected a comma-separated number list — got {text!r}")
 
 
 def _parse_vector_exactish(text: str):
     """Integer tokens parse to ints so downstream comparisons can be exact."""
     toks = [p.strip() for p in text.split(",") if p.strip() != ""]
     if not toks:
-        raise _CliError("empty coefficient vector")
+        raise ValueError("empty coefficient vector")
     if all(t.lstrip("+-").isdigit() for t in toks):
         return [int(t) for t in toks]
     try:
         return [float(t) for t in toks]
     except ValueError:
-        raise _CliError(f"expected a comma-separated number list — got {text!r}")
+        raise ValueError(f"expected a comma-separated number list — got {text!r}")
 
 
 def _resolve_symbol(args, kinds: tuple[str, ...]):
     """(kind, symbol, echo) from --fixture or --c/--coeffs flags."""
-    if getattr(args, "fixture", None):
-        try:
-            fx = get_fixture(args.fixture)
-        except ValueError as e:
-            raise _CliError(str(e))
+    if args.fixture:
+        fx = get_fixture(args.fixture)
         if fx.kind not in kinds:
-            raise _CliError(
+            raise ValueError(
                 f"fixture {fx.name!r} has kind {fx.kind!r}; this command takes {kinds}"
             )
         return fx.kind, fx.symbol, {"fixture": fx.name}
-    if getattr(args, "coeffs", None) is None and getattr(args, "c", None) is None:
-        raise _CliError("give either --fixture or --c/--coeffs")
-    if "affine" not in kinds:
-        raise _CliError("this command takes symbols only through --fixture")
+    if args.coeffs is None and args.c is None:
+        raise ValueError("give either --fixture or --c/--coeffs")
     c = _parse_complex(args.c) if args.c is not None else complex(1.5, 0.0)
     coeffs = _parse_floats(args.coeffs) if args.coeffs is not None else ()
-    try:
-        sym = AffineSymbol(c, coeffs)
-    except ValueError as e:
-        raise _CliError(str(e))
+    sym = AffineSymbol(c, coeffs)
     echo = {"c": args.c if args.c is not None else "1.5"}
     if args.coeffs is not None:
         echo["coeffs"] = args.coeffs
@@ -228,7 +218,7 @@ def _require_positive(args, *flags: str) -> None:
     for flag in flags:
         value = getattr(args, flag)
         if value is not None and value < 1:
-            raise _CliError(f"--{flag} must be at least 1, got {value}")
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
 
 
 def _cmd_bounds(args) -> tuple[str, int]:
@@ -278,17 +268,14 @@ def _cmd_subordinate(args) -> tuple[str, int]:
     if args.scan:
         return _scan_subordination(args, echo)
     if args.against is None:
-        raise _CliError("subordinate needs --against (or --scan)")
+        raise ValueError("subordinate needs --against (or --scan)")
     c = _parse_vector_exactish(args.against)
     echo["against"] = args.against
     if len(b) != len(c):
-        raise _CliError("coefficient vectors must have equal length")
-    try:
-        fwd = majorizes(b, c)
-        rev = majorizes(c, b)
-        rows = hq_dominance(b, c, K=args.k)
-    except ValueError as e:
-        raise _CliError(str(e))
+        raise ValueError("coefficient vectors must have equal length")
+    fwd = majorizes(b, c)
+    rev = majorizes(c, b)
+    rows = hq_dominance(b, c, K=args.k)
 
     r = float(sum(b))
     scale = 1.0
@@ -298,13 +285,10 @@ def _cmd_subordinate(args) -> tuple[str, int]:
         scale = 1.0 / r if r > 0 else 1.0
         center = complex(1.5, 0.0)
     f = _norm_probe()
-    try:
-        phi_b = AffineSymbol(center, tuple(x * scale for x in map(float, b)))
-        phi_c = AffineSymbol(center, tuple(x * scale for x in map(float, c)))
-        nb = comp_norm_sq(phi_b, f)
-        nc = comp_norm_sq(phi_c, f)
-    except ValueError as e:
-        raise _CliError(str(e))
+    phi_b = AffineSymbol(center, tuple(x * scale for x in map(float, b)))
+    phi_c = AffineSymbol(center, tuple(x * scale for x in map(float, c)))
+    nb = comp_norm_sq(phi_b, f)
+    nc = comp_norm_sq(phi_c, f)
 
     checks = {}
     code = 0
@@ -315,7 +299,7 @@ def _cmd_subordinate(args) -> tuple[str, int]:
             code = 2
     exact = all(isinstance(x, int) for x in b + c)
 
-    if args.k is not None and args.k != 24:
+    if args.k != 24:
         echo["k"] = args.k
     payload = _header("subordinate", echo, None)
     payload["majorized_by_against"] = fwd
@@ -334,10 +318,12 @@ def _scan_subordination(args, echo) -> tuple[str, int]:
     same-sum vectors, even when majorization says nothing?"""
     d = len(_parse_vector_exactish(args.coeffs))
     if d < 2:
-        raise _CliError("--scan needs a vector of length >= 2 to set the dimension")
+        raise ValueError("--scan needs a vector of length >= 2 to set the dimension")
     _require_positive(args, "samples")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
     n = args.samples
-    gen = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
+    gen = np.random.Generator(np.random.Philox(key=np.array([args.seed, 0], dtype=np.uint64)))
     counts = {"comparable": 0, "lhs_dominates": 0, "rhs_dominates": 0, "mixed": 0}
     mixed_examples = []
     for _ in range(n):
@@ -376,11 +362,8 @@ def _cmd_majorize(args) -> tuple[str, int]:
     b = _parse_vector_exactish(args.coeffs)
     c = _parse_vector_exactish(args.against)
     echo = {"coeffs": args.coeffs, "against": args.against}
-    try:
-        fwd = majorizes(b, c)
-        rev = majorizes(c, b)
-    except ValueError as e:
-        raise _CliError(str(e))
+    fwd = majorizes(b, c)
+    rev = majorizes(c, b)
     payload = _header("majorize", echo, None)
     payload["majorized_by_against"] = fwd
     payload["majorizes_against"] = rev
@@ -401,11 +384,8 @@ def _cmd_majorize(args) -> tuple[str, int]:
 def _cmd_measure(args) -> tuple[str, int]:
     kind, sym, echo = _resolve_symbol(args, ("affine", "poly", "inner"))
     delta = args.delta
-    try:
-        plan = SamplePlan(n_samples=args.samples, seed=args.seed, d=max(sym.d, 1))
-        res = measure_E_delta(sym, delta, plan)
-    except ValueError as e:
-        raise _CliError(str(e))
+    plan = SamplePlan(n_samples=args.samples, seed=args.seed, d=max(sym.d, 1))
+    res = measure_E_delta(sym, delta, plan)
     shap = _shapiro_weight(delta) * res.estimate
     echo.update({"delta": args.delta, "samples": args.samples})
     payload = _header("measure", echo, args.seed)
@@ -414,7 +394,7 @@ def _cmd_measure(args) -> tuple[str, int]:
     payload["ci95"] = res.ci95
     payload["shapiro_constant"] = shap
     code = 0
-    if getattr(args, "fixture", None) == "example-7.1":
+    if args.fixture == "example-7.1":
         closed = poly_level_measure(delta)
         closed_c = poly_shapiro_closed_form(delta)
         tol = max(2.5 * res.ci95, 1e-3)
@@ -437,7 +417,7 @@ def _cmd_curve(args) -> tuple[str, int]:
     T = args.T
     steps = args.steps
     if not T > 0:
-        raise _CliError("need --T > 0")
+        raise ValueError("need --T > 0")
     trace = curve_trace(sym, -T, T, steps)
     c = sym.c
     offs = np.hypot(trace[:, 1] - c.real, trace[:, 2] - c.imag)
@@ -527,12 +507,9 @@ def _inner_rows(params: InnerSymbolParams, plan: SamplePlan, sigmas) -> tuple[di
 
 def _cmd_inner_check(args) -> tuple[str, int]:
     name = args.fixture or "example-7.3"
-    try:
-        fx = get_fixture(name)
-    except ValueError as e:
-        raise _CliError(str(e))
+    fx = get_fixture(name)
     if fx.kind != "inner":
-        raise _CliError(f"fixture {name!r} is not an inner-factor symbol")
+        raise ValueError(f"fixture {name!r} is not an inner-factor symbol")
     params: InnerSymbolParams = fx.symbol
     plan = SamplePlan(n_samples=args.samples, seed=args.seed, d=params.d)
     report, ok = _inner_rows(params, plan, (0.1, 1e-2, 1e-4, 1e-6, 1e-8))
@@ -1032,7 +1009,7 @@ def _cmd_verify_lemmas(args) -> tuple[str, int]:
     which = _SUITE_ALIASES.get(which, which)
     if which != "all" and which not in _SUITES:
         known = ", ".join(sorted(_SUITES))
-        raise _CliError(f"unknown suite {which!r}; available: all, {known}")
+        raise ValueError(f"unknown suite {which!r}; available: all, {known}")
     names = list(_SUITES) if which == "all" else [which]
     results = []
     all_ok = True
@@ -1153,27 +1130,24 @@ _DISPATCH = {
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
+    if not args.command:
         parser.print_usage(sys.stderr)
         return 1
     text, code = _DISPATCH[args.command](args)
-    _emit(text, getattr(args, "out", None))
+    _emit(text, args.out)
     return code
 
 
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except _CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except InequalityViolation as e:
         print(f"error: inequality violated: {e}", file=sys.stderr)
         return 2
     except NonConvergence as e:
         print(f"error: did not converge: {e}", file=sys.stderr)
         return 3
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ArithmeticError as e:

@@ -14,7 +14,7 @@ class InequalityViolation(AssertionError):
 
 
 class NonConvergence(RuntimeError):
-    """An iteration ran out of steps before it converged.
+    """The Hermitian eigensolver of the matrix lower bound did not converge.
 
     Subclasses RuntimeError, which it raised before the type existed;
     the command line maps it to exit code 3."""

@@ -11,14 +11,15 @@ Carlo identity ||f o phi||^2 = E |f(phi*(chi))|^2 — is estimated from
 such samples, with binomial or empirical-variance confidence radii
 reported alongside.
 
-Sampling is bit-for-bit reproducible: a counter-based generator keyed
-by (seed, coordinate) drives each torus coordinate on its own stream,
-so estimates do not depend on evaluation order or chunking.  A column
-slice of the samples is drawn straight from its own counter offset in
-each stream, so every slice is drawn, evaluated and reduced in one task
-on every CPU the process may use, and memory stays at one slice per
-worker for any sample count.  Float reductions run afterwards in a
-fixed order, so no result depends on the number of workers either.
+Sampling is bit-for-bit reproducible: a counter-based generator keyed by
+(seed, coordinate), the seed any 64-bit unsigned integer, drives each
+torus coordinate on its own stream, so estimates do not depend on
+evaluation order or chunking.  A column slice of the samples is drawn
+straight from its own counter offset in each stream, so every slice is
+drawn, evaluated and reduced in one task on every CPU the process may
+use, and memory stays at one slice per worker for any sample count.
+Float reductions run afterwards in a fixed order, so no result depends
+on the number of workers either.
 
 Vertical-line versions (`ergodic_measure`, `curve_trace`) average over
 t in [-T, T] instead; the flow t -> (p_j^{-it})_j equidistributes over
@@ -177,7 +178,9 @@ def _characters(plan: SamplePlan, lo: int, hi: int) -> np.ndarray:
     """
     Z = np.empty((plan.d, hi - lo), dtype=complex)
     for j, row in enumerate(Z):
-        gen = np.random.Generator(np.random.Philox(key=[plan.seed, j], counter=lo // 4))
+        # a plain list turns a seed of 2^63 or more into a float64 key
+        key = np.array([plan.seed, j], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=lo // 4))
         _unimodular(gen.uniform(0.0, 2.0 * math.pi, hi - lo), row)
     return Z
 

@@ -444,6 +444,22 @@ def test_non_convergence_exits_three(capsys, monkeypatch, argv):
     ["curve", "--fixture", "fig1-a", "--T", "1e308"],
     ["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"],
     ["bounds", "--c", "1e9", "--coeffs", "2e8"],
+    # library and CLI usage errors, all on the one ValueError route
+    ["measure", "--fixture", "nope", "--delta", "0.5"],
+    ["bounds", "--fixture", "example-7.1"],
+    ["bounds", "--c", "a,b,c"],
+    ["bounds", "--coeffs", "1,x"],
+    ["bounds", "--c", "1.5", "--coeffs", "2"],
+    ["verify-lemmas", "--suite", "nope"],
+    ["measure", "--fixture", "fig1-c", "--delta", "2"],
+    ["measure", "--fixture", "fig1-c", "--delta", "0.5", "--samples", "0"],
+    ["measure", "--fixture", "fig1-c", "--delta", "0.5", "--seed", "-4"],
+    ["subordinate", "--coeffs", "1,1"],
+    ["subordinate", "--coeffs", "1,1", "--against", "2,0,0"],
+    ["subordinate", "--coeffs", "1,1", "--against", "3,0"],
+    ["subordinate", "--coeffs", "1", "--scan"],
+    ["curve", "--fixture", "fig1-a", "--T", "-1"],
+    ["inner-check", "--fixture", "fig1-a"],
 ])
 def test_extreme_inputs_exit_one(capsys, argv):
     # non-finite symbols and line ranges, arithmetic that overflows or
@@ -455,6 +471,29 @@ def test_extreme_inputs_exit_one(capsys, argv):
     assert code == 1 and out == ""
     assert caught == []
     assert "Traceback" not in err and "Warning" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_scan_rejects_seed_outside_64_bits(capsys, seed):
+    # -1 once ran a scan, and 2^64 failed as floating-point arithmetic
+    code, out, err = _run(
+        capsys, ["subordinate", "--coeffs", "1,1,1", "--scan", "--samples", "5", "--seed", str(seed)]
+    )
+    assert code == 1 and out == ""
+    assert err == "error: seed must fit in 64 bits\n"
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_out_path_exits_one(capsys, tmp_path, target):
+    # the write once raised FileNotFoundError or IsADirectoryError
+    path = tmp_path / "missing" / "x.json" if target == "missing" else tmp_path
+    code, out, err = _run(
+        capsys, ["majorize", "--coeffs", "1,1", "--against", "2,0", "--out", str(path)]
+    )
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,19 @@ def test_characters_start_at_their_counter_offset():
         (last, n),
     ]:
         assert torus._characters(plan, lo, hi).tobytes() == full[:, lo:hi].tobytes(), (lo, hi)
+
+
+def test_characters_keep_every_bit_of_a_64_bit_seed():
+    # a list key [seed, j] turns into float64 once seed >= 2^63: seeds
+    # 2^63 and 2^63 + 1 then drew the same phases, and 2^64 - 1 warned
+    def draw(seed):
+        return torus._characters(SamplePlan(n_samples=8, seed=seed, d=2), 0, 8)
+
+    assert not np.array_equal(draw(2**63), draw(2**63 + 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        draw(2**64 - 1)
+    assert caught == []
 
 
 def test_chunked_estimates_match_full_array_route():

@@ -3,8 +3,9 @@
     python3 tools/golden_reports.py > golden.txt
 
 Prints one line per command: the sha256 of its stdout report with the
-timestamp line removed, its exit code, and the command.  Run it in two
-checkouts and diff the two outputs; a change that keeps every report
+timestamp line removed, the sha256 of what it wrote to stderr, its exit
+code, and the command.  Run it in two checkouts and diff the two
+outputs; a change that keeps every report and every error message
 byte-identical apart from the timestamp shows no difference.
 
 The commands are `bounds` and `opnorm` on every shipped fixture they
@@ -19,12 +20,17 @@ and `inner-check` at 600,000 samples (each spans more than one
 2^19-column block and many 2^16-column slices), `inner-check` at its
 defaults and at 16 and 500 samples on other seeds,
 `majorize`, `subordinate` (exact, float and `--scan`),
-`verify-lemmas --suite` for every suite, and last eleven error paths
+`verify-lemmas --suite` for every suite, then eleven error paths
 (non-finite symbols and line ranges, overflowing arithmetic, a finite
 symbol whose section entries overflow, a scan with no samples), which print no
-report and exit 1.  They run in this process
-through `h2comp.cli.main`, with the package imported from this
-checkout's `src`.
+report and exit 1.  After them come the usage errors: unknown or
+wrong-kind fixtures, malformed `--c` and `--coeffs`, a symbol outside
+the bounded class, an unknown suite, out-of-range `bounds`, `measure`,
+`curve` and `--scan` arguments, `subordinate` vectors that cannot be
+compared, flags argparse rejects and no command at all, each exiting 1;
+then the `dkzeta` suite alias and two `--help` calls.  The commands run in this
+process through `h2comp.cli.main`, with the package imported from this
+checkout's `src` and help and usage text wrapped at 80 columns.
 
 After the commands come the demos: one line per `demos/*.py`, the
 sha256 of everything it prints and its path.  Each demo runs in this
@@ -38,12 +44,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import runpy
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+# argparse wraps help and usage text at the terminal width
+os.environ["COLUMNS"] = "80"
 
 from h2comp import cli  # noqa: E402
 from h2comp.fixtures import fixtures  # noqa: E402
@@ -97,18 +106,47 @@ def commands() -> list[list[str]]:
     out.append(["curve", "--fixture", "fig1-a", "--T", "1e308"])
     out.append(["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"])
     out.append(["bounds", "--c", "1e9", "--coeffs", "2e8"])
+    out.append(["measure", "--fixture", "nope", "--delta", "0.5"])
+    out.append(["bounds", "--fixture", "example-7.1"])
+    out.append(["inner-check", "--fixture", "fig1-a"])
+    out.append(["bounds", "--c", "a,b,c"])
+    out.append(["bounds", "--coeffs", "1,x"])
+    out.append(["bounds", "--c", "1.5", "--coeffs", "2"])
+    out.append(["bounds", "--fixture", "fig1-c", "--nin", "0"])
+    out.append(["verify-lemmas", "--suite", "nope"])
+    out.append(["measure", "--fixture", "fig1-c", "--delta", "2"])
+    out.append(["measure", "--fixture", "fig1-c", "--delta", "0.5", "--samples", "0"])
+    out.append(["measure", "--fixture", "fig1-c", "--delta", "0.5", "--seed", "-4"])
+    out.append(["curve", "--fixture", "fig1-a", "--T", "-1"])
+    out.append(["subordinate", "--coeffs", "1,1"])
+    out.append(["subordinate", "--coeffs", "1,1", "--against", "2,0,0"])
+    out.append(["subordinate", "--coeffs", "1,1", "--against", "3,0"])
+    out.append(["subordinate", "--coeffs", "1", "--scan"])
+    out.append(["subordinate", "--coeffs", "1,1,1", "--scan", "--seed", str(2**64)])
+    out.append(["bounds", "--coeffs", "1", "--bogus", "3"])
+    out.append(["bounds", "--nin", "x"])
+    out.append(["measure", "--coeffs", "1"])
+    out.append([])
+    out.append(["verify-lemmas", "--suite", "dkzeta"])
+    out.append(["--help"])
+    out.append(["bounds", "--help"])
     return out
 
 
-def report_digest(argv: list[str]) -> tuple[str, int]:
-    """sha256 of the stdout report without its timestamp line, and the exit code."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def report_digest(argv: list[str]) -> tuple[str, str, int]:
+    """sha256 of the stdout report without its timestamp line, sha256 of
+    stderr, and the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     body = "".join(
         line for line in out.getvalue().splitlines(keepends=True) if '"timestamp":' not in line
     )
-    return hashlib.sha256(body.encode()).hexdigest(), code
+    return _sha256(body), _sha256(err.getvalue()), code
 
 
 def demo_digest(path: Path) -> str:
@@ -120,13 +158,13 @@ def demo_digest(path: Path) -> str:
             runpy.run_path(str(path), run_name="__main__")
     finally:
         sys.argv = saved
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return _sha256(out.getvalue())
 
 
 def main() -> int:
     for argv in commands():
-        digest, code = report_digest(argv)
-        print(digest, code, " ".join(argv), flush=True)
+        digest, err_digest, code = report_digest(argv)
+        print(digest, err_digest, code, " ".join(argv), flush=True)
     for path in sorted((ROOT / "demos").glob("*.py")):
         print(demo_digest(path), path.relative_to(ROOT).as_posix(), flush=True)
     return 0
