@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dseries import DirichletPoly, evaluate, h2_norm_sq, multiply
 from .errors import InequalityViolation
@@ -431,7 +430,7 @@ def h2k_means(coeffs, K: int) -> np.ndarray:
     k = np.arange(K + 1)
     H = np.ones(K + 1)          # single prime: every power mean is 1
     rho = active[0]
-    lg = gammaln(k + 1.0)
+    lg = np.array([math.lgamma(i + 1.0) for i in range(K + 1)])   # log i!
     kk = k[:, None]
     jj = k[None, :]
     lower = jj <= kk

@@ -27,7 +27,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "PowerSeries",
@@ -139,13 +138,13 @@ def psi_matrix(N: int) -> np.ndarray:
     M[0, 0] = 1.0
     if N == 0:
         return M
-    j = np.arange(1, N + 1, dtype=float)
-    k = np.arange(1, N + 1, dtype=float)
+    lg = np.array([math.lgamma(i + 1.0) for i in range(N)])   # log i!
+    j = np.arange(1, N + 1)
     jj = j[:, None]
-    kk = k[None, :]
+    kk = j[None, :]
     ok = kk <= jj
-    diff = np.where(ok, jj - kk, 0.0)
-    logbin = gammaln(jj) - gammaln(kk) - gammaln(diff + 1.0)
+    diff = np.where(ok, jj - kk, 0)
+    logbin = lg[jj - 1] - lg[kk - 1] - lg[diff]
     vals = np.where(ok, np.exp(logbin - jj * math.log(2.0)), 0.0)
     M[1:, 1:] = vals
     return M

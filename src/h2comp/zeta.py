@@ -10,7 +10,10 @@ certify it against a slow direct-summation oracle.
 Derivatives are needed only up to order 12 and only for sigma > 1.  For
 those, direct summation to 10^6 plus an incomplete-gamma integral tail
 (with the first two Euler--Maclaurin corrections) is both simple and
-accurate to near machine precision at desk scale.
+accurate to near machine precision at desk scale.  At integer order the
+regularized upper incomplete gamma has the closed form
+Q(k+1, y) = e^{-y} sum_{i<=k} y^i / i!, a sum of positive terms with no
+cancellation, so the tail needs nothing beyond the standard library.
 
 The sandwich
 
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import InequalityViolation
 from .primes import is_prime
@@ -149,6 +151,24 @@ def _deriv_arrays() -> tuple[np.ndarray, np.ndarray]:
     return _deriv_grid
 
 
+def _gamma_q(k: int, y: float) -> float:
+    """Regularized upper incomplete gamma Q(k+1, y) for integer k >= 0 and
+    y >= 0, from the closed form e^{-y} sum_{i<=k} y^i / i!.
+
+    Every term is positive, so the sum loses nothing to cancellation.  Once
+    e^{-y} underflows the result is 0, and the terms are not formed (at
+    y = +inf they would be inf, and inf * 0 is NaN).
+    """
+    decay = math.exp(-y)
+    if decay == 0.0:
+        return 0.0
+    term = total = 1.0
+    for i in range(1, k + 1):
+        term *= y / i
+        total += term
+    return decay * total
+
+
 def zeta_deriv(k: int, sigma: float) -> float:
     """(-1)^k * k-th derivative of zeta at real sigma > 1, for 0 <= k <= 12.
 
@@ -156,7 +176,8 @@ def zeta_deriv(k: int, sigma: float) -> float:
     sign (-1)^k stripped, which is the positive quantity every bound in
     this package consumes.  Direct summation to 10^6, then the integral
     int_N^inf (log t)^k t^{-sigma} dt = Gamma(k+1, (sigma-1) log N) / (sigma-1)^{k+1}
-    with the first two Euler--Maclaurin corrections at the cut.
+    with the first two Euler--Maclaurin corrections at the cut.  For
+    k >= 1 the value underflows to 0 as sigma grows and is 0 at +inf.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError("k must be an integer")
@@ -171,9 +192,14 @@ def zeta_deriv(k: int, sigma: float) -> float:
 
     big = float(_DERIV_CUT)
     lb = math.log(big)
-    y = (sigma - 1.0) * lb
-    # Gamma(k+1, y) = k! * gammaincc(k+1, y); regularized in scipy.
-    tail = math.factorial(k) * float(gammaincc(k + 1, y)) / (sigma - 1.0) ** (k + 1)
+    # Gamma(k+1, y) = k! Q(k+1, y), with y = (sigma - 1) log N
+    q = _gamma_q(k, (sigma - 1.0) * lb)
+    if q == 0.0:
+        # sigma > 54: N^{-sigma} has underflowed too, so the tail and both
+        # corrections are 0, while (sigma - 1)^{k+1} may overflow and the
+        # second correction would form inf * 0 = NaN at sigma = +inf
+        return head
+    tail = math.factorial(k) * q / (sigma - 1.0) ** (k + 1)
     g = lb**k * big ** (-sigma)
     gp = (k * lb ** (k - 1) - sigma * lb**k) * big ** (-sigma - 1.0)
     return head + tail - 0.5 * g - gp / 12.0

@@ -235,6 +235,23 @@ def test_h2k_means_two_equal_is_central_binomial():
         assert m[k] == pytest.approx(expected, rel=1e-12)
 
 
+def test_h2k_means_long_tables_match_exact_sums():
+    # orders past 12, beyond the arguments below 13 where log-gamma
+    # routines use their small-argument method; the references are exact
+    # rationals rounded once
+    m = h2k_means((0.5, 0.5), 400)
+    for k in range(401):
+        assert m[k] == pytest.approx(math.comb(2 * k, k) / 4**k, rel=2e-12), k
+    m = h2k_means((1.0, 1.0, 1.0), 80)
+    for k in range(81):
+        total = sum(
+            (math.comb(k, a) * math.comb(k - a, b)) ** 2
+            for a in range(k + 1)
+            for b in range(k - a + 1)
+        )
+        assert m[k] == pytest.approx(float(Fraction(total, 9**k)), rel=2e-12), k
+
+
 def test_h2k_means_monotone_and_first_value():
     rng = np.random.default_rng(53)
     for _ in range(10):

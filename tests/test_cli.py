@@ -627,6 +627,41 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["command"] == "bounds"
 
 
+# Runs one command through each user of a special function: the power
+# means (log-factorials, affine), the zeta derivatives (incomplete gamma,
+# zeta) and the z/(2-z) matrix (log-factorials, disc), then lists every
+# scipy module the process loaded.
+_IMPORT_PROBE = r"""
+import contextlib, io, sys
+from h2comp.cli import main
+for argv in (
+    ["bounds", "--fixture", "fig1-a"],
+    ["verify-lemmas", "--suite", "zeta-sandwich"],
+    ["verify-lemmas", "--suite", "disc-transfer"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_scipy_stays_off_the_import_path():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # The body of the console-script wrapper that pip writes at install time.
 _LAUNCHER = r"""#!{python}
 # -*- coding: utf-8 -*-

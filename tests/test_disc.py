@@ -158,6 +158,17 @@ def test_psi_matrix_entry_closed_form():
     assert M[4, 4] == pytest.approx(2.0 ** (-4), rel=1e-13)
 
 
+def test_psi_matrix_large_entries_closed_form():
+    # every entry of a section past degree 12 against the exact binomial
+    n = 300
+    M = psi_matrix(n)
+    for j in range(1, n + 1):
+        for k in range(1, j + 1):
+            exact = math.comb(j - 1, k - 1) / 2**j
+            assert abs(M[j, k] - exact) <= 2e-12 * exact, (j, k)
+    assert not np.any(np.triu(M[1:, 1:], 1))
+
+
 def test_psi_matrix_column_sums_reach_one():
     # total mass per input monomial: sum_{j>=k} 2^{-j} C(j-1,k-1) = 1,
     # checked through a truncation whose tail is provably negligible.

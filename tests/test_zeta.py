@@ -19,6 +19,7 @@ from h2comp.zeta import (
     zeta,
     zeta_deriv,
     zeta_lambda,
+    _gamma_q,
 )
 
 
@@ -129,6 +130,42 @@ def test_zeta_deriv_matches_central_difference():
 
 def test_zeta_deriv_zeroth_is_zeta():
     assert zeta_deriv(0, 3.0) == pytest.approx(zeta(3.0), rel=1e-14)
+
+
+def test_zeta_deriv_at_extreme_sigma():
+    # the value decays like (log 2)^k 2^{-sigma}: positive and decreasing
+    # until it underflows, never NaN, and 0 at sigma = +inf.  The tail
+    # underflows between sigma = 54.9 and 55.
+    for k in range(1, 13):
+        assert zeta_deriv(k, math.inf) == 0.0
+    for k in (1, 12):
+        assert zeta_deriv(k, 1e308) == 0.0
+        vals = [zeta_deriv(k, s) for s in (50.0, 54.9, 55.0, 60.0)]
+        assert all(v > 0.0 for v in vals)
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_zeta_deriv_matches_mpmath():
+    import mpmath as mp
+
+    with mp.workdps(30):
+        for sigma in (1.01, 1.05, 1.5, 2.0, 3.0, 6.0):
+            for k in range(1, 13):
+                ref = (-1) ** k * mp.zeta(sigma, 1, k)
+                assert abs(zeta_deriv(k, sigma) - ref) <= 1e-14 * ref, (k, sigma)
+
+
+def test_gamma_q_closed_form_matches_mpmath():
+    import mpmath as mp
+
+    # y = (sigma - 1) log 10^6 spans these for sigma from 1.0001 to about 50
+    with mp.workdps(30):
+        for y in (0.0, 1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 13.8, 30.0, 80.0, 150.0, 700.0):
+            for k in range(13):
+                ref = mp.gammainc(k + 1, y, regularized=True)
+                assert abs(_gamma_q(k, y) - ref) <= 1e-15 * ref, (k, y)
+    assert _gamma_q(12, 800.0) == 0.0
+    assert _gamma_q(12, math.inf) == 0.0
 
 
 def test_zeta_deriv_domain():
