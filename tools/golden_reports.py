@@ -13,9 +13,10 @@ accept, the edge cases of the truncated section (one input column,
 K_out = 0, a constant symbol with no active prime, a single opnorm
 level), explicit sections for an affine `opnorm` and a family `bounds`
 and `opnorm`, `bounds` and `opnorm` on a symbol whose column-defect
-tails overflow, `measure`, `curve` and a short `curve --csv` on every
-boundary-sampleable fixture, `measure` at 1,100,000 samples on the
-polynomial, one affine and the inner fixture, `curve` at 600,000 steps
+tails overflow and on one symbol with three and one with four active
+primes (no shipped fixture has more than two), `measure`, `curve` and a
+short `curve --csv` on every boundary-sampleable fixture, `measure` at
+1,100,000 samples on the polynomial, one affine and the inner fixture, `curve` at 600,000 steps
 and `inner-check` at 600,000 samples (each spans more than one
 2^19-column block and many 2^16-column slices), `inner-check` at its
 defaults and at 16 and 500 samples on other seeds,
@@ -72,6 +73,9 @@ def commands() -> list[list[str]]:
     out.append(["opnorm", "--fixture", "phi-alpha-1", "--nin", "64", "--kout", "50", "--levels", "2"])
     out.append(["bounds", "--c", "100", "--coeffs", "90"])
     out.append(["opnorm", "--c", "100", "--coeffs", "90"])
+    for c, coeffs in (("1.2,0.7", "0.3,0.1,0.05"), ("2,-1", "0.2,0.3,0.1,0.15")):
+        out.append(["bounds", "--c", c, "--coeffs", coeffs])
+        out.append(["opnorm", "--c", c, "--coeffs", coeffs])
     for name, fx in fixtures().items():
         if fx.kind in ("affine", "poly", "inner"):
             out.append(["measure", "--fixture", name, "--delta", "0.5"])
