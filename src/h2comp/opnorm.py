@@ -24,10 +24,17 @@ column n holds the coefficients of n^{-phi(s)},
     A[k, n] = n^{-c} prod_j (-c_j log n)^{k_j} / k_j!,
 
 whose square column sum approaches ||C_phi n^{-s}||^2 from below with a
-certified per-column defect.  The separate family phi_alpha(s) =
-1/2 + alpha (1 - 2^{-s})/(1 + 2^{-s}) maps into the powers-of-two
-lattice; its columns have the exact closed-form square norm 1/n, which
-makes the truncation defect exactly computable as well.
+certified per-column defect.  Each total-degree block of A has rank
+one, so A = U M diag(n^{-i Im c}) with U an isometry and the real
+(K_out + 1) x n_in degree factor M[t, n] = ||alpha_t|| n^{-Re c} (log n)^t
+(`_degree_factor`).  `bound_suite` and `sigma_max_series` read the
+section's norm and kernel quotients off M; `build_matrix` builds the
+lattice itself for the callers that read its entries or defects.
+
+The separate family phi_alpha(s) = 1/2 + alpha (1 - 2^{-s})/(1 + 2^{-s})
+maps into the powers-of-two lattice; its columns have the exact
+closed-form square norm 1/n, which makes the truncation defect exactly
+computable as well.
 """
 
 from __future__ import annotations
@@ -196,13 +203,10 @@ def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out:
     return ns.astype(float) ** (-2.0 * re_c) * (acc + remainder)
 
 
-def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
-    """Truncated coefficient matrix of C_phi with certified column defects.
-
-    Input frequencies 1..n_in; output multi-indices over the active
-    (nonzero-coefficient) primes up to total degree K_out.  Column n = 1
-    is the unit vector at the zero index: constants map to constants.
-    """
+def _section_shape(phi: AffineSymbol, n_in: int, K_out: int) -> tuple[list[complex], int]:
+    """The active effective coefficients of phi and the row count
+    comb(K_out + d, d) of its section, once the size is checked against
+    the caps."""
     if n_in < 1:
         raise ValueError("need at least one input column")
     if K_out < 0:
@@ -215,6 +219,18 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
             f"truncation size {rows} x {n_in} exceeds the configured caps "
             f"({_ROW_CAP} rows, {_ENTRY_CAP} entries)"
         )
+    return eff, rows
+
+
+def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
+    """Truncated coefficient matrix of C_phi with certified column defects.
+
+    Input frequencies 1..n_in; output multi-indices over the active
+    (nonzero-coefficient) primes up to total degree K_out.  Column n = 1
+    is the unit vector at the zero index: constants map to constants.
+    """
+    eff, rows = _section_shape(phi, n_in, K_out)
+    d_act = len(eff)
     # a tail that overflows floats is still bounded above by inf
     with np.errstate(over="ignore", invalid="ignore"):
         defects = _column_defects(phi.c.real, [abs(z) for z in eff], np.arange(1, n_in + 1), K_out)
@@ -251,14 +267,49 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
     )
 
 
-def sigma_max_sq(op: TruncatedOperator) -> float:
-    """Largest squared singular value: the top eigenvalue of the smaller
-    Gram matrix, from LAPACK's Hermitian eigensolver.
+def _degree_factor(phi: AffineSymbol, n_in: int, K_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """The section A of `build_matrix` as A = U M diag(phase), with U an
+    isometry: the real (K+1) x n_in factor M and phase[n] = n^{-i Im c}.
 
-    The result is a valid lower bound for the full operator's squared
-    norm: a finite section never exceeds it.
+    The degree-t block of A is alpha_t (x) n^{-c} (log n)^t with
+    alpha_t[k] = prod_j (-c_j)^{k_j} / k_j!, a rank-one block, so
+    M[t, n] = ||alpha_t|| n^{-Re c} (log n)^t, and M has the singular
+    values of A.  ||alpha_t||^2 (log n)^{2t} is the d-fold convolution
+    over the active primes of the squares of (|c_j| log n)^k / k!, up to
+    degree K (K_out, or 0 with no active prime).  Those per-prime tables
+    are the ones `build_matrix` forms, under the same caps and the same
+    overflow guard; each partial product already carries n^{-Re c}, so
+    it is at most 1 and its square cannot overflow.
     """
-    A = op.entries
+    _section_shape(phi, n_in, K_out)
+    moduli = [x for x in phi.coeffs if x > 0.0]
+    K = K_out if moduli else 0
+    M = np.zeros((K + 1, n_in))
+    M[0, 0] = 1.0
+    # columns n >= 2
+    ns = np.arange(2, n_in + 1, dtype=float)
+    with np.errstate(over="raise", invalid="raise"):
+        x = np.array(moduli)[:, None] * np.log(ns)[None, :]
+        E = np.empty((len(moduli), K + 1, n_in - 1))
+        E[:, 0] = 1.0
+        for k in range(1, K + 1):
+            E[:, k] = E[:, k - 1] * x / k
+        base = ns ** (-phi.c.real)
+        N = base * E[0] if moduli else base[None, :]
+        for Ej in E[1:]:
+            # N[t] <- ||(N[t - k] Ej[k])_{k <= t}||
+            S = np.zeros_like(N)
+            for k in range(K + 1):
+                S[k:] += (N[: K + 1 - k] * Ej[k]) ** 2
+            N = np.sqrt(S)
+        M[:, 1:] = N
+    phase = np.array([n ** complex(0.0, -phi.c.imag) for n in range(1, n_in + 1)])
+    return M, phase
+
+
+def _gram_top_eigenvalue(A: np.ndarray) -> float:
+    """Top eigenvalue of the smaller Gram matrix of A, from LAPACK's
+    Hermitian eigensolver: the squared largest singular value of A."""
     rows, cols = A.shape
     G = A @ A.conj().T if rows <= cols else A.conj().T @ A
     try:
@@ -268,13 +319,23 @@ def sigma_max_sq(op: TruncatedOperator) -> float:
         raise NonConvergence(f"Hermitian eigensolver failed: {e}") from None
 
 
+def sigma_max_sq(op: TruncatedOperator) -> float:
+    """Largest squared singular value: the top eigenvalue of the smaller
+    Gram matrix, from LAPACK's Hermitian eigensolver.
+
+    The result is a valid lower bound for the full operator's squared
+    norm: a finite section never exceeds it.
+    """
+    return _gram_top_eigenvalue(op.entries)
+
+
 def sigma_max_series(phi: AffineSymbol, levels: Sequence[tuple[int, int]]) -> list[tuple[int, int, float]]:
-    """sigma_max^2 at increasing truncation levels [(n_in, K_out), ...]."""
-    out = []
-    for n_in, K_out in levels:
-        op = build_matrix(phi, n_in, K_out)
-        out.append((n_in, K_out, sigma_max_sq(op)))
-    return out
+    """sigma_max^2 at increasing truncation levels [(n_in, K_out), ...],
+    each from the degree factor of its section."""
+    return [
+        (n_in, K_out, _gram_top_eigenvalue(_degree_factor(phi, n_in, K_out)[0]))
+        for n_in, K_out in levels
+    ]
 
 
 # --- kernel quotients -----------------------------------------------------
@@ -319,6 +380,18 @@ def kernel_quotient_report(
     trunc = float(np.sum(ns ** (-2.0 * ww.real)))
     kernel_tail = math.sqrt(max(full - trunc, 0.0)) / nv
     return KernelQuotientReport(ratio=ratio, image_defect=image_defect, kernel_tail=kernel_tail)
+
+
+def _factor_kernel_ratios(M: np.ndarray, phase: np.ndarray) -> list[float]:
+    """||A k_s|| / ||k_s|| at each real kernel point s of `_KERNEL_SIGMAS`,
+    through the degree factor (M, phase) of the section A: with A = U M
+    diag(phase), ||A v|| = ||M (phase v)||."""
+    ns = np.arange(1, M.shape[1] + 1, dtype=float)
+    out = []
+    for s in _KERNEL_SIGMAS:
+        v = ns ** -s
+        out.append(float(np.linalg.norm(M @ (phase * v))) / float(np.linalg.norm(v)))
+    return out
 
 
 def kernel_quotient(
@@ -613,9 +686,10 @@ def _adjoint_entry(phi: AffineSymbol) -> BoundEntry:
 def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = None) -> BoundReport:
     """Assemble every applicable bound for ||C_phi||^2.
 
-    The truncated matrix and the kernel quotients go through the
-    vertical twin of phi (`_vertical_twin`), on a section of n_in
-    columns and output degree K_out (defaults as in `_truncation`).
+    The section quotients go through the degree factor of the section
+    of n_in columns and output degree K_out (defaults as in
+    `_truncation`), which needs neither the lattice nor the vertical
+    twin: the sections of phi and its twin share the factor.
     """
     re_c = phi.c.real
     gap = re_c - 0.5
@@ -630,22 +704,16 @@ def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = 
 
     e["adjoint_lower"] = _adjoint_entry(phi)
 
-    flipped = _vertical_twin(phi)
-    op = build_matrix(flipped, n_in, K_out)
+    M, phase = _degree_factor(phi, n_in, K_out)
     e["matrix_lower"] = BoundEntry(
-        sigma_max_sq(op),
+        _gram_top_eigenvalue(M),
         True,
-        f"largest singular value of the {len(op.out_indices)}x{n_in} section (K_out={K_out})",
+        f"largest singular value of the {math.comb(K_out + d_act, d_act)}x{n_in} section (K_out={K_out})",
     )
-
-    best_kernel = 0.0
-    for s in _KERNEL_SIGMAS:
-        # real kernel points: the flipped twin attains the minimal real
-        # part of the symbol there, which maximizes the quotient
-        rep_k = kernel_quotient_report(flipped, complex(s, 0.0), op=op)
-        best_kernel = max(best_kernel, rep_k.ratio**2)
     e["kernel_S_lower"] = BoundEntry(
-        best_kernel, True, "best truncated reproducing-kernel quotient on the real grid"
+        max(q**2 for q in _factor_kernel_ratios(M, phase)),
+        True,
+        "best truncated reproducing-kernel quotient on the real grid",
     )
 
     # the upper entries below are written only where they apply; the

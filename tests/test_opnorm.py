@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import h2comp.opnorm as opnorm
-from h2comp.affine import AffineSymbol, _xi_from, comp_norm_sq, xi
+from h2comp.affine import AffineSymbol, _xi_from, comp_norm_sq, h2k_means, xi
 from h2comp.dseries import DirichletPoly
 from h2comp.fixtures import fixtures
 from h2comp.opnorm import (
@@ -125,6 +125,16 @@ def test_sigma_beats_point_evaluation_bound():
     assert val > zeta(3.0)
 
 
+def _cis(*angles):
+    return tuple(complex(math.cos(a), math.sin(a)) for a in angles)
+
+
+# symbols with more active primes than any shipped fixture, off the real
+# axis and with complex twists, at the section sizes bound_suite uses
+_THREE_PRIMES = AffineSymbol(1.2 + 0.7j, (0.3, 0.1, 0.05), twist=_cis(1.0, 2.0, 3.0))
+_FOUR_PRIMES = AffineSymbol(2.0 - 1.0j, (0.2, 0.3, 0.1, 0.15), twist=_cis(0.5, -1.5, 2.5, 4.0))
+
+
 def test_sigma_is_the_top_squared_singular_value():
     # the singular values of the entries themselves, with no Gram matrix,
     # are an independent route to the section's squared norm
@@ -136,6 +146,8 @@ def test_sigma_is_the_top_squared_singular_value():
         "fig1-c": build_matrix(
             opnorm._vertical_twin(fig1c), *opnorm._truncation("affine", fig1c, None, None)
         ),
+        "d3": build_matrix(_THREE_PRIMES, *opnorm._truncation("affine", _THREE_PRIMES, None, None)),
+        "d4": build_matrix(_FOUR_PRIMES, *opnorm._truncation("affine", _FOUR_PRIMES, None, None)),
         "alpha-1.4": phi_alpha_operator(1.4, 512, 400),
     }
     vals = {}
@@ -143,8 +155,51 @@ def test_sigma_is_the_top_squared_singular_value():
         vals[name] = sigma_max_sq(op)
         svd = float(np.linalg.svd(op.entries, compute_uv=False)[0]) ** 2
         assert vals[name] == pytest.approx(svd, rel=1e-13, abs=0.0), name
+        if name == "alpha-1.4":
+            continue
+        # the degree factor of the same section: its Gram matrix and its
+        # kernel quotients against those of the literal entries
+        n_in, K_out = len(op.input_ns), max(map(sum, op.out_indices))
+        M, phase = opnorm._degree_factor(op.symbol, n_in, K_out)
+        assert opnorm._gram_top_eigenvalue(M) == pytest.approx(svd, rel=1e-13, abs=0.0), name
+        ns = np.arange(1, n_in + 1, dtype=float)
+        for s, q in zip(opnorm._KERNEL_SIGMAS, opnorm._factor_kernel_ratios(M, phase)):
+            v = ns ** -s
+            literal = float(np.linalg.norm(op.entries @ v) / np.linalg.norm(v))
+            assert q == pytest.approx(literal, rel=1e-13, abs=0.0), (name, s)
     # a diagonal unitary relates the sections of phi and its twin
     assert vals["phi"] == pytest.approx(vals["twin"], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("phi", [
+    AffineSymbol(1.5, (1.0,)),
+    AffineSymbol(1.8 + 0.3j, (0.4, 0.3), twist=_cis(0.7, 2.0)),
+    _THREE_PRIMES,
+    _FOUR_PRIMES,
+], ids=["d1", "d2", "d3", "d4"])
+def test_degree_weights_are_the_power_means(phi):
+    # the factor's weights ||alpha_t||^2 come from convolving the lattice
+    # tables; the power means reach the same numbers by folding binomials
+    n_in, K = opnorm._truncation("affine", phi, None, None)
+    M, _ = opnorm._degree_factor(phi, n_in, K)
+    r = sum(phi.coeffs)
+    means = h2k_means(phi.coeffs, K)
+    for col, n in enumerate(range(2, n_in + 1), start=1):
+        row = n ** -phi.c.real * math.log(n) ** np.arange(K + 1)
+        weights = (M[:, col] / row) ** 2
+        expected = [means[t] * r ** (2 * t) / math.factorial(t) ** 2 for t in range(K + 1)]
+        np.testing.assert_allclose(weights, expected, rtol=1e-13, atol=0.0, err_msg=f"column {n}")
+
+
+def test_bound_suite_never_builds_the_lattice(monkeypatch):
+    expected = bound_suite(_FOUR_PRIMES).to_jsonable()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bound_suite reached the lattice section")
+
+    monkeypatch.setattr(opnorm, "build_matrix", refuse)
+    monkeypatch.setattr(opnorm, "kernel_quotient_report", refuse)
+    assert bound_suite(_FOUR_PRIMES).to_jsonable() == expected
 
 
 def _build_matrix_columnwise(phi, n_in, K_out):
