@@ -19,11 +19,14 @@ from h2comp.dseries import DirichletPoly
 
 def main() -> None:
     # --- the fold means --------------------------------------------------
+    # means print rounded to 12 places first, so a mean that sits on a
+    # 6-place tie, such as m_4 = 35/128 of (0.5, 0.5), prints the same
+    # digits whichever way its last bit falls
     print("m_k for a single full-weight coefficient is identically 1;")
     print("splitting the weight makes every mean strictly smaller:")
     for coeffs in ((1.0,), (0.5, 0.5), (0.25, 0.25, 0.25, 0.25)):
         m = h2k_means(coeffs, K=6)
-        print(f"  {coeffs}: " + "  ".join(f"{x:.6f}" for x in m))
+        print(f"  {coeffs}: " + "  ".join(f"{round(x, 12):.6f}" for x in m))
     print()
 
     # --- majorization orders the means pointwise -------------------------
@@ -33,8 +36,8 @@ def main() -> None:
     print(f"{b} is majorized by {c};")
     print("its means sit below, k by k:")
     print("  k:      " + "  ".join(f"{k:8d}" for k in range(9)))
-    print("  spread: " + "  ".join(f"{x:.6f}" for x in mb))
-    print("  peaked: " + "  ".join(f"{x:.6f}" for x in mc))
+    print("  spread: " + "  ".join(f"{round(x, 12):.6f}" for x in mb))
+    print("  peaked: " + "  ".join(f"{round(x, 12):.6f}" for x in mc))
     assert np.all(mb <= mc + 1e-15)
     print()
 

@@ -67,9 +67,8 @@ from .opnorm import (
     suite_for_phi_alpha,
 )
 # shared between library and CLI: the section sizes of the reports, the
-# real kernel grid, the sign-flipped twin the bound suite works through
-# and its adjoint entry
-from .opnorm import _KERNEL_SIGMAS, _adjoint_entry, _truncation, _vertical_twin
+# real kernel grid and the bound suite's adjoint entry
+from .opnorm import _KERNEL_SIGMAS, _adjoint_entry, _truncation
 from .torus import (
     InnerSymbolParams,
     SamplePlan,
@@ -718,16 +717,16 @@ def _suite_kernel_in_section() -> dict:
     ok = True
     rows = []
     for coeffs, n_in, k_out in (((1.0,), 512, 48), ((0.6, 0.4), 64, 40)):
-        flipped = _vertical_twin(AffineSymbol(1.5, coeffs))
-        op = build_matrix(flipped, n_in, k_out)
+        phi = AffineSymbol(1.5, coeffs)
+        op = build_matrix(phi, n_in, k_out)
         smax = sigma_max_sq(op)
         best_ratio = 0.0
         for s in (0.75, 1.0, 2.0):
-            repk = kernel_quotient_report(flipped, complex(s, 0.0), op=op)
+            repk = kernel_quotient_report(phi, complex(s, 0.0), op=op)
             q_mat = repk.ratio**2
             ktrunc = DirichletPoly({n: n ** (-s) for n in op.input_ns})
             nv2 = sum(n ** (-2.0 * s) for n in op.input_ns)
-            q_comp = comp_norm_sq(flipped, ktrunc) / nv2
+            q_comp = comp_norm_sq(phi, ktrunc) / nv2
             D = repk.image_defect
             ok &= q_comp >= q_mat - 1e-10
             ok &= q_comp - q_mat <= 2.0 * math.sqrt(q_comp) * D + D * D + 1e-10
@@ -875,13 +874,12 @@ def _suite_kernel_order() -> dict:
         if fx.kind == "affine":
             phi = fx.symbol
             adj = _adjoint_entry(phi).value
-            flipped = _vertical_twin(phi)
             # the report's columns at a fixed output degree 40 for every
             # fixture, one section shared by all the kernel points
-            op = build_matrix(flipped, *_truncation("affine", flipped, None, 40))
+            op = build_matrix(phi, *_truncation("affine", phi, None, 40))
             best, allowance = 0.0, 0.0
             for s in _KERNEL_SIGMAS:
-                rk = kernel_quotient_report(flipped, complex(s, 0.0), op=op)
+                rk = kernel_quotient_report(phi, complex(s, 0.0), op=op)
                 shave = rk.image_defect + rk.kernel_tail
                 best = max(best, rk.ratio**2)
                 allowance = max(allowance, 2.0 * rk.ratio * shave + shave * shave)

@@ -27,9 +27,10 @@ whose square column sum approaches ||C_phi n^{-s}||^2 from below with a
 certified per-column defect.  Each total-degree block of A has rank
 one, so A = U M diag(n^{-i Im c}) with U an isometry and the real
 (K_out + 1) x n_in degree factor M[t, n] = ||alpha_t|| n^{-Re c} (log n)^t
-(`_degree_factor`).  `bound_suite` and `sigma_max_series` read the
-section's norm and kernel quotients off M; `build_matrix` builds the
-lattice itself for the callers that read its entries or defects.
+(`_degree_factor`).  The package never forms the lattice: `bound_suite`
+and `sigma_max_series` read the section's norm and kernel quotients off
+M, and `build_matrix` returns M diag(n^{-i Im c}), one row per total
+degree, with the certified defects, for the callers that read entries.
 
 The separate family phi_alpha(s) = 1/2 + alpha (1 - 2^{-s})/(1 + 2^{-s})
 maps into the powers-of-two lattice; its columns have the exact
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -84,7 +84,6 @@ __all__ = [
 
 _ROW_CAP = 200_000
 _ENTRY_CAP = 8_000_000
-_BLOCK_ENTRIES = 16_384     # rows x columns per block of the last lattice product (256 KB)
 _GOLDEN_ITERS = 60
 _GATE_TOL = 1e-9
 # real kernel points of the bound suite's quotient entry
@@ -97,11 +96,12 @@ _KERNEL_SIGMAS = (0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
 class TruncatedOperator:
     """Finite section of a composition operator on the coefficient side.
 
-    Columns are indexed by the input frequencies `input_ns`; rows by
-    multi-indices on the output lattice (exponents over the active
-    primes, total degree <= K_out).  `column_defects[i]` is a certified
-    upper bound on ||C_phi n^{-s}||^2 minus the truncated column square
-    sum, so truncated column norms are exact up to a known gap.
+    Columns are indexed by the input frequencies `input_ns`; rows by the
+    output indices `out_indices`: total degrees (t,) for an affine
+    symbol, powers of two (m,) for the family.  `column_defects[i]` is a
+    certified upper bound on ||C_phi n^{-s}||^2 minus the truncated
+    column square sum, so truncated column norms are exact up to a
+    known gap.
     """
 
     symbol: object
@@ -114,76 +114,15 @@ class TruncatedOperator:
         return np.sum(np.abs(self.entries) ** 2, axis=0)
 
 
-@lru_cache(maxsize=32)
-def _multi_indices(d: int, K: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors ordered by total degree, then lexicographically.
-
-    Cached: every symbol with the same active-prime count and K_out
-    shares one lattice, and the tuple result is immutable."""
-    if d == 0:
-        return ((),)
-    out: list[tuple[int, ...]] = []
-
-    def fill(prefix: tuple[int, ...], rem_dims: int, rem_total: int):
-        if rem_dims == 1:
-            out.append(prefix + (rem_total,))
-            return
-        for first in range(rem_total + 1):
-            fill(prefix + (first,), rem_dims - 1, rem_total - first)
-
-    for total in range(K + 1):
-        fill((), d, total)
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _product_plan(d: int, K: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Gather plan for the lattice products of `build_matrix`, one level per prime.
-
-    Level j lists the distinct prefixes (k_0, ..., k_j) of the rows of
-    `_multi_indices(d, K)` as read-only (parent, exponent) index arrays:
-    entry i is entry parent[i] of level j - 1 (level -1 is the single
-    n^{-c} row) times F_j[exponent[i]].  The last level is the rows
-    themselves, in row order.
-    """
-    idx = _multi_indices(d, K)
-    plan = []
-    prev = {(): 0}
-    for j in range(d):
-        level = list(dict.fromkeys(k[: j + 1] for k in idx))
-        parent = np.array([prev[p[:-1]] for p in level], dtype=np.intp)
-        expo = np.array([p[-1] for p in level], dtype=np.intp)
-        parent.flags.writeable = expo.flags.writeable = False
-        plan.append((parent, expo))
-        prev = {p: i for i, p in enumerate(level)}
-    return tuple(plan)
-
-
-def _factor_tables(t: np.ndarray, K: int) -> np.ndarray:
-    """F[j, e] = F[j, e-1] * t[j] / e with F[j, 0] = 1, for all columns at once.
-
-    The complex product is formed from separate real and imaginary float
-    operations, as numpy's scalar complex multiply forms it.  Its
-    vectorized complex multiply may fuse them into FMAs and round
-    differently (it does on AVX-512 hosts), which would move the last
-    bit of entries defined by the scalar recurrence.
-    """
-    F = np.empty((t.shape[0], K + 1, t.shape[1]), dtype=complex)
-    F[:, 0] = 1.0
-    tr, ti = t.real, t.imag
-    for e in range(1, K + 1):
-        ar, ai = F[:, e - 1].real, F[:, e - 1].imag
-        cur = F[:, e]
-        cur.real = ar * tr - ai * ti
-        cur.imag = ar * ti + ai * tr
-        cur /= e
-    return F
-
-
 def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out: int) -> np.ndarray:
-    """Certified series tails: the mass of column n beyond degree K_out."""
+    """Certified series tails: the mass of column n beyond degree K_out.
+
+    Each term n^{-2 Re c} (x^K / K!)^2 m_K, with x = r log n, is formed
+    from its logarithm, and so is the remainder bound, so neither
+    x^K / K! nor n^{-2 Re c} has to fit a float on its own."""
     r = float(sum(coeffs))
-    x = r * np.log(ns.astype(float))
+    ns = ns.astype(float)
+    x = r * np.log(ns)
     xmax = float(x.max()) if x.size else 0.0
     if xmax == 0.0 or r == 0.0:
         return np.zeros(len(ns))
@@ -191,84 +130,56 @@ def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out:
     while _tail_log_bound(0.0, xmax, K_big) > math.log(1e-22) and K_big < 4000:
         K_big += 8
     means = h2k_means(coeffs, K_big)
-    v = np.ones(len(ns))
-    acc = np.zeros(len(ns))
-    for K in range(1, K_big + 1):
-        v = v * (x / K) ** 2
-        if K > K_out:
-            acc += v * means[K]
-    remainder = np.array([
-        math.exp(_tail_log_bound(0.0, xi_, K_big)) if xi_ > 0 else 0.0 for xi_ in x
-    ])
-    return ns.astype(float) ** (-2.0 * re_c) * (acc + remainder)
+    out = np.zeros(len(ns))
+    live = x > 0.0
+    lx = np.log(x[live])
+    la = -re_c * np.log(ns[live])
+    acc = np.zeros(len(lx))
+    for K in range(K_out + 1, K_big + 1):
+        acc += np.exp(2.0 * (la + K * lx - math.lgamma(K + 1.0))) * means[K]
+    remainder = np.array([math.exp(_tail_log_bound(a, xi_, K_big)) for a, xi_ in zip(la, x[live])])
+    out[live] = acc + remainder
+    return out
 
 
-def _section_shape(phi: AffineSymbol, n_in: int, K_out: int) -> tuple[list[complex], int]:
-    """The active effective coefficients of phi and the row count
-    comb(K_out + d, d) of its section, once the size is checked against
-    the caps."""
+def _section_shape(phi: AffineSymbol, n_in: int, K_out: int) -> None:
+    """Check the lattice section of phi, comb(K_out + d, d) x n_in for d
+    active primes, against the caps."""
     if n_in < 1:
         raise ValueError("need at least one input column")
     if K_out < 0:
         raise ValueError("K_out must be nonnegative")
-    eff = [z for z in phi.effective_coeffs() if z != 0]
-    d_act = len(eff)
+    d_act = _active_primes(phi)
     rows = math.comb(K_out + d_act, d_act)
     if rows > _ROW_CAP or rows * n_in > _ENTRY_CAP:
         raise ValueError(
             f"truncation size {rows} x {n_in} exceeds the configured caps "
             f"({_ROW_CAP} rows, {_ENTRY_CAP} entries)"
         )
-    return eff, rows
 
 
 def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
     """Truncated coefficient matrix of C_phi with certified column defects.
 
-    Input frequencies 1..n_in; output multi-indices over the active
-    (nonzero-coefficient) primes up to total degree K_out.  Column n = 1
-    is the unit vector at the zero index: constants map to constants.
+    Input frequencies 1..n_in; output rows the total degrees t <= K_out
+    of the degree factor, entries M[t, n] n^{-i Im c} (`_degree_factor`).
+    An isometry U carries these rows onto the multi-index rows of the
+    section, so singular values, column norms and every ||A v|| are
+    those of the lattice matrix.  Column n = 1 is the unit vector at
+    degree 0: constants map to constants.
     """
-    eff, rows = _section_shape(phi, n_in, K_out)
-    d_act = len(eff)
-    # a tail that overflows floats is still bounded above by inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        defects = _column_defects(phi.c.real, [abs(z) for z in eff], np.arange(1, n_in + 1), K_out)
-    defects[~np.isfinite(defects)] = np.inf
-    # an entry that overflows or turns invalid raises FloatingPointError,
-    # so no non-finite entry reaches the eigensolver
-    with np.errstate(over="raise", invalid="raise"):
-        idx = _multi_indices(d_act, K_out)
-        A = np.zeros((rows, n_in), dtype=complex)
-        A[0, 0] = 1.0
-        # columns n >= 2; n^{-c} and t = -c_j log n stay Python complex
-        # scalars, so every entry keeps the bits of its scalar definition
-        ns = range(2, n_in + 1)
-        base = np.array([n ** (-phi.c) for n in ns], dtype=complex)
-        if d_act == 0:
-            A[0, 1:] = base
-        else:
-            lns = [math.log(n) for n in ns]
-            F = _factor_tables(np.array([[-cj * ln for ln in lns] for cj in eff], dtype=complex), K_out)
-            plan = _product_plan(d_act, K_out)
-            P = base[None, :]
-            for j, (parent, expo) in enumerate(plan[:-1]):
-                P = P[parent] * F[j, expo]
-            parent, expo = plan[-1]
-            step = max(1, _BLOCK_ENTRIES // max(1, n_in - 1))
-            for r0 in range(0, rows, step):
-                np.multiply(P[parent[r0:r0 + step]], F[-1, expo[r0:r0 + step]], out=A[r0:r0 + step, 1:])
+    M, phase = _degree_factor(phi, n_in, K_out)
     return TruncatedOperator(
         symbol=phi,
         input_ns=tuple(range(1, n_in + 1)),
-        out_indices=idx,
-        entries=A,
-        column_defects=defects,
+        out_indices=tuple((t,) for t in range(M.shape[0])),
+        entries=M * phase,
+        column_defects=_column_defects(phi.c.real, phi.coeffs, np.arange(1, n_in + 1), K_out),
     )
 
 
 def _degree_factor(phi: AffineSymbol, n_in: int, K_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """The section A of `build_matrix` as A = U M diag(phase), with U an
+    """The lattice section A of C_phi as A = U M diag(phase), with U an
     isometry: the real (K+1) x n_in factor M and phase[n] = n^{-i Im c}.
 
     The degree-t block of A is alpha_t (x) n^{-c} (log n)^t with
@@ -276,10 +187,10 @@ def _degree_factor(phi: AffineSymbol, n_in: int, K_out: int) -> tuple[np.ndarray
     M[t, n] = ||alpha_t|| n^{-Re c} (log n)^t, and M has the singular
     values of A.  ||alpha_t||^2 (log n)^{2t} is the d-fold convolution
     over the active primes of the squares of (|c_j| log n)^k / k!, up to
-    degree K (K_out, or 0 with no active prime).  Those per-prime tables
-    are the ones `build_matrix` forms, under the same caps and the same
-    overflow guard; each partial product already carries n^{-Re c}, so
-    it is at most 1 and its square cannot overflow.
+    degree K (K_out, or 0 with no active prime).  The lattice size is
+    checked against the caps, and an overflowing per-prime table raises
+    FloatingPointError; each partial product already carries n^{-Re c},
+    so it is at most 1 and its square cannot overflow.
     """
     _section_shape(phi, n_in, K_out)
     moduli = [x for x in phi.coeffs if x > 0.0]
@@ -638,21 +549,6 @@ def _truncation(kind: str, sym, n_in: int | None, K_out: int | None) -> tuple[in
     return (64 if n_in is None else n_in), K_out
 
 
-def _vertical_twin(phi: AffineSymbol) -> AffineSymbol:
-    """phi with every coefficient rotated to -c_j.
-
-    A diagonal unitary on the output lattice relates the finite sections
-    of phi and its twin, so their singular values agree, while real
-    kernel points realize the minimal real part of the twin and give the
-    strongest quotients.
-    """
-    return AffineSymbol(
-        phi.c,
-        phi.coeffs,
-        twist=tuple(-1.0 for _ in phi.coeffs) if phi.d else None,
-    )
-
-
 def _report(kind: str, entries: dict[str, BoundEntry], n_in: int, k_out: int) -> BoundReport:
     """The report on a symbol of `kind` from the entries its suite found
     applicable, in table order; every other entry is a placeholder that
@@ -688,8 +584,7 @@ def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = 
 
     The section quotients go through the degree factor of the section
     of n_in columns and output degree K_out (defaults as in
-    `_truncation`), which needs neither the lattice nor the vertical
-    twin: the sections of phi and its twin share the factor.
+    `_truncation`).
     """
     re_c = phi.c.real
     gap = re_c - 0.5

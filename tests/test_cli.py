@@ -500,8 +500,9 @@ def test_unwritable_out_path_exits_one(capsys, tmp_path, target):
 
 @pytest.mark.parametrize("cmd", ["bounds", "opnorm"])
 def test_overflowing_defect_tail_still_reports(capsys, cmd):
-    # the float tail of the section's last columns overflows, but no
-    # entry does: the report prints with no warning
+    # r log n_in is about 374, past where (r log n)^K / K! of a defect
+    # tail would overflow a float, but no entry overflows: the report
+    # prints with no warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = _run(capsys, [cmd, "--c", "100", "--coeffs", "90"])

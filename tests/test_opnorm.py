@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import warnings
@@ -47,7 +48,7 @@ from h2comp.zeta import (
 def test_first_column_is_unit_vector():
     op = build_matrix(AffineSymbol(1.5, (0.5, 0.5)), 8, 12)
     col = op.entries[:, 0]
-    zero_row = op.out_indices.index((0, 0))
+    zero_row = op.out_indices.index((0,))
     assert col[zero_row] == pytest.approx(1.0)
     assert np.sum(np.abs(col) ** 2) == pytest.approx(1.0)
     assert op.column_defects[0] == pytest.approx(0.0, abs=1e-15)
@@ -67,12 +68,11 @@ def test_constant_symbol_sigma_tends_to_zeta():
 
 
 def test_entry_closed_form():
-    # A[k, n] = n^{-c} (-ln n)^{|k|} prod c_j^{k_j} / k_j!
+    # the reference's A[k, n] = n^{-c} (-ln n)^{|k|} prod c_j^{k_j} / k_j!
     phi = AffineSymbol(1.6 + 0.2j, (0.4, 0.3))
-    op = build_matrix(phi, 6, 8)
+    A, _, idx = _build_matrix_columnwise(phi, 6, 8)
     n = 5
-    j = op.input_ns.index(n)
-    for k_idx, kk in enumerate(op.out_indices):
+    for k_idx, kk in enumerate(idx):
         tot = sum(kk)
         expected = (
             complex(n) ** (-phi.c)
@@ -80,7 +80,7 @@ def test_entry_closed_form():
             * (0.4 ** kk[0] / math.factorial(kk[0]))
             * (0.3 ** kk[1] / math.factorial(kk[1]))
         )
-        assert op.entries[k_idx, j] == pytest.approx(expected, abs=1e-14)
+        assert A[k_idx, n - 1] == pytest.approx(expected, abs=1e-14)
 
 
 def test_column_norms_certified_against_exact():
@@ -135,38 +135,41 @@ _THREE_PRIMES = AffineSymbol(1.2 + 0.7j, (0.3, 0.1, 0.05), twist=_cis(1.0, 2.0, 
 _FOUR_PRIMES = AffineSymbol(2.0 - 1.0j, (0.2, 0.3, 0.1, 0.15), twist=_cis(0.5, -1.5, 2.5, 4.0))
 
 
+def _flipped(phi):
+    """phi with every coefficient rotated to -c_j."""
+    return AffineSymbol(phi.c, phi.coeffs, twist=tuple(-1.0 for _ in phi.coeffs))
+
+
 def test_sigma_is_the_top_squared_singular_value():
-    # the singular values of the entries themselves, with no Gram matrix,
-    # are an independent route to the section's squared norm
+    # the singular values of the literal lattice entries, with no Gram
+    # matrix, are an independent route to the section's squared norm
     phi = fixtures()["single-prime"].symbol
     fig1c = fixtures()["fig1-c"].symbol
-    ops = {
-        "phi": build_matrix(phi, 64, 40),
-        "twin": build_matrix(opnorm._vertical_twin(phi), 64, 40),
-        "fig1-c": build_matrix(
-            opnorm._vertical_twin(fig1c), *opnorm._truncation("affine", fig1c, None, None)
-        ),
-        "d3": build_matrix(_THREE_PRIMES, *opnorm._truncation("affine", _THREE_PRIMES, None, None)),
-        "d4": build_matrix(_FOUR_PRIMES, *opnorm._truncation("affine", _FOUR_PRIMES, None, None)),
-        "alpha-1.4": phi_alpha_operator(1.4, 512, 400),
+    sections = {
+        "phi": (phi, 64, 40),
+        "twin": (_flipped(phi), 64, 40),
+        "fig1-c": (_flipped(fig1c), *opnorm._truncation("affine", fig1c, None, None)),
+        "d3": (_THREE_PRIMES, *opnorm._truncation("affine", _THREE_PRIMES, None, None)),
+        "d4": (_FOUR_PRIMES, *opnorm._truncation("affine", _FOUR_PRIMES, None, None)),
     }
     vals = {}
-    for name, op in ops.items():
-        vals[name] = sigma_max_sq(op)
-        svd = float(np.linalg.svd(op.entries, compute_uv=False)[0]) ** 2
+    for name, (sym, n_in, K_out) in sections.items():
+        A = _build_matrix_columnwise(sym, n_in, K_out)[0]
+        svd = float(np.linalg.svd(A, compute_uv=False)[0]) ** 2
+        vals[name] = sigma_max_sq(build_matrix(sym, n_in, K_out))
         assert vals[name] == pytest.approx(svd, rel=1e-13, abs=0.0), name
-        if name == "alpha-1.4":
-            continue
         # the degree factor of the same section: its Gram matrix and its
         # kernel quotients against those of the literal entries
-        n_in, K_out = len(op.input_ns), max(map(sum, op.out_indices))
-        M, phase = opnorm._degree_factor(op.symbol, n_in, K_out)
+        M, phase = opnorm._degree_factor(sym, n_in, K_out)
         assert opnorm._gram_top_eigenvalue(M) == pytest.approx(svd, rel=1e-13, abs=0.0), name
         ns = np.arange(1, n_in + 1, dtype=float)
         for s, q in zip(opnorm._KERNEL_SIGMAS, opnorm._factor_kernel_ratios(M, phase)):
             v = ns ** -s
-            literal = float(np.linalg.norm(op.entries @ v) / np.linalg.norm(v))
+            literal = float(np.linalg.norm(A @ v) / np.linalg.norm(v))
             assert q == pytest.approx(literal, rel=1e-13, abs=0.0), (name, s)
+    op = phi_alpha_operator(1.4, 512, 400)
+    svd = float(np.linalg.svd(op.entries, compute_uv=False)[0]) ** 2
+    assert sigma_max_sq(op) == pytest.approx(svd, rel=1e-13, abs=0.0)
     # a diagonal unitary relates the sections of phi and its twin
     assert vals["phi"] == pytest.approx(vals["twin"], rel=1e-13, abs=0.0)
 
@@ -202,12 +205,25 @@ def test_bound_suite_never_builds_the_lattice(monkeypatch):
     assert bound_suite(_FOUR_PRIMES).to_jsonable() == expected
 
 
+def _lattice_indices(d, K):
+    """Exponent vectors over d primes, ordered by total degree <= K, then
+    lexicographically."""
+    if d == 0:
+        return [()]
+    return sorted(
+        (k for k in itertools.product(range(K + 1), repeat=d) if sum(k) <= K),
+        key=lambda k: (sum(k), k),
+    )
+
+
 def _build_matrix_columnwise(phi, n_in, K_out):
-    """Reference: the entries column by column, a scalar recurrence per prime."""
+    """Reference: the literal lattice section comb(K_out + d, d) x n_in,
+    column by column, a scalar recurrence per prime, with the defects of
+    the same columns."""
     eff = [z for z in phi.effective_coeffs() if z != 0]
     d_act = len(eff)
-    rows = math.comb(K_out + d_act, d_act)
-    idx = opnorm._multi_indices(d_act, K_out)
+    idx = _lattice_indices(d_act, K_out)
+    rows = len(idx)
     kmat = np.array(idx, dtype=int).reshape(rows, d_act)
     A = np.zeros((rows, n_in), dtype=complex)
     for col, n in enumerate(range(1, n_in + 1)):
@@ -225,7 +241,7 @@ def _build_matrix_columnwise(phi, n_in, K_out):
             v = v * F[kmat[:, j]]
         A[:, col] = v
     defects = opnorm._column_defects(
-        phi.c.real, [abs(z) for z in eff], np.arange(1, n_in + 1), K_out
+        phi.c.real, [x for x in phi.coeffs if x > 0.0], np.arange(1, n_in + 1), K_out
     )
     return A, defects, idx
 
@@ -244,6 +260,9 @@ _SECTION_COEFFS = {
     [(0, "none")] + [(d, tw) for d in range(1, 5) for tw in ("none", "flipped", "complex")],
 )
 def test_build_matrix_matches_columnwise_bytes(d_act, twist):
+    # the degree-factor section against the literal lattice: an isometry
+    # apart, so equal singular values, column norms and kernel quotients,
+    # and the same unit column 0 and column defects
     coeffs = _SECTION_COEFFS[d_act]
     tw = {
         "none": None,
@@ -253,11 +272,26 @@ def test_build_matrix_matches_columnwise_bytes(d_act, twist):
     phi = AffineSymbol(1.5 + 0.7j, coeffs, twist=tw)
     for K_out in (0, opnorm._default_kout(max(d_act, 1))):
         for n_in in (1, 2, 17, 64):
+            at = (K_out, n_in)
             op = build_matrix(phi, n_in, K_out)
-            A, defects, idx = _build_matrix_columnwise(phi, n_in, K_out)
-            assert op.entries.tobytes() == A.tobytes(), (K_out, n_in)
-            assert op.column_defects.tobytes() == defects.tobytes(), (K_out, n_in)
-            assert op.out_indices == idx
+            A, defects, _ = _build_matrix_columnwise(phi, n_in, K_out)
+            assert op.entries.shape == (K_out + 1 if d_act else 1, n_in), at
+            assert op.out_indices == tuple((t,) for t in range(op.entries.shape[0])), at
+            top = [np.linalg.svd(B, compute_uv=False)[0] for B in (op.entries, A)]
+            np.testing.assert_allclose(top[0], top[1], rtol=1e-13, atol=0.0, err_msg=str(at))
+            np.testing.assert_allclose(
+                op.column_norm_sq(), np.sum(np.abs(A) ** 2, axis=0), rtol=1e-13, atol=0.0, err_msg=str(at)
+            )
+            ns = np.arange(1, n_in + 1, dtype=float)
+            for s in opnorm._KERNEL_SIGMAS:
+                v = ns ** -s
+                np.testing.assert_allclose(
+                    np.linalg.norm(op.entries @ v), np.linalg.norm(A @ v), rtol=1e-13, atol=0.0, err_msg=str(at)
+                )
+            e0 = np.zeros(op.entries.shape[0])
+            e0[0] = 1.0
+            assert np.array_equal(op.entries[:, 0], e0), at
+            assert op.column_defects.tobytes() == defects.tobytes(), at
 
 
 # --- kernel quotients -----------------------------------------------------
@@ -551,17 +585,31 @@ def test_report_lists_the_entry_table_and_its_section(name, n_in, k_out):
         assert (rep.n_in, rep.k_out) == (n_in, k_out)
 
 
-def test_overflowing_defect_tail_is_infinite():
-    # r log n passes about 355 from n = 53 on: the float tail of those
-    # columns overflows while every entry stays finite, and inf is still
-    # an upper bound for the mass beyond K_out
+def test_overflowing_defect_tail_is_finite():
+    # r log n passes about 355 from n = 53 on, so (r log n)^K / K!
+    # overflows a float there; formed in log space with n^{-2 Re c},
+    # every term is tiny and the certified tail stays finite
+    import mpmath
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         op = build_matrix(AffineSymbol(100.0, (90.0,)), 64, 40)
     assert np.isfinite(op.entries).all()
     d = op.column_defects
-    assert not np.isnan(d).any()
-    assert np.isinf(d[52:]).all() and np.isfinite(d[:52]).all()
+    assert np.isfinite(d).all() and (d >= 0.0).all()
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    for n in (53, 64):
+        # one prime: every power mean is 1, so the tail is the plain sum
+        # of n^{-200} ((90 log n)^K / K!)^2 over K > 40
+        x = 90 * mp.log(n)
+        term = mp.power(n, -200) * (x**40 / mp.factorial(40)) ** 2
+        tail, K = mp.mpf(0), 40
+        while K < 2 * x or term > tail * mp.mpf(10) ** -30:
+            K += 1
+            term *= (x / K) ** 2
+            tail += term
+        assert d[n - 1] == pytest.approx(float(tail), rel=1e-12, abs=0.0), n
 
 
 # --- the boundary-fixing family -------------------------------------------

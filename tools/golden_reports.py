@@ -12,9 +12,10 @@ The commands are `bounds` and `opnorm` on every shipped fixture they
 accept, the edge cases of the truncated section (one input column,
 K_out = 0, a constant symbol with no active prime, a single opnorm
 level), explicit sections for an affine `opnorm` and a family `bounds`
-and `opnorm`, `bounds` and `opnorm` on a symbol whose column-defect
-tails overflow and on one symbol with three and one with four active
-primes (no shipped fixture has more than two), `measure`, `curve` and a
+and `opnorm`, `bounds` and `opnorm` on a symbol with r log n_in about
+374, whose per-prime tables (r log n)^k / k! are huge but finite (neither
+command computes column defects), and on one symbol with three and one
+with four active primes (no shipped fixture has more than two), `measure`, `curve` and a
 short `curve --csv` on every boundary-sampleable fixture, `measure` at
 1,100,000 samples on the polynomial, one affine and the inner fixture, `curve` at 600,000 steps
 and `inner-check` at 600,000 samples (each spans more than one
