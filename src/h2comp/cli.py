@@ -61,14 +61,16 @@ from .opnorm import (
     bound_suite,
     build_matrix,
     kernel_quotient_report,
+    phi_alpha_adjoint_sup,
     phi_alpha_operator,
     sigma_max_series,
     sigma_max_sq,
     suite_for_phi_alpha,
 )
 # shared between library and CLI: the section sizes of the reports, the
-# real kernel grid and the bound suite's adjoint entry
-from .opnorm import _KERNEL_SIGMAS, _adjoint_entry, _truncation
+# real kernel grid, the bound suite's adjoint entry and the family's
+# kernel entry
+from .opnorm import _KERNEL_SIGMAS, _adjoint_entry, _family_kernel_entry, _truncation
 from .torus import (
     InnerSymbolParams,
     SamplePlan,
@@ -885,9 +887,8 @@ def _suite_kernel_order() -> dict:
                 allowance = max(allowance, 2.0 * rk.ratio * shave + shave * shave)
         elif fx.kind == "family":
             a = fx.symbol.alpha
-            rep = suite_for_phi_alpha(a)
-            adj = rep.entries["adjoint_lower"].value
-            best = rep.entries["kernel_S_lower"].value
+            adj = phi_alpha_adjoint_sup(a)
+            best = _family_kernel_entry(a).value
             # the exact quotient is sampled on a grid ending at w = 1e-4;
             # the sup may sit beyond the last point by O(w_min)
             allowance = 1e-3

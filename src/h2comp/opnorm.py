@@ -35,7 +35,8 @@ degree, with the certified defects, for the callers that read entries.
 The separate family phi_alpha(s) = 1/2 + alpha (1 - 2^{-s})/(1 + 2^{-s})
 maps into the powers-of-two lattice; its columns have the exact
 closed-form square norm 1/n, which makes the truncation defect exactly
-computable as well.
+computable as well.  Its section is built one degree at a time from a
+three-term recurrence (`_exp_mobius_coeffs`).
 """
 
 from __future__ import annotations
@@ -119,7 +120,11 @@ def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out:
 
     Each term n^{-2 Re c} (x^K / K!)^2 m_K, with x = r log n, is formed
     from its logarithm, and so is the remainder bound, so neither
-    x^K / K! nor n^{-2 Re c} has to fit a float on its own."""
+    x^K / K! nor n^{-2 Re c} has to fit a float on its own.  Since
+    m_K <= 1, the whole column is at most n^{-2 Re c} e^{2x} =
+    n^{-2(Re c - r)}, and no defect exceeds that.  If the remainder
+    bound has turned over by K_big = 4000 in no column, every defect is
+    that whole-column bound and no tail term is summed."""
     r = float(sum(coeffs))
     ns = ns.astype(float)
     x = r * np.log(ns)
@@ -129,16 +134,19 @@ def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out:
     K_big = K_out
     while _tail_log_bound(0.0, xmax, K_big) > math.log(1e-22) and K_big < 4000:
         K_big += 8
-    means = h2k_means(coeffs, K_big)
     out = np.zeros(len(ns))
     live = x > 0.0
-    lx = np.log(x[live])
     la = -re_c * np.log(ns[live])
-    acc = np.zeros(len(lx))
-    for K in range(K_out + 1, K_big + 1):
-        acc += np.exp(2.0 * (la + K * lx - math.lgamma(K + 1.0))) * means[K]
+    bound = np.exp(2.0 * (la + x[live]))
     remainder = np.array([math.exp(_tail_log_bound(a, xi_, K_big)) for a, xi_ in zip(la, x[live])])
-    out[live] = acc + remainder
+    if np.isfinite(remainder).any():
+        means = h2k_means(coeffs, K_big)
+        lx = np.log(x[live])
+        acc = np.zeros(len(lx))
+        for K in range(K_out + 1, K_big + 1):
+            acc += np.exp(2.0 * (la + K * lx - math.lgamma(K + 1.0))) * means[K]
+        bound = np.minimum(acc + remainder, bound)
+    out[live] = bound
     return out
 
 
@@ -666,20 +674,21 @@ class PhiAlphaSymbol:
 
 
 def _exp_mobius_coeffs(beta: np.ndarray, K: int) -> np.ndarray:
-    """Rows of exp(beta * z / (1 + z)) Taylor coefficients, one per beta.
+    """Taylor coefficients E_m, m <= K, of F = exp(beta z / (1 + z)):
+    row m holds E_m at every beta.
 
-    Worked per degree with the convolution recurrence
-    m E_m = sum_j j B_j E_{m-j}, B_j = beta (-1)^{j+1}; every row stays
-    bounded by e^{beta/2} in square sum, so the recurrence is tame.
+    (1 + z)^2 F' = beta F gives the three-term recurrence
+    (m + 1) E_{m+1} = (beta - 2m) E_m - (m - 1) E_{m-1} from E_0 = 1 and
+    E_1 = beta (up to sign, E_m is the Laguerre polynomial
+    L_m^{(-1)}(beta)), one vector step over all beta per degree.  On the
+    circle |F|^2 = e^beta, so every |E_m| is at most e^{beta/2}.
     """
-    nb = len(beta)
-    E = np.zeros((nb, K + 1))
-    E[:, 0] = 1.0
-    signs = np.array([j * (-1.0) ** (j + 1) for j in range(K + 1)])
-    for m in range(1, K + 1):
-        # sum_{j=1..m} j (-1)^{j+1} E[:, m-j]
-        acc = E[:, m - 1 :: -1][:, :m] @ signs[1 : m + 1]
-        E[:, m] = beta * acc / m
+    E = np.empty((K + 1, len(beta)))
+    E[0] = 1.0
+    if K >= 1:
+        E[1] = beta
+    for m in range(1, K):
+        E[m + 1] = ((beta - 2.0 * m) * E[m] - (m - 1.0) * E[m - 1]) / (m + 1.0)
     return E
 
 
@@ -688,9 +697,12 @@ def phi_alpha_operator(alpha: float, n_in: int, K_out: int) -> TruncatedOperator
 
     Columns are the input frequencies n = 1..n_in; rows the output
     powers 2^m, m <= K_out.  Column n is n^{-(1/2+alpha)} times the
-    Taylor coefficients of exp(2 alpha log n * z/(1+z)); its exact
-    square norm is 1/n (the exponent has real part 1/2 almost
-    everywhere on the circle), so the column defects are exact.
+    Taylor coefficients E_m of exp(beta z/(1+z)) at beta = 2 alpha log n,
+    which `_exp_mobius_coeffs` builds row by row from a three-term
+    recurrence, vectorised over the columns: O(K_out) per column.  The
+    exact square norm of column n is 1/n (the exponent has real part
+    beta/2 almost everywhere on the circle), so the column defects
+    1/n minus the truncated square sum are exact up to rounding.
     """
     sym = PhiAlphaSymbol(alpha)
     if n_in < 1 or K_out < 0:
@@ -703,9 +715,7 @@ def phi_alpha_operator(alpha: float, n_in: int, K_out: int) -> TruncatedOperator
         raise ValueError("alpha * log(n_in) too large: coefficients overflow doubles")
     lnn = np.log(np.arange(1, n_in + 1, dtype=float))
     beta = 2.0 * alpha * lnn
-    E = _exp_mobius_coeffs(beta, K_out)
-    lead = np.exp(-(0.5 + alpha) * lnn)
-    A = (E * lead[:, None]).T.copy()  # rows m, cols n-1
+    A = _exp_mobius_coeffs(beta, K_out) * np.exp(-(0.5 + alpha) * lnn)
     col_sq = np.sum(A * A, axis=0)
     defects = np.maximum(1.0 / np.arange(1, n_in + 1, dtype=float) - col_sq, 0.0)
     return TruncatedOperator(
@@ -755,6 +765,14 @@ def phi_alpha_adjoint_sup(alpha: float) -> float:
     return max(_refined_grid_max(g, xs, vals, xs[0] * 0.5, 1.0), 2.0 / a, zeta(1.0 + 2.0 * a))
 
 
+def _family_kernel_entry(alpha: float) -> BoundEntry:
+    """The `kernel_S_lower` entry of `suite_for_phi_alpha`: the best exact
+    kernel quotient over 64 real points from 1e-4 to 4; it needs no
+    section."""
+    best = max(phi_alpha_kernel_ratio_sq(alpha, float(w)) for w in np.geomspace(1e-4, 4.0, 64))
+    return BoundEntry(best, True, "best exact kernel quotient over real points near 0")
+
+
 def suite_for_phi_alpha(alpha: float, n_in: int | None = None, K_out: int | None = None) -> BoundReport:
     """Bound report for the interpolation family.
 
@@ -790,8 +808,5 @@ def suite_for_phi_alpha(alpha: float, n_in: int | None = None, K_out: int | None
         True,
         f"largest singular value of the finite section ({K_out + 1}x{n_in})",
     )
-    best = max(phi_alpha_kernel_ratio_sq(a, float(w)) for w in np.geomspace(1e-4, 4.0, 64))
-    e["kernel_S_lower"] = BoundEntry(
-        best, True, "best exact kernel quotient over real points near 0"
-    )
+    e["kernel_S_lower"] = _family_kernel_entry(a)
     return _report("family", e, n_in, K_out)

@@ -612,6 +612,18 @@ def test_overflowing_defect_tail_is_finite():
         assert d[n - 1] == pytest.approx(float(tail), rel=1e-12, abs=0.0), n
 
 
+def test_defects_past_the_tail_cap_are_the_whole_column_bound():
+    # r log n is past 6e7 in every column n >= 2, so the remainder bound
+    # never turns over within the cap; each defect is then the bound
+    # n^{-2(Re c - r)} on the whole column, which is at most 1/n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = build_matrix(AffineSymbol(1e8, (9e7,)), 64, 40)
+    d = op.column_defects
+    assert np.isfinite(d).all() and (d >= 0.0).all()
+    assert (d <= 1.0 / np.arange(1, 65)).all()
+
+
 # --- the boundary-fixing family -------------------------------------------
 
 def test_family_operator_columns_exact():
@@ -620,6 +632,65 @@ def test_family_operator_columns_exact():
     for i, n in enumerate(op.input_ns):
         # the exact column norm is 1/n; truncation plus defect restores it
         assert col_sq[i] + op.column_defects[i] == pytest.approx(1.0 / n, abs=1e-12)
+
+
+def _exp_mobius_reference(beta, K):
+    """E_m / e^{beta/2} for m <= K from the explicit alternating sum
+    E_m = sum_{k=1..m} binom(m-1, k-1) (-1)^{m-k} beta^k / k!: the terms
+    beta^k / k! in mpmath, summed exactly on a fixed-point scale 2^-P."""
+    import mpmath
+
+    # the largest term, binom(K-1, k-1) beta^k / k!, against e^{beta/2}
+    log_top = max(
+        math.lgamma(K) - math.lgamma(k) - math.lgamma(K - k + 1) + k * math.log(beta) - math.lgamma(k + 1)
+        for k in range(1, K + 1)
+    )
+    mp = mpmath.mp.clone()
+    mp.prec = int((log_top - beta / 2) / math.log(2)) + 120
+    P = K + 120  # the rounding of the m terms adds at most 2^{m-1-P}
+    b = mp.mpf(beta)
+    u = [mp.mpf(1)]
+    for k in range(1, K + 1):
+        u.append(u[-1] * b / k)
+    U = [int(mp.nint(x * mp.mpf(2) ** P)) for x in u]
+    scale = mp.exp(b / 2) * mp.mpf(2) ** P
+    out = [float(U[0] / scale)]
+    row = [1]  # binom(m-1, k-1), k = 1..m
+    for m in range(1, K + 1):
+        if m > 1:
+            row = [1] + [row[i] + row[i + 1] for i in range(m - 2)] + [1]
+        total = sum(c * U[k] if (m - k) % 2 == 0 else -c * U[k] for k, c in enumerate(row, start=1))
+        out.append(float(mp.mpf(total) / scale))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("beta", [5.0, 2.0 * 1.4 * math.log(512), 200.0, 1247.7],
+                         ids=["5", "default-section", "200", "overflow-guard"])
+def test_exp_mobius_coeffs_match_the_explicit_sum(beta):
+    E = opnorm._exp_mobius_coeffs(np.array([beta]), 400)
+    assert E.shape == (401, 1)
+    err = np.abs(E[:, 0] / math.exp(beta / 2) - _exp_mobius_reference(beta, 400))
+    assert err.max() <= 2e-15, int(err.argmax())
+
+
+def test_exp_mobius_coeffs_seed_rows():
+    beta = np.array([0.0, 0.5, 2.0, 17.46, 1247.7])
+    seeds = [np.ones_like(beta), beta, beta * (beta - 2.0) / 2.0]
+    for K in (0, 1, 2):
+        E = opnorm._exp_mobius_coeffs(beta, K)
+        assert E.shape == (K + 1, len(beta))
+        for m in range(K + 1):
+            assert E[m].tobytes() == seeds[m].tobytes(), (K, m)
+
+
+@pytest.mark.parametrize("alpha", [1.4, 100.0], ids=["default", "overflow-guard"])
+def test_family_section_columns_stay_below_their_norm(alpha):
+    # alpha = 100 puts 2 alpha log 512 at 1247.7, just inside the guard
+    op = phi_alpha_operator(alpha, 512, 400)
+    assert op.entries.shape == (401, 512)
+    assert np.isfinite(op.entries).all()
+    assert (op.column_norm_sq() <= 1.0 / np.arange(1, 513)).all()
+    assert (op.column_defects >= 0.0).all()
 
 
 def test_family_kernel_ratio_closed_form():

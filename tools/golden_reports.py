@@ -12,8 +12,10 @@ The commands are `bounds` and `opnorm` on every shipped fixture they
 accept, the edge cases of the truncated section (one input column,
 K_out = 0, a constant symbol with no active prime, a single opnorm
 level), explicit sections for an affine `opnorm` and a family `bounds`
-and `opnorm`, `bounds` and `opnorm` on a symbol with r log n_in about
-374, whose per-prime tables (r log n)^k / k! are huge but finite (neither
+and `opnorm`, family `bounds` with one and with two output rows (the
+seed rows E_0 = 1 and E_1 = beta of the section's recurrence),
+`bounds` and `opnorm` on a symbol with r log n_in about 374, whose
+per-prime tables (r log n)^k / k! are huge but finite (neither
 command computes column defects), and on one symbol with three and one
 with four active primes (no shipped fixture has more than two), `measure`, `curve` and a
 short `curve --csv` on every boundary-sampleable fixture, `measure` at
@@ -71,6 +73,9 @@ def commands() -> list[list[str]]:
     out.append(["opnorm", "--fixture", "fig1-c", "--levels", "1", "--nin", "2"])
     out.append(["opnorm", "--fixture", "fig1-a", "--kout", "12"])
     out.append(["bounds", "--fixture", "phi-alpha-0.5", "--nin", "32", "--kout", "60"])
+    # the family section's seed rows of its recurrence, E_0 = 1 and E_1 = beta
+    out.append(["bounds", "--fixture", "phi-alpha-1.4", "--nin", "8", "--kout", "0"])
+    out.append(["bounds", "--fixture", "phi-alpha-1.4", "--nin", "8", "--kout", "1"])
     out.append(["opnorm", "--fixture", "phi-alpha-1", "--nin", "64", "--kout", "50", "--levels", "2"])
     out.append(["bounds", "--c", "100", "--coeffs", "90"])
     out.append(["opnorm", "--c", "100", "--coeffs", "90"])
