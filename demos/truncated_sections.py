@@ -36,7 +36,7 @@ def main() -> None:
 
     print("kernel quotients through the same section (w = evaluation point):")
     for w in (2.0, 1.1, 0.8, 0.6):
-        rep = kernel_quotient_report(sym, complex(w), 64, 40, op=op)
+        rep = kernel_quotient_report(op, w)
         print(
             f"  w = {w:<5.2f} ratio^2 = {rep.ratio ** 2:.10f}   "
             f"truncation defects (image {rep.image_defect:.1e}, tail {rep.kernel_tail:.1e})"

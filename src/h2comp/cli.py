@@ -31,9 +31,10 @@ import cmath
 import json
 import math
 import sys
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -245,10 +246,8 @@ def _cmd_opnorm(args) -> tuple[str, int]:
     base, k_out = _truncation(kind, sym, args.nin, args.kout)
     smallest = 4 if kind == "family" else 2
     sizes = sorted({max(smallest, base >> s) for s in range(min(args.levels, base.bit_length() + 1))})
-    if kind == "family":
-        values = [sigma_max_sq(phi_alpha_operator(sym.alpha, n, k_out)) for n in sizes]
-    else:
-        values = [s for _, _, s in sigma_max_series(sym, [(n, k_out) for n in sizes])]
+    section = partial(phi_alpha_operator, sym.alpha) if kind == "family" else partial(build_matrix, sym)
+    values = [sigma_max_sq(section(n, k_out)) for n in sizes]
     rows = [{"n_in": n, "k_out": k_out, "sigma_max_sq": s} for n, s in zip(sizes, values)]
     monotone_ok = all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
     echo.update({k: getattr(args, k) for k in ("nin", "kout", "levels") if getattr(args, k) is not None})
@@ -724,7 +723,7 @@ def _suite_kernel_in_section() -> dict:
         smax = sigma_max_sq(op)
         best_ratio = 0.0
         for s in (0.75, 1.0, 2.0):
-            repk = kernel_quotient_report(phi, complex(s, 0.0), op=op)
+            repk = kernel_quotient_report(op, s)
             q_mat = repk.ratio**2
             ktrunc = DirichletPoly({n: n ** (-s) for n in op.input_ns})
             nv2 = sum(n ** (-2.0 * s) for n in op.input_ns)
@@ -840,11 +839,12 @@ def _suite_inner_frame() -> dict:
     return {"passed": bool(ok), "deep_modulus": deep, "truncation_bound_sigma1": b1}
 
 
-def _suite_gate_sweep() -> dict:
+def _gate_sweep_symbols() -> Iterator[AffineSymbol]:
+    """The 200 seeded affine symbols of the `gate-sweep` suite: one to
+    three primes, gap Re c - 1/2 log-uniform in [0.05, 4], r a uniform
+    share of it in [0.15, 1], Im c uniform in [-2, 2]."""
     gen = np.random.Generator(np.random.Philox(key=[2024, 0]))
-    bad = []
-    n_checked = 0
-    for i in range(200):
+    for _ in range(200):
         d = int(gen.integers(1, 4))
         gap = float(np.exp(gen.uniform(np.log(0.05), np.log(4.0))))
         u = float(gen.uniform(0.15, 1.0))
@@ -852,7 +852,13 @@ def _suite_gate_sweep() -> dict:
         w = gen.dirichlet(np.ones(d))
         coeffs = tuple(float(x) * r for x in w)
         im = float(gen.uniform(-2.0, 2.0))
-        phi = AffineSymbol(complex(0.5 + gap, im), coeffs)
+        yield AffineSymbol(complex(0.5 + gap, im), coeffs)
+
+
+def _suite_gate_sweep() -> dict:
+    bad = []
+    n_checked = 0
+    for i, phi in enumerate(_gate_sweep_symbols()):
         rep = bound_suite(phi, n_in=24)
         n_checked += 1
         v = rep.violations()
@@ -881,7 +887,7 @@ def _suite_kernel_order() -> dict:
             op = build_matrix(phi, *_truncation("affine", phi, None, 40))
             best, allowance = 0.0, 0.0
             for s in _KERNEL_SIGMAS:
-                rk = kernel_quotient_report(phi, complex(s, 0.0), op=op)
+                rk = kernel_quotient_report(op, s)
                 shave = rk.image_defect + rk.kernel_tail
                 best = max(best, rk.ratio**2)
                 allowance = max(allowance, 2.0 * rk.ratio * shave + shave * shave)

@@ -26,11 +26,13 @@ column n holds the coefficients of n^{-phi(s)},
 whose square column sum approaches ||C_phi n^{-s}||^2 from below with a
 certified per-column defect.  Each total-degree block of A has rank
 one, so A = U M diag(n^{-i Im c}) with U an isometry and the real
-(K_out + 1) x n_in degree factor M[t, n] = ||alpha_t|| n^{-Re c} (log n)^t
-(`_degree_factor`).  The package never forms the lattice: `bound_suite`
-and `sigma_max_series` read the section's norm and kernel quotients off
-M, and `build_matrix` returns M diag(n^{-i Im c}), one row per total
-degree, with the certified defects, for the callers that read entries.
+(K_out + 1) x n_in degree factor M[t, n] = ||alpha_t|| n^{-Re c} (log n)^t.
+The package never forms the lattice.  `build_matrix` is the one affine
+section: it holds M and the phases n^{-i Im c}, one row per total
+degree, and computes the certified defects the first time they are
+read.  Every caller, `bound_suite` and `sigma_max_series` included,
+takes the section's norm from `sigma_max_sq` (the Gram matrix of M)
+and its kernel quotients from `kernel_quotient` (||M (phase v)||).
 
 The separate family phi_alpha(s) = 1/2 + alpha (1 - 2^{-s})/(1 + 2^{-s})
 maps into the powers-of-two lattice; its columns have the exact
@@ -43,7 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,22 +100,40 @@ _KERNEL_SIGMAS = (0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
 class TruncatedOperator:
     """Finite section of a composition operator on the coefficient side.
 
-    Columns are indexed by the input frequencies `input_ns`; rows by the
-    output indices `out_indices`: total degrees (t,) for an affine
-    symbol, powers of two (m,) for the family.  `column_defects[i]` is a
-    certified upper bound on ||C_phi n^{-s}||^2 minus the truncated
-    column square sum, so truncated column norms are exact up to a
-    known gap.
+    The entries are `factor * phase`: a real factor and the column
+    phases n^{-i Im c} of an affine section, or the factor alone for the
+    family (phase None).  Columns are indexed by the input frequencies
+    `input_ns` = 1..n_in; rows by the output indices `out_indices` =
+    (t,): total degrees for an affine symbol, powers 2^t for the
+    family.  `column_defects[i]` is a certified upper bound on
+    ||C_phi n^{-s}||^2 minus the truncated column square sum, so
+    truncated column norms are exact up to a known gap; it is computed
+    from the builder's `make_defects` the first time it is read.
     """
 
     symbol: object
-    input_ns: tuple[int, ...]
-    out_indices: tuple[tuple[int, ...], ...]
-    entries: np.ndarray
-    column_defects: np.ndarray
+    factor: np.ndarray
+    phase: np.ndarray | None
+    make_defects: Callable[[], np.ndarray] = field(repr=False)
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self.factor if self.phase is None else self.factor * self.phase
+
+    @property
+    def input_ns(self) -> tuple[int, ...]:
+        return tuple(range(1, self.factor.shape[1] + 1))
+
+    @property
+    def out_indices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple((t,) for t in range(self.factor.shape[0]))
+
+    @cached_property
+    def column_defects(self) -> np.ndarray:
+        return self.make_defects()
 
     def column_norm_sq(self) -> np.ndarray:
-        return np.sum(np.abs(self.entries) ** 2, axis=0)
+        return np.sum(self.factor**2, axis=0)
 
 
 def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out: int) -> np.ndarray:
@@ -151,8 +172,13 @@ def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out:
 
 
 def _section_shape(phi: AffineSymbol, n_in: int, K_out: int) -> None:
-    """Check the lattice section of phi, comb(K_out + d, d) x n_in for d
-    active primes, against the caps."""
+    """Check the section of phi, the comb(K_out + d, d) x n_in lattice
+    matrix for d active primes, against the caps.
+
+    No lattice is built, but its row count bounds the O(d K_out^2 n_in)
+    convolution that forms the degree factor in `build_matrix`: a cap
+    on the (K_out + 1) x n_in factor's entries alone would admit d = 2
+    with K_out = 60,000, hours of work."""
     if n_in < 1:
         raise ValueError("need at least one input column")
     if K_out < 0:
@@ -167,38 +193,25 @@ def _section_shape(phi: AffineSymbol, n_in: int, K_out: int) -> None:
 
 
 def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
-    """Truncated coefficient matrix of C_phi with certified column defects.
+    """Truncated coefficient matrix of C_phi: the lattice section A as
+    A = U M diag(phase), with U an isometry, the real (K + 1) x n_in
+    degree factor M and phase[n] = n^{-i Im c}.
 
-    Input frequencies 1..n_in; output rows the total degrees t <= K_out
-    of the degree factor, entries M[t, n] n^{-i Im c} (`_degree_factor`).
-    An isometry U carries these rows onto the multi-index rows of the
-    section, so singular values, column norms and every ||A v|| are
-    those of the lattice matrix.  Column n = 1 is the unit vector at
-    degree 0: constants map to constants.
-    """
-    M, phase = _degree_factor(phi, n_in, K_out)
-    return TruncatedOperator(
-        symbol=phi,
-        input_ns=tuple(range(1, n_in + 1)),
-        out_indices=tuple((t,) for t in range(M.shape[0])),
-        entries=M * phase,
-        column_defects=_column_defects(phi.c.real, phi.coeffs, np.arange(1, n_in + 1), K_out),
-    )
+    Input frequencies 1..n_in; output rows the total degrees t <= K
+    (K_out, or 0 with no active prime).  The degree-t block of A is
+    alpha_t (x) n^{-c} (log n)^t with alpha_t[k] = prod_j (-c_j)^{k_j} /
+    k_j!, a rank-one block, so M[t, n] = ||alpha_t|| n^{-Re c} (log n)^t,
+    and singular values, column norms and every ||A v|| = ||M (phase v)||
+    are those of the lattice matrix.  ||alpha_t||^2 (log n)^{2t} is the
+    d-fold convolution over the active primes of the squares of
+    (|c_j| log n)^k / k!.  Column n = 1 is the unit vector at degree 0:
+    constants map to constants.  The certified column defects are
+    computed on first read.
 
-
-def _degree_factor(phi: AffineSymbol, n_in: int, K_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice section A of C_phi as A = U M diag(phase), with U an
-    isometry: the real (K+1) x n_in factor M and phase[n] = n^{-i Im c}.
-
-    The degree-t block of A is alpha_t (x) n^{-c} (log n)^t with
-    alpha_t[k] = prod_j (-c_j)^{k_j} / k_j!, a rank-one block, so
-    M[t, n] = ||alpha_t|| n^{-Re c} (log n)^t, and M has the singular
-    values of A.  ||alpha_t||^2 (log n)^{2t} is the d-fold convolution
-    over the active primes of the squares of (|c_j| log n)^k / k!, up to
-    degree K (K_out, or 0 with no active prime).  The lattice size is
-    checked against the caps, and an overflowing per-prime table raises
-    FloatingPointError; each partial product already carries n^{-Re c},
-    so it is at most 1 and its square cannot overflow.
+    The lattice size is checked against the caps, and an overflowing
+    per-prime table raises FloatingPointError; each partial product
+    already carries n^{-Re c}, so it is at most 1 and its square cannot
+    overflow.
     """
     _section_shape(phi, n_in, K_out)
     moduli = [x for x in phi.coeffs if x > 0.0]
@@ -223,14 +236,25 @@ def _degree_factor(phi: AffineSymbol, n_in: int, K_out: int) -> tuple[np.ndarray
             N = np.sqrt(S)
         M[:, 1:] = N
     phase = np.array([n ** complex(0.0, -phi.c.imag) for n in range(1, n_in + 1)])
-    return M, phase
+    return TruncatedOperator(
+        symbol=phi,
+        factor=M,
+        phase=phase,
+        make_defects=lambda: _column_defects(phi.c.real, phi.coeffs, np.arange(1, n_in + 1), K_out),
+    )
 
 
-def _gram_top_eigenvalue(A: np.ndarray) -> float:
-    """Top eigenvalue of the smaller Gram matrix of A, from LAPACK's
-    Hermitian eigensolver: the squared largest singular value of A."""
+def sigma_max_sq(op: TruncatedOperator) -> float:
+    """Largest squared singular value of the section: the top eigenvalue
+    of the smaller Gram matrix of its real factor (the phases cancel),
+    from LAPACK's Hermitian eigensolver.
+
+    The result is a valid lower bound for the full operator's squared
+    norm: a finite section never exceeds it.
+    """
+    A = op.factor
     rows, cols = A.shape
-    G = A @ A.conj().T if rows <= cols else A.conj().T @ A
+    G = A @ A.T if rows <= cols else A.T @ A
     try:
         return float(np.linalg.eigvalsh(G)[-1])
     except np.linalg.LinAlgError as e:
@@ -238,23 +262,9 @@ def _gram_top_eigenvalue(A: np.ndarray) -> float:
         raise NonConvergence(f"Hermitian eigensolver failed: {e}") from None
 
 
-def sigma_max_sq(op: TruncatedOperator) -> float:
-    """Largest squared singular value: the top eigenvalue of the smaller
-    Gram matrix, from LAPACK's Hermitian eigensolver.
-
-    The result is a valid lower bound for the full operator's squared
-    norm: a finite section never exceeds it.
-    """
-    return _gram_top_eigenvalue(op.entries)
-
-
 def sigma_max_series(phi: AffineSymbol, levels: Sequence[tuple[int, int]]) -> list[tuple[int, int, float]]:
-    """sigma_max^2 at increasing truncation levels [(n_in, K_out), ...],
-    each from the degree factor of its section."""
-    return [
-        (n_in, K_out, _gram_top_eigenvalue(_degree_factor(phi, n_in, K_out)[0]))
-        for n_in, K_out in levels
-    ]
+    """sigma_max^2 at increasing truncation levels [(n_in, K_out), ...]."""
+    return [(n_in, K_out, sigma_max_sq(build_matrix(phi, n_in, K_out))) for n_in, K_out in levels]
 
 
 # --- kernel quotients -----------------------------------------------------
@@ -269,58 +279,39 @@ class KernelQuotientReport:
     kernel_tail: float      # relative mass of the kernel beyond the input columns
 
 
-def kernel_quotient_report(
-    phi: AffineSymbol,
-    w: complex,
-    n_in: int = 64,
-    K_out: int = 40,
-    op: TruncatedOperator | None = None,
-) -> KernelQuotientReport:
-    """Apply the truncated matrix to a truncated reproducing kernel.
-
-    The kernel at w has coefficients n^{-conj(w)}; any quotient of the
-    finite section is a true lower bound for the operator norm.  The
-    report carries (i) sum |v_n| sqrt(defect_n) / ||v||, bounding what
-    the dropped output rows could add, and (ii) the relative square-mass
-    of the kernel beyond the last input column.
-    """
+def _kernel_point(op: TruncatedOperator, w: float) -> tuple[np.ndarray, float]:
+    """The section's input frequencies as floats, and w as a real kernel
+    point; raises ValueError unless w is real and w > 1/2."""
     ww = complex(w)
-    if not ww.real > 0.5:
-        raise ValueError("kernel points need Re w > 1/2")
-    if op is None:
-        op = build_matrix(phi, n_in, K_out)
-    ns = np.array(op.input_ns, dtype=float)
-    v = ns ** (-np.conj(ww))
+    if ww.imag != 0.0 or not ww.real > 0.5:
+        raise ValueError("kernel points need a real w > 1/2")
+    return np.arange(1, op.factor.shape[1] + 1, dtype=float), ww.real
+
+
+def kernel_quotient(op: TruncatedOperator, w: float) -> float:
+    """||A k_w|| / ||k_w|| through the section A at a real w > 1/2, with
+    the kernel truncated to the input columns, v[n] = n^{-w}: through
+    the factor, ||M (phase v)|| / ||v||.  Any such quotient is a true
+    lower bound for the operator norm."""
+    ns, s = _kernel_point(op, w)
+    v = ns**-s
+    image = op.factor @ (v if op.phase is None else op.phase * v)
+    return float(np.linalg.norm(image)) / float(np.linalg.norm(v))
+
+
+def kernel_quotient_report(op: TruncatedOperator, w: float) -> KernelQuotientReport:
+    """`kernel_quotient` of the section at a real w > 1/2, with (i)
+    sum v_n sqrt(defect_n) / ||v||, bounding what the dropped output rows
+    could add, and (ii) the relative square-mass of the kernel beyond
+    the last input column."""
+    ratio = kernel_quotient(op, w)
+    ns, s = _kernel_point(op, w)
+    v = ns**-s
     nv = float(np.linalg.norm(v))
-    img = float(np.linalg.norm(op.entries @ v))
-    ratio = img / nv
-    image_defect = float(np.sum(np.abs(v) * np.sqrt(np.maximum(op.column_defects, 0.0)))) / nv
-    full = zeta(2.0 * ww.real)
-    trunc = float(np.sum(ns ** (-2.0 * ww.real)))
-    kernel_tail = math.sqrt(max(full - trunc, 0.0)) / nv
+    image_defect = float(np.sum(v * np.sqrt(np.maximum(op.column_defects, 0.0)))) / nv
+    trunc = float(np.sum(ns ** (-2.0 * s)))
+    kernel_tail = math.sqrt(max(zeta(2.0 * s) - trunc, 0.0)) / nv
     return KernelQuotientReport(ratio=ratio, image_defect=image_defect, kernel_tail=kernel_tail)
-
-
-def _factor_kernel_ratios(M: np.ndarray, phase: np.ndarray) -> list[float]:
-    """||A k_s|| / ||k_s|| at each real kernel point s of `_KERNEL_SIGMAS`,
-    through the degree factor (M, phase) of the section A: with A = U M
-    diag(phase), ||A v|| = ||M (phase v)||."""
-    ns = np.arange(1, M.shape[1] + 1, dtype=float)
-    out = []
-    for s in _KERNEL_SIGMAS:
-        v = ns ** -s
-        out.append(float(np.linalg.norm(M @ (phase * v))) / float(np.linalg.norm(v)))
-    return out
-
-
-def kernel_quotient(
-    phi: AffineSymbol,
-    w: complex,
-    n_in: int = 64,
-    K_out: int = 40,
-    op: TruncatedOperator | None = None,
-) -> float:
-    return kernel_quotient_report(phi, w, n_in, K_out, op).ratio
 
 
 # --- adjoint suprema ------------------------------------------------------
@@ -590,9 +581,9 @@ def _adjoint_entry(phi: AffineSymbol) -> BoundEntry:
 def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = None) -> BoundReport:
     """Assemble every applicable bound for ||C_phi||^2.
 
-    The section quotients go through the degree factor of the section
-    of n_in columns and output degree K_out (defaults as in
-    `_truncation`).
+    The matrix and kernel entries read the `build_matrix` section of
+    n_in columns and output degree K_out (defaults as in `_truncation`);
+    they need no column defects.
     """
     re_c = phi.c.real
     gap = re_c - 0.5
@@ -607,14 +598,14 @@ def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = 
 
     e["adjoint_lower"] = _adjoint_entry(phi)
 
-    M, phase = _degree_factor(phi, n_in, K_out)
+    op = build_matrix(phi, n_in, K_out)
     e["matrix_lower"] = BoundEntry(
-        _gram_top_eigenvalue(M),
+        sigma_max_sq(op),
         True,
         f"largest singular value of the {math.comb(K_out + d_act, d_act)}x{n_in} section (K_out={K_out})",
     )
     e["kernel_S_lower"] = BoundEntry(
-        max(q**2 for q in _factor_kernel_ratios(M, phase)),
+        max(kernel_quotient(op, s) ** 2 for s in _KERNEL_SIGMAS),
         True,
         "best truncated reproducing-kernel quotient on the real grid",
     )
@@ -702,7 +693,8 @@ def phi_alpha_operator(alpha: float, n_in: int, K_out: int) -> TruncatedOperator
     recurrence, vectorised over the columns: O(K_out) per column.  The
     exact square norm of column n is 1/n (the exponent has real part
     beta/2 almost everywhere on the circle), so the column defects
-    1/n minus the truncated square sum are exact up to rounding.
+    1/n minus the truncated square sum, computed on first read, are
+    exact up to rounding.
     """
     sym = PhiAlphaSymbol(alpha)
     if n_in < 1 or K_out < 0:
@@ -716,14 +708,11 @@ def phi_alpha_operator(alpha: float, n_in: int, K_out: int) -> TruncatedOperator
     lnn = np.log(np.arange(1, n_in + 1, dtype=float))
     beta = 2.0 * alpha * lnn
     A = _exp_mobius_coeffs(beta, K_out) * np.exp(-(0.5 + alpha) * lnn)
-    col_sq = np.sum(A * A, axis=0)
-    defects = np.maximum(1.0 / np.arange(1, n_in + 1, dtype=float) - col_sq, 0.0)
     return TruncatedOperator(
         symbol=sym,
-        input_ns=tuple(range(1, n_in + 1)),
-        out_indices=tuple((int(m),) for m in range(K_out + 1)),
-        entries=A,
-        column_defects=defects,
+        factor=A,
+        phase=None,
+        make_defects=lambda: np.maximum(1.0 / np.arange(1, n_in + 1, dtype=float) - np.sum(A * A, axis=0), 0.0),
     )
 
 

@@ -432,6 +432,16 @@ def test_non_convergence_exits_three(capsys, monkeypatch, argv):
     assert issubclass(NonConvergence, RuntimeError)
 
 
+def test_section_over_the_row_cap_exits_one(capsys):
+    # fig1-c's three active primes at K_out = 200 span comb(203, 3) =
+    # 1,373,701 lattice rows, past the row cap
+    code, out, err = _run(capsys, ["bounds", "--fixture", "fig1-c", "--kout", "200"])
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "exceeds the configured caps" in lines[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--c", "inf", "--coeffs", "0.5"],
     ["bounds", "--c", "1.5,inf", "--coeffs", "0.5"],

@@ -12,6 +12,7 @@ import pytest
 
 import h2comp.opnorm as opnorm
 from h2comp.affine import AffineSymbol, _xi_from, comp_norm_sq, h2k_means, xi
+from h2comp.cli import _gate_sweep_symbols
 from h2comp.dseries import DirichletPoly
 from h2comp.fixtures import fixtures
 from h2comp.opnorm import (
@@ -156,14 +157,14 @@ def test_sigma_is_the_top_squared_singular_value():
     for name, (sym, n_in, K_out) in sections.items():
         A = _build_matrix_columnwise(sym, n_in, K_out)[0]
         svd = float(np.linalg.svd(A, compute_uv=False)[0]) ** 2
-        vals[name] = sigma_max_sq(build_matrix(sym, n_in, K_out))
+        op = build_matrix(sym, n_in, K_out)
+        vals[name] = sigma_max_sq(op)
         assert vals[name] == pytest.approx(svd, rel=1e-13, abs=0.0), name
-        # the degree factor of the same section: its Gram matrix and its
-        # kernel quotients against those of the literal entries
-        M, phase = opnorm._degree_factor(sym, n_in, K_out)
-        assert opnorm._gram_top_eigenvalue(M) == pytest.approx(svd, rel=1e-13, abs=0.0), name
+        # the kernel quotients of the same section against those of the
+        # literal entries
         ns = np.arange(1, n_in + 1, dtype=float)
-        for s, q in zip(opnorm._KERNEL_SIGMAS, opnorm._factor_kernel_ratios(M, phase)):
+        for s in opnorm._KERNEL_SIGMAS:
+            q = kernel_quotient(op, s)
             v = ns ** -s
             literal = float(np.linalg.norm(A @ v) / np.linalg.norm(v))
             assert q == pytest.approx(literal, rel=1e-13, abs=0.0), (name, s)
@@ -184,7 +185,7 @@ def test_degree_weights_are_the_power_means(phi):
     # the factor's weights ||alpha_t||^2 come from convolving the lattice
     # tables; the power means reach the same numbers by folding binomials
     n_in, K = opnorm._truncation("affine", phi, None, None)
-    M, _ = opnorm._degree_factor(phi, n_in, K)
+    M = build_matrix(phi, n_in, K).factor
     r = sum(phi.coeffs)
     means = h2k_means(phi.coeffs, K)
     for col, n in enumerate(range(2, n_in + 1), start=1):
@@ -194,15 +195,39 @@ def test_degree_weights_are_the_power_means(phi):
         np.testing.assert_allclose(weights, expected, rtol=1e-13, atol=0.0, err_msg=f"column {n}")
 
 
-def test_bound_suite_never_builds_the_lattice(monkeypatch):
+def test_bound_suite_computes_no_defects(monkeypatch):
     expected = bound_suite(_FOUR_PRIMES).to_jsonable()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("bound_suite reached the lattice section")
+        raise AssertionError("bound_suite computed a truncation defect")
 
-    monkeypatch.setattr(opnorm, "build_matrix", refuse)
+    monkeypatch.setattr(opnorm, "_column_defects", refuse)
     monkeypatch.setattr(opnorm, "kernel_quotient_report", refuse)
     assert bound_suite(_FOUR_PRIMES).to_jsonable() == expected
+
+
+def test_bound_suite_reads_the_build_matrix_section():
+    # the report's section entries are the numbers the section suites
+    # certify: the same operator, eigenvalue call and kernel quotient
+    syms = [fx.symbol for fx in fixtures().values() if fx.kind == "affine"]
+    syms += list(_gate_sweep_symbols())
+    assert len(syms) == 205
+    for i, phi in enumerate(syms):
+        rep = bound_suite(phi)
+        op = build_matrix(phi, rep.n_in, rep.k_out)
+        assert rep.entries["matrix_lower"].value == sigma_max_sq(op), i
+        best = max(kernel_quotient(op, s) ** 2 for s in opnorm._KERNEL_SIGMAS)
+        assert rep.entries["kernel_S_lower"].value == best, i
+
+
+def test_section_caps():
+    # fig1-c has three active primes: comb(203, 3) = 1,373,701 lattice
+    # rows, past the row cap, though the degree factor has 201 x 64
+    with pytest.raises(ValueError, match="exceeds the configured caps"):
+        build_matrix(fixtures()["fig1-c"].symbol, 64, 200)
+    # 101 x 100,000 entries, past the entry cap
+    with pytest.raises(ValueError, match="entry cap"):
+        phi_alpha_operator(1.0, 100_000, 100)
 
 
 def _lattice_indices(d, K):
@@ -298,28 +323,30 @@ def test_build_matrix_matches_columnwise_bytes(d_act, twist):
 
 def test_kernel_quotient_far_right_tends_to_one():
     phi = AffineSymbol(1.5, (0.5, 0.5))
-    ratio = kernel_quotient(phi, 50.0, 64, 30)
+    ratio = kernel_quotient(build_matrix(phi, 64, 30), 50.0)
     assert 0.99 < ratio < 1.01
 
 
 def test_kernel_quotient_constant_symbol_cap():
-    phi = AffineSymbol(1.8, ())
+    op = build_matrix(AffineSymbol(1.8, ()), 128, 0)
     for w in (0.75, 1.0, 2.0, 5.0):
-        ratio = kernel_quotient(phi, w, 128, 0)
+        ratio = kernel_quotient(op, w)
         assert ratio ** 2 <= zeta(3.6) + 1e-6
 
 
 def test_kernel_quotient_requires_half_plane():
-    phi = AffineSymbol(1.5, (1.0,))
+    op = build_matrix(AffineSymbol(1.5, (1.0,)), 16, 10)
     with pytest.raises(ValueError):
-        kernel_quotient(phi, 0.5, 16, 10)
+        kernel_quotient(op, 0.5)
     with pytest.raises(ValueError):
-        kernel_quotient(phi, 0.2 + 3.0j, 16, 10)
+        kernel_quotient(op, 0.2 + 3.0j)
+    # the quotients are taken at real kernel points only
+    with pytest.raises(ValueError):
+        kernel_quotient(op, 1.0 + 0.5j)
 
 
 def test_kernel_quotient_report_defects():
-    phi = AffineSymbol(1.5, (1.0,))
-    rep = kernel_quotient_report(phi, 2.0, 64, 40)
+    rep = kernel_quotient_report(build_matrix(AffineSymbol(1.5, (1.0,)), 64, 40), 2.0)
     assert rep.image_defect >= 0.0
     assert rep.kernel_tail >= 0.0
     # at Re w = 2 the kernel mass beyond n = 64 is tiny
@@ -333,7 +360,7 @@ def test_kernel_quotient_is_norm_lower_bound():
     op = build_matrix(phi, 48, 24)
     top = sigma_max_sq(op)
     for w in (0.8, 1.0, 1.5, 3.0):
-        assert kernel_quotient(phi, w, op=op) ** 2 <= top + 1e-10
+        assert kernel_quotient(op, w) ** 2 <= top + 1e-10
 
 
 # --- adjoint bounds -------------------------------------------------------

@@ -24,15 +24,17 @@ and `inner-check` at 600,000 samples (each spans more than one
 2^19-column block and many 2^16-column slices), `inner-check` at its
 defaults and at 16 and 500 samples on other seeds,
 `majorize`, `subordinate` (exact, float and `--scan`),
-`verify-lemmas --suite` for every suite, then eleven error paths
+`verify-lemmas --suite` for every suite, then twelve error paths
 (non-finite symbols and line ranges, overflowing arithmetic, a finite
-symbol whose section entries overflow, a scan with no samples), which print no
-report and exit 1.  After them come the usage errors: unknown or
+symbol whose section entries overflow, a scan with no samples, a
+section past the lattice row cap), which print no report and exit 1.
+After them come the usage errors: unknown or
 wrong-kind fixtures, malformed `--c` and `--coeffs`, a symbol outside
 the bounded class, an unknown suite, out-of-range `bounds`, `measure`,
 `curve` and `--scan` arguments, `subordinate` vectors that cannot be
 compared, flags argparse rejects and no command at all, each exiting 1;
-then the `dkzeta` suite alias and two `--help` calls.  The commands run in this
+then the `dkzeta` suite alias and two `--help` calls, 129 commands in
+all.  The commands run in this
 process through `h2comp.cli.main`, with the package imported from this
 checkout's `src` and help and usage text wrapped at 80 columns.
 
@@ -116,6 +118,7 @@ def commands() -> list[list[str]]:
     out.append(["curve", "--fixture", "fig1-a", "--T", "1e308"])
     out.append(["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"])
     out.append(["bounds", "--c", "1e9", "--coeffs", "2e8"])
+    out.append(["bounds", "--fixture", "fig1-c", "--kout", "200"])
     out.append(["measure", "--fixture", "nope", "--delta", "0.5"])
     out.append(["bounds", "--fixture", "example-7.1"])
     out.append(["inner-check", "--fixture", "fig1-a"])
