@@ -39,6 +39,7 @@ from .disc import (
     PowerSeries,
     ShapiroCheck,
     compose_truncated,
+    composition_matrix,
     littlewood_check,
     mobius_comp_norm_sq,
     psi_matrix,
@@ -123,7 +124,7 @@ __all__ = [
     "majorizes", "mapping_disc", "xi",
     # disc
     "LittlewoodCheck", "PowerSeries", "ShapiroCheck", "compose_truncated",
-    "littlewood_check", "mobius_comp_norm_sq", "psi_matrix", "psi_z2z",
+    "composition_matrix", "littlewood_check", "mobius_comp_norm_sq", "psi_matrix", "psi_z2z",
     "shapiro_bound_check",
     # dseries
     "Character", "DirichletPoly", "carlson_mean", "derivative_at",

@@ -65,7 +65,6 @@ from .zeta import (
     abscissa,
     alpha0,
     zeta,
-    zeta_lambda,
 )
 
 __all__ = [
@@ -348,13 +347,6 @@ def _refined_grid_max(f, xs, vals, lo_edge: float, hi_edge: float) -> float:
     return max(vals[i], _golden_max(f, lo, hi)[1])
 
 
-def _phi_min_re(phi: AffineSymbol, sigma: float) -> float:
-    """Minimal real part of the symbol over its vertical limits at Re s = sigma."""
-    return phi.c.real - sum(
-        cj * float(p) ** (-sigma) for cj, p in zip(phi.coeffs, phi.primes)
-    )
-
-
 def adjoint_bound_general(phi: AffineSymbol, spec: LambdaSpec, sigma_grid) -> float:
     """Lower bound sup_sigma zeta(2 min-Re phi(sigma)) / zeta_Lambda(2 sigma).
 
@@ -373,14 +365,23 @@ def adjoint_bound_general(phi: AffineSymbol, spec: LambdaSpec, sigma_grid) -> fl
             f"sigma grid must stay strictly above {half_absc} for this frequency set"
         )
 
+    # every point q is evaluated at, grid or refinement, lies above
+    # half_absc, so the Dirichlet sum is called without re-validation
+    c_re = phi.c.real
+    terms = tuple((cj, float(p)) for cj, p in zip(phi.coeffs, phi.primes))
+    dirichlet_sum = spec.dirichlet_sum
+
+    def min_re(sigma: float) -> float:
+        """Minimal real part of the symbol over its vertical limits at Re s = sigma."""
+        return c_re - sum(cj * p ** (-sigma) for cj, p in terms)
+
     def q(sigma: float) -> float:
-        re_phi = _phi_min_re(phi, sigma)
-        return zeta(2.0 * re_phi) / zeta_lambda(spec, 2.0 * sigma)
+        return zeta(2.0 * min_re(sigma)) / dirichlet_sum(2.0 * sigma)
 
     # the grid scan is q point by point with the zeta calls gathered
-    # into one vector call; `_phi_min_re` and `zeta_lambda` stay scalar
-    num = zeta(np.array([2.0 * _phi_min_re(phi, s) for s in grid]))
-    vals = num / np.array([zeta_lambda(spec, 2.0 * s) for s in grid])
+    # into one vector call; `min_re` and the Dirichlet sum stay scalar
+    num = zeta(np.array([2.0 * min_re(s) for s in grid]))
+    vals = num / np.array([dirichlet_sum(2.0 * s) for s in grid])
     return _refined_grid_max(q, grid, vals, half_absc + 0.5 * (grid[0] - half_absc), grid[-1] * 1.5)
 
 

@@ -79,6 +79,9 @@ def _em_coeffs() -> tuple[float, ...]:
 
 
 _EM_COEFFS = _em_coeffs()
+_EM_COEFF_COL = np.array(_EM_COEFFS)[:, None]
+# the shifts 0, 2, ..., 14 of the even Pochhammer factors s + 2j - 2
+_EM_EVEN = np.arange(0.0, 2.0 * len(_EM_COEFFS), 2.0)
 
 
 def zeta(sigma):
@@ -127,15 +130,24 @@ def _zeta_array(sigma):
     head = np.sum(_EM_HEAD[None, :] ** (-s[:, None]), axis=1)
 
     out = head + _EM_BIG ** (1.0 - s) / (s - 1.0) + 0.5 * _EM_BIG ** (-s)
-    poch = s.copy()                     # s (s+1) ... (s + 2j - 2)
-    npow = _EM_BIG ** (-s - 1.0)
+    # the eight corrections as rows, each rounded as on the scalar path:
+    # poch_j = s (s+1) ... (s + 2j - 2) is the running product over the
+    # factors s, s+1, s+2, ... with s + 2j - 1 formed as (s + 2j) - 1,
+    # and npow_j = N^{-s-1} / (N^2)^{j-1} the running quotient
+    even = s + _EM_EVEN[:, None]
+    factors = np.empty((2 * len(_EM_COEFFS) - 1, s.size))
+    factors[0::2] = even
+    factors[1::2] = even[1:] - 1.0
+    steps = np.full((len(_EM_COEFFS), s.size), _EM_BIG * _EM_BIG)
+    steps[0] = _EM_BIG ** (-s - 1.0)
     # as on the scalar path, an entry whose npow has underflowed gets no
     # further terms; the inf * 0 = NaN formed there is discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, coef in enumerate(_EM_COEFFS, start=1):
-            out += np.where(npow > 0.0, coef * poch * npow, 0.0)
-            poch = poch * (s + 2 * j - 1) * (s + 2 * j)
-            npow = npow / (_EM_BIG * _EM_BIG)
+        poch = np.multiply.accumulate(factors, axis=0)[0::2]
+        npow = np.divide.accumulate(steps, axis=0)
+        terms = np.where(npow > 0.0, _EM_COEFF_COL * poch * npow, 0.0)
+    for term in terms:
+        out += term
     return float(out[0]) if scalar else out
 
 

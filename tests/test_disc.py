@@ -8,9 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from h2comp import cli, disc
 from h2comp.disc import (
     PowerSeries,
     compose_truncated,
+    composition_matrix,
     littlewood_check,
     mobius_comp_norm_sq,
     psi_matrix,
@@ -63,6 +65,41 @@ def test_power_series_json_roundtrip():
     f = PowerSeries([1.0 + 2.0j, -0.5, 0.25j])
     g = PowerSeries.from_json(f.to_json())
     assert np.allclose(g.coeffs, f.coeffs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_power_series_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PowerSeries([0.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        PowerSeries.from_json('{"coeffs": [[0.0, 0.0], [NaN, 0.0]]}')
+
+
+# ---------------------------------------------------------- boundary grid
+
+
+def _horner_on_grid(coeffs, n):
+    """phi at the n-th roots of unity by Horner, in extended precision
+    where the platform has it: the reference for the FFT grid."""
+    ang = np.arange(n, dtype=np.longdouble) * (8 * np.arctan(np.longdouble(1)) / n)
+    z = (np.cos(ang) + 1j * np.sin(ang)).astype(np.clongdouble)
+    out = np.zeros(n, dtype=np.clongdouble)
+    for a in coeffs[::-1]:
+        out = out * z + a
+    return out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, 300, 4095, 4096, 5000])
+@pytest.mark.parametrize("n", [16, 4096])
+def test_boundary_grid_matches_horner(degree, n):
+    # degree >= n exercises the fold of the coefficients modulo n; the
+    # scale is sum |a_k|, which bounds |phi| on the circle
+    rng = np.random.default_rng(degree + n)
+    phi = _random_series(rng, degree)
+    got = disc._boundary_values(phi, n)
+    want = _horner_on_grid(phi.coeffs, n)
+    err = float(np.max(np.abs(got - want)))
+    assert err <= 1e-13 * float(np.sum(np.abs(phi.coeffs)))
 
 
 # ----------------------------------------------------------- composition
@@ -118,6 +155,40 @@ def test_compose_rejects_center_outside():
     f = PowerSeries([0.0, 1.0])
     with pytest.raises(ValueError):
         compose_truncated(f, PowerSeries([1.0]), 8)
+
+
+@pytest.mark.parametrize(
+    "phi", [[0.0, 1.1], [1.0], [0.6 + 0.8j, 0.0], [-1.2]], ids=repr
+)
+def test_composition_matrix_rejects_non_self_maps(phi):
+    with pytest.raises(ValueError):
+        composition_matrix(PowerSeries(phi), 8, 4)
+
+
+def test_composition_matrix_rejects_negative_degrees():
+    psi = psi_z2z(8)
+    with pytest.raises(ValueError):
+        composition_matrix(psi, -1, 4)
+    with pytest.raises(ValueError):
+        composition_matrix(psi, 8, -1)
+    with pytest.raises(ValueError):
+        compose_truncated(PowerSeries([1.0]), psi, -1)
+
+
+def test_disc_transfer_checks_its_self_map_once(monkeypatch):
+    # the suite composes 50 seeded series with z/(2-z) through one matrix
+    psi_checks = []
+    check = disc._check_self_map
+
+    def counting(phi):
+        if phi.degree == 128:
+            psi_checks.append(phi)
+        check(phi)
+
+    monkeypatch.setattr(disc, "_check_self_map", counting)
+    assert cli._suite_disc_transfer() == {"passed": True}
+    assert len(psi_checks) == 1
+    np.testing.assert_array_equal(psi_checks[0].coeffs, psi_z2z(128).coeffs)
 
 
 # --------------------------------------------------------- psi operator
@@ -182,12 +253,15 @@ def test_psi_matrix_matches_composition():
     n = 64
     M = psi_matrix(n)
     psi = psi_z2z(n)
+    C = composition_matrix(psi, n, n)
+    assert C.shape == (n + 1, n + 1)
     for k in range(9):
         mono = np.zeros(n + 1)
         mono[k] = 1.0
         via_matrix = M @ mono
         via_compose = compose_truncated(PowerSeries(mono), psi, n).coeffs
         assert np.max(np.abs(via_matrix - via_compose)) < 1e-12
+        assert np.max(np.abs(via_matrix - C[:, k])) < 1e-12
 
 
 def test_psi_matrix_leaves_constants_alone():
