@@ -2,11 +2,19 @@
 
     python3 tools/golden_reports.py > golden.txt
 
-Prints one line per command: the sha256 of its stdout report with the
-timestamp line removed, the sha256 of what it wrote to stderr, its exit
-code, and the command.  Run it in two checkouts and diff the two
-outputs; a change that keeps every report and every error message
-byte-identical apart from the timestamp shows no difference.
+The first line is a `#` header naming what the digests depend on
+beyond the source: the numpy and BLAS versions, the BLAS kernel that
+the CPU selected, the machine and Python.  Then it prints one line per
+command: the sha256 of its stdout report with the timestamp line
+removed, the sha256 of what it wrote to stderr, its exit code, and the
+command.  `tests/golden_reports.txt` holds this output, and
+`tests/test_golden_reports.py` reruns the tool under
+`OPENBLAS_NUM_THREADS=1` and compares line by line; a change that keeps
+every report and every error message byte-identical apart from the
+timestamp shows no difference.  A change that moves a line rewrites
+the file:
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/golden_reports.py > tests/golden_reports.txt
 
 The commands are `bounds` and `opnorm` on every shipped fixture they
 accept, the edge cases of the truncated section (one input column,
@@ -48,12 +56,16 @@ shows whether every demo prints byte-identical output.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
+import platform
 import runpy
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -174,7 +186,33 @@ def demo_digest(path: Path) -> str:
     return _sha256(out.getvalue())
 
 
+def _blas_core() -> str:
+    """The kernel set an OpenBLAS built with DYNAMIC_ARCH chose for this
+    CPU, read from the library numpy bundles, or "unknown"."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("lib*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(handle, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def header() -> str:
+    """The `#` line naming the numpy and BLAS versions, the BLAS kernel,
+    the machine and Python."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        f"# numpy {np.__version__}; {blas['name']} {blas['version']} core {_blas_core()}; "
+        f"{platform.system()} {platform.machine()}; Python {platform.python_version()}"
+    )
+
+
 def main() -> int:
+    print(header(), flush=True)
     for argv in commands():
         digest, err_digest, code = report_digest(argv)
         print(digest, err_digest, code, " ".join(argv), flush=True)
