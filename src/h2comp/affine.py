@@ -309,7 +309,12 @@ def effective_constant(coeffs) -> float:
     r = cv.r
     if not r > 0.0:
         raise ValueError("effective constant needs a nonzero coefficient vector")
-    return float(sum(x * x for x in cv)) / (r * r)
+    # scale by the power of two of r so that no square underflows; the
+    # scaling is exact, so nothing moves where no square underflowed
+    e = math.frexp(r)[1]
+    scaled = [math.ldexp(x, -e) for x in cv]
+    r = math.ldexp(r, -e)
+    return float(sum(x * x for x in scaled)) / (r * r)
 
 
 def annulus_radii(phi: AffineSymbol) -> tuple[float, float]:

@@ -87,7 +87,10 @@ __all__ = [
 
 _ROW_CAP = 200_000
 _ENTRY_CAP = 8_000_000
-_GOLDEN_ITERS = 60
+# Brent refinement of the adjoint suprema: step cap and relative
+# tolerance (the square root of the float64 epsilon)
+_BRENT_ITERS = 60
+_BRENT_RTOL = 1.5e-8
 _GATE_TOL = 1e-9
 # real kernel points of the bound suite's quotient entry
 _KERNEL_SIGMAS = (0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
@@ -315,36 +318,73 @@ def kernel_quotient_report(op: TruncatedOperator, w: float) -> KernelQuotientRep
 
 # --- adjoint suprema ------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximum of a unimodal-enough f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Brent's maximum of a unimodal-enough f on [lo, hi] (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5):
+    parabolic steps through the three best points, golden-section steps
+    where a parabola is not trusted.  It stops once the bracket lies
+    within `_BRENT_RTOL * |x|` of the best point x, or after
+    `_BRENT_ITERS` steps, and evaluates f only inside [lo, hi].
+    Returns the best point and its value."""
+    cgold = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(_GOLDEN_ITERS):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
+    x = w = v = a + cgold * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    for _ in range(_BRENT_ITERS):
+        m = 0.5 * (a + b)
+        tol = _BRENT_RTOL * abs(x)
+        tol2 = 2.0 * tol
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol:
+            # vertex x + p/q of the parabola through (x, w, v)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol if x < m else -tol
+                parabolic = True
+        if not parabolic:
+            e = (a - x) if x >= m else (b - x)
+            d = cgold * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _refined_grid_max(f, xs, vals, lo_edge: float, hi_edge: float) -> float:
-    """The best grid value vals[i] = f(xs[i]), or the golden-section maximum
-    of f between the neighbours of that grid point if it is larger.  At
-    either end of the grid, lo_edge or hi_edge stands in for the missing
-    neighbour."""
+    """The best grid value vals[i] = f(xs[i]), or Brent's maximum of f
+    between the neighbours of that grid point if it is larger, so the
+    result is never below the grid maximum.  At either end of the grid,
+    lo_edge or hi_edge stands in for the missing neighbour."""
     i = int(np.argmax(vals))
     lo = xs[i - 1] if i > 0 else lo_edge
     hi = xs[i + 1] if i + 1 < len(xs) else hi_edge
-    return max(vals[i], _golden_max(f, lo, hi)[1])
+    return max(vals[i], _brent_max(f, lo, hi)[1])
 
 
 def adjoint_bound_general(phi: AffineSymbol, spec: LambdaSpec, sigma_grid) -> float:
@@ -353,8 +393,8 @@ def adjoint_bound_general(phi: AffineSymbol, spec: LambdaSpec, sigma_grid) -> fl
     Kernels supported on a thinner frequency set Lambda keep the full
     image kernel upstairs while shrinking the denominator; the symbol's
     real part is taken at its vertical-limit minimum, which a rotation
-    of the coefficients attains.  Grid maximum plus golden-section
-    refinement around it.
+    of the coefficients attains.  Grid maximum plus Brent's refinement
+    between its neighbours (`_refined_grid_max`).
     """
     grid = sorted(float(s) for s in sigma_grid)
     if not grid:
@@ -391,7 +431,7 @@ def adjoint_bound_2s(c: complex, r: float) -> float:
 
     Requires Re c - 1/2 >= r > 0.  The x -> 0+ boundary contributes
     1/r exactly when 2 Re c - 2 r = 1 (and nothing otherwise); the
-    interior is scanned on a log grid, refined by golden section, and
+    interior is scanned on a log grid, refined by Brent's method, and
     the point x = 1 - r/xi — where the generic interior maximum proves
     the 1/xi comparison — is always included as a candidate.  The grid
     stays away from 0: on the diagonal the zeta argument there sits so
@@ -411,11 +451,10 @@ def adjoint_bound_2s(c: complex, r: float) -> float:
             return 0.0
         return (2.0 - x) * x * zeta(arg)
 
-    xs = list(np.geomspace(1e-5, 1.0, 512))
+    xs = np.geomspace(1e-5, 1.0, 512)
     x_val = _xi_from(max(a, rr), rr)
     if x_val > rr:
-        xs.append(1.0 - rr / x_val)
-    xs = np.array(sorted(set(xs)))
+        xs = np.unique(np.append(xs, 1.0 - rr / x_val))
     # g on the whole grid, with one vector zeta call
     args = base + 2.0 * rr * xs
     live = args > 1.0
@@ -575,7 +614,7 @@ def _adjoint_entry(phi: AffineSymbol) -> BoundEntry:
     return BoundEntry(
         adjoint_bound_general(phi, spec, np.geomspace(0.1, 50.0, 96)),
         True,
-        "restricted-frequency adjoint quotient, grid plus golden refinement",
+        "restricted-frequency adjoint quotient, grid plus Brent refinement",
     )
 
 

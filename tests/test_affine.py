@@ -117,6 +117,27 @@ def test_effective_constant():
         effective_constant(())
 
 
+@pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e-160, 1.0, 1e160, 1e300])
+def test_effective_constant_is_scale_free(scale):
+    # at the extreme scales the squares underflow or overflow; the
+    # result still matches the exact quotient of the coefficients given
+    coeffs = tuple(x * scale for x in (0.5, 0.3, 0.2))
+    exact = sum(Fraction(x) ** 2 for x in coeffs) / Fraction(sum(coeffs)) ** 2
+    assert effective_constant(coeffs) == pytest.approx(float(exact), rel=1e-15)
+    assert effective_constant((scale,)) == 1.0
+
+
+def test_effective_constant_matches_plain_formula():
+    # scaling by a power of two is exact, so wherever no square
+    # underflows the result is the plain quotient bit for bit
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        w = rng.uniform(0.0, 1.0, int(rng.integers(1, 7)))
+        coeffs = tuple(float(x) for x in w * 10.0 ** rng.uniform(-100, 100))
+        r = sum(coeffs)
+        assert effective_constant(coeffs) == sum(x * x for x in coeffs) / (r * r)
+
+
 def test_annulus_radii():
     r0, r = annulus_radii(AffineSymbol(1.5, (0.75, 0.25)))
     assert (r0, r) == (pytest.approx(0.5), pytest.approx(1.0))

@@ -70,6 +70,28 @@ def test_bounds_far_right_constant_brackets_one(capsys):
     assert entries["adjoint_lower"]["value"] == 1
 
 
+@pytest.mark.parametrize("c, coeffs, C", [
+    ("1.5", "1e-320", "1"),
+    ("3", "2.5e-300,1e-300", "0.591836734693878"),
+], ids=["subnormal", "two-tiny"])
+def test_bounds_tiny_coefficients_report(capsys, c, coeffs, C):
+    # the squares of these coefficients underflow: the effective
+    # constant once divided zero by zero, and the command exited 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["bounds", "--c", c, "--coeffs", coeffs])
+    assert code == 0 and err == "" and caught == []
+    report = json.loads(out)["report"]
+    assert report["gate_ok"] is True and report["violations"] == []
+    # a symbol this close to the constant c has squared norm zeta(2 Re c)
+    bracket = report["bracket"]
+    assert bracket["max_lower"] == pytest.approx(zeta(2.0 * float(c)), rel=1e-14)
+    assert bracket["min_upper"] == pytest.approx(zeta(2.0 * float(c)), rel=1e-14)
+    combo = report["entries"]["combo_upper"]
+    assert combo["applicable"] is True
+    assert combo["provenance"] == f"effective-constant mixture with C={C}"
+
+
 def test_bounds_prints_fifteen_digits(capsys):
     _, out, _ = _run(capsys, ["bounds", "--c", "1.5", "--coeffs", "1"])
     assert format(zeta(3.0), ".15g") in out
@@ -449,7 +471,6 @@ def test_section_over_the_row_cap_exits_one(capsys):
     ["subordinate", "--coeffs", "0.5,0.5", "--against", "1,0", "--c", "inf"],
     ["majorize", "--coeffs", "nan,1", "--against", "1,0"],
     ["bounds", "--c", "1e300", "--coeffs", "1e299"],
-    ["bounds", "--c", "1.5", "--coeffs", "1e-320"],
     ["curve", "--fixture", "fig1-a", "--T", "inf"],
     ["curve", "--fixture", "fig1-a", "--T", "1e308"],
     ["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"],

@@ -19,7 +19,10 @@ from h2comp.opnorm import (
     ENTRY_ORDER,
     LOWER_KEYS,
     UPPER_KEYS,
-    _golden_max,
+    _BRENT_ITERS,
+    _BRENT_RTOL,
+    _adjoint_entry,
+    _brent_max,
     adjoint_bound_2s,
     adjoint_bound_general,
     bound_suite,
@@ -489,8 +492,8 @@ def _ref_phi_alpha_adjoint_sup(a, golden):
 
 @pytest.mark.parametrize("refine", [True, False], ids=["refined", "grid-only"])
 def test_adjoint_suprema_match_scalar_loop_reference(refine, monkeypatch):
-    golden = _golden_max if refine else _no_refinement
-    monkeypatch.setattr(opnorm, "_golden_max", golden)
+    golden = _brent_max if refine else _no_refinement
+    monkeypatch.setattr(opnorm, "_brent_max", golden)
     diagonal = [AffineSymbol(0.5 + r, (r,)) for r in (0.1, 0.7, 2.0)]
     # off the diagonal the supremum is not the closed-form 1/r
     interior = [AffineSymbol(c, (r,)) for c, r in ((1.5 + 0.3j, 0.4), (2.0, 0.2), (0.9, 0.1))]
@@ -510,6 +513,108 @@ def test_adjoint_suprema_match_scalar_loop_reference(refine, monkeypatch):
     assert len(alphas) == 3
     for a in alphas:
         assert phi_alpha_adjoint_sup(a) == _ref_phi_alpha_adjoint_sup(a, golden)
+
+
+# The refinement of the three adjoint suprema against a 60-step golden
+# section, kept here literally as the refinement the library used before
+# Brent's method: the same bracket, the same f, a fixed step count.
+
+def _golden_section_60(f, lo, hi):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(60):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+    if f1 >= f2:
+        return x1, f1
+    return x2, f2
+
+
+def _adjoint_suprema():
+    """Thunks for the adjoint supremum of every `gate-sweep` symbol, every
+    shipped affine fixture and the three shipped family alphas."""
+    shipped = list(fixtures().values())
+    affine = list(_gate_sweep_symbols()) + [fx.symbol for fx in shipped if fx.kind == "affine"]
+    alphas = [fx.symbol.alpha for fx in shipped if fx.kind == "family"]
+    assert len(affine) == 205 and len(alphas) == 3
+    return [lambda phi=phi: _adjoint_entry(phi).value for phi in affine] + [
+        lambda a=a: phi_alpha_adjoint_sup(a) for a in alphas
+    ]
+
+
+def test_brent_refinement_matches_golden_section_and_keeps_grid_max(monkeypatch):
+    counts = []
+
+    def counted(f, lo, hi):
+        calls = [0]
+
+        def g(x):
+            calls[0] += 1
+            return f(x)
+
+        out = _brent_max(g, lo, hi)
+        counts.append(calls[0])
+        return out
+
+    for value in _adjoint_suprema():
+        monkeypatch.setattr(opnorm, "_brent_max", counted)
+        new = value()
+        monkeypatch.setattr(opnorm, "_brent_max", _golden_section_60)
+        ref = value()
+        monkeypatch.setattr(opnorm, "_brent_max", _no_refinement)
+        grid = value()
+        assert abs(new - ref) <= 2e-15 * abs(ref)
+        assert new >= grid
+    # every symbol but the constant fixtures is refined once
+    assert len(counts) >= 200
+    assert sum(counts) / len(counts) <= 20.0
+
+
+@pytest.mark.parametrize("f, lo, hi, x_star", [
+    (lambda x: -((x - 0.3) ** 2), 0.1, 2.0, 0.3),
+    (lambda x: math.cos(x - 1.7), 0.5, 3.0, 1.7),
+    # the family's adjoint integrand at alpha = 3, whose supremum is interior
+    (lambda x: 4.0 * x / (1.0 + x) ** 2 * zeta(1.0 + 6.0 * x), 0.05, 1.0, None),
+    (lambda x: -x, 1.0, 2.0, 1.0),
+    (lambda x: math.log(x), 1e-6, 3e-6, 3e-6),
+    (lambda x: 1.0, 0.2, 0.9, None),
+], ids=["interior", "interior-cos", "interior-zeta", "left-edge", "right-edge", "constant"])
+def test_brent_max_synthetic(f, lo, hi, x_star):
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    x, fx = _brent_max(g, lo, hi)
+    assert seen and all(lo <= t <= hi for t in seen)
+    assert len(seen) <= _BRENT_ITERS + 1
+    assert fx == max(f(t) for t in seen) and fx == f(x)
+    if x_star is not None:
+        assert abs(x - x_star) <= 3.0 * _BRENT_RTOL * abs(x_star)
+    if x_star is None or lo < x_star < hi:
+        # an interior maximum is found to rounding: no point of a fine
+        # scan beats it
+        scan = [f(float(t)) for t in np.linspace(lo, hi, 2001)]
+        assert fx >= max(scan) - 1e-15 * abs(fx)
+
+
+def test_brent_max_stops_at_the_cap():
+    # a bracket 1e6 times wider than its left end needs more golden
+    # steps than the cap allows; the search still stays inside it
+    seen = []
+    x, _ = _brent_max(lambda t: seen.append(t) or -t, 1e-6, 1.0)
+    assert len(seen) == _BRENT_ITERS + 1
+    assert all(1e-6 <= t <= 1.0 for t in seen) and x < 1e-5
 
 
 # --- bound suites ---------------------------------------------------------

@@ -24,7 +24,8 @@ and `opnorm`, family `bounds` with one and with two output rows (the
 seed rows E_0 = 1 and E_1 = beta of the section's recurrence),
 `bounds` and `opnorm` on a symbol with r log n_in about 374, whose
 per-prime tables (r log n)^k / k! are huge but finite (neither
-command computes column defects), and on one symbol with three and one
+command computes column defects), `bounds` on two symbols whose
+coefficients square to underflow, and on one symbol with three and one
 with four active primes (no shipped fixture has more than two), `measure`, `curve` and a
 short `curve --csv` on every boundary-sampleable fixture, `measure` at
 1,100,000 samples on the polynomial, one affine and the inner fixture, `curve` at 600,000 steps
@@ -32,7 +33,7 @@ and `inner-check` at 600,000 samples (each spans more than one
 2^19-column block and many 2^16-column slices), `inner-check` at its
 defaults and at 16 and 500 samples on other seeds,
 `majorize`, `subordinate` (exact, float and `--scan`),
-`verify-lemmas --suite` for every suite, then twelve error paths
+`verify-lemmas --suite` for every suite, then eleven error paths
 (non-finite symbols and line ranges, overflowing arithmetic, a finite
 symbol whose section entries overflow, a scan with no samples, a
 section past the lattice row cap), which print no report and exit 1.
@@ -41,7 +42,7 @@ wrong-kind fixtures, malformed `--c` and `--coeffs`, a symbol outside
 the bounded class, an unknown suite, out-of-range `bounds`, `measure`,
 `curve` and `--scan` arguments, `subordinate` vectors that cannot be
 compared, flags argparse rejects and no command at all, each exiting 1;
-then the `dkzeta` suite alias and two `--help` calls, 129 commands in
+then the `dkzeta` suite alias and two `--help` calls, 130 commands in
 all.  The commands run in this
 process through `h2comp.cli.main`, with the package imported from this
 checkout's `src` and help and usage text wrapped at 80 columns.
@@ -93,6 +94,9 @@ def commands() -> list[list[str]]:
     out.append(["opnorm", "--fixture", "phi-alpha-1", "--nin", "64", "--kout", "50", "--levels", "2"])
     out.append(["bounds", "--c", "100", "--coeffs", "90"])
     out.append(["opnorm", "--c", "100", "--coeffs", "90"])
+    # coefficients whose squares underflow
+    out.append(["bounds", "--c", "1.5", "--coeffs", "1e-320"])
+    out.append(["bounds", "--c", "3", "--coeffs", "2.5e-300,1e-300"])
     for c, coeffs in (("1.2,0.7", "0.3,0.1,0.05"), ("2,-1", "0.2,0.3,0.1,0.15")):
         out.append(["bounds", "--c", c, "--coeffs", coeffs])
         out.append(["opnorm", "--c", c, "--coeffs", coeffs])
@@ -125,7 +129,6 @@ def commands() -> list[list[str]]:
     out.append(["subordinate", "--coeffs", "0.5,0.5", "--against", "1,0", "--c", "inf"])
     out.append(["majorize", "--coeffs", "nan,1", "--against", "1,0"])
     out.append(["bounds", "--c", "1e300", "--coeffs", "1e299"])
-    out.append(["bounds", "--c", "1.5", "--coeffs", "1e-320"])
     out.append(["curve", "--fixture", "fig1-a", "--T", "inf"])
     out.append(["curve", "--fixture", "fig1-a", "--T", "1e308"])
     out.append(["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"])
