@@ -453,8 +453,13 @@ def adjoint_bound_2s(c: complex, r: float) -> float:
 
     xs = np.geomspace(1e-5, 1.0, 512)
     x_val = _xi_from(max(a, rr), rr)
+    # the grid is strictly increasing, so a sorted append of a point not
+    # on it keeps every point once (np.unique would first import
+    # numpy.ma, about 18 ms per process)
     if x_val > rr:
-        xs = np.unique(np.append(xs, 1.0 - rr / x_val))
+        x_xi = 1.0 - rr / x_val
+        if x_xi not in xs:
+            xs = np.sort(np.append(xs, x_xi))
     # g on the whole grid, with one vector zeta call
     args = base + 2.0 * rr * xs
     live = args > 1.0

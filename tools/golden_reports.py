@@ -199,7 +199,7 @@ def _blas_core() -> str:
                      "openblas_get_corename64_", "openblas_get_corename"):
             fn = getattr(handle, name, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
                 return fn().decode()
     return "unknown"
 
