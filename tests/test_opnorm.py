@@ -574,8 +574,8 @@ def test_brent_refinement_matches_golden_section_and_keeps_grid_max(monkeypatch)
         grid = value()
         assert abs(new - ref) <= 2e-15 * abs(ref)
         assert new >= grid
-    # every symbol but the constant fixtures is refined once
-    assert len(counts) >= 200
+    # none of the 208 suprema is of a constant symbol: each is refined once
+    assert len(counts) == 208
     assert sum(counts) / len(counts) <= 20.0
 
 
