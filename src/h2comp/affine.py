@@ -40,6 +40,7 @@ import numpy as np
 from .dseries import DirichletPoly, evaluate, h2_norm_sq, multiply
 from .errors import InequalityViolation
 from .primes import dimension_needed, exponents_over, first_primes
+from .torus import _unimodular
 
 __all__ = [
     "CoeffVector",
@@ -166,16 +167,18 @@ class AffineSymbol:
             return tuple(complex(x) for x in self.coeffs)
         return tuple(x * t for x, t in zip(self.coeffs, self.twist))
 
-    def boundary(self, Z: np.ndarray) -> np.ndarray:
-        """phi*(chi) for a (d, m) block Z of character values.
+    def boundary(self, theta: np.ndarray) -> np.ndarray:
+        """phi*(chi) at chi_j = e^{i theta_j} for a (d, m) block of phases.
 
-        The terms are added one prime at a time, c_1 Z_1 first; line
+        The terms are added one prime at a time, c_1 chi_1 first; line
         traces and sampled measures both come through here, so they
         round alike.
         """
-        out = np.full(Z.shape[1], self.c, dtype=complex)
-        for j, cj in enumerate(self.effective_coeffs()):
-            out += cj * Z[j]
+        out = np.full(theta.shape[1], self.c, dtype=complex)
+        chi = np.empty(theta.shape[1], dtype=complex)
+        for cj, phase in zip(self.effective_coeffs(), theta):
+            _unimodular(phase, chi)
+            out += cj * chi
         return out
 
     def to_jsonable(self) -> dict:
@@ -245,9 +248,12 @@ class PolynomialSymbol:
     def r(self) -> float:
         return self.radius
 
-    def boundary(self, Z: np.ndarray) -> np.ndarray:
-        """phi*(chi) for a (d, m) block Z of character values: each term
-        a_n n^{-s} becomes a_n prod_j Z_j^{e_j} with n = prod_j p_j^{e_j}."""
+    def boundary(self, theta: np.ndarray) -> np.ndarray:
+        """phi*(chi) at chi_j = e^{i theta_j} for a (d, m) block of
+        phases: each term a_n n^{-s} becomes a_n prod_j chi_j^{e_j} with
+        n = prod_j p_j^{e_j}."""
+        Z = np.empty(theta.shape, dtype=complex)
+        _unimodular(theta, Z)
         out = np.full(Z.shape[1], self.c, dtype=complex)
         primes = first_primes(self.d)
         for n, a in self.terms.items():

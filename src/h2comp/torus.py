@@ -11,6 +11,11 @@ Carlo identity ||f o phi||^2 = E |f(phi*(chi))|^2 — is estimated from
 such samples, with binomial or empirical-variance confidence radii
 reported alongside.
 
+A sample is a column of phases theta_j uniform on [0, 2 pi), with
+chi_j = e^{i theta_j}, and the phases are what every symbol's
+`boundary(theta)` takes: affine and polynomial symbols form the
+characters from them, inner symbols need only the phase differences.
+
 Sampling is bit-for-bit reproducible: a counter-based generator keyed by
 (seed, coordinate), the seed any 64-bit unsigned integer, drives each
 torus coordinate on its own stream, so estimates do not depend on
@@ -22,15 +27,18 @@ Float reductions run afterwards in a fixed order, so no result depends
 on the number of workers either.
 
 Vertical-line versions (`ergodic_measure`, `curve_trace`) average over
-t in [-T, T] instead; the flow t -> (p_j^{-it})_j equidistributes over
-the polytorus, so the two kinds of averages agree in the limit, which
-the tests check at matched tolerances.
+t in [-T, T] instead, at the phases -t log p_j; the flow t ->
+(p_j^{-it})_j equidistributes over the polytorus, so the two kinds of
+averages agree in the limit, which the tests check at matched
+tolerances.
 
 Inner-factor symbols: g(s) = exp(-sum_j lambda_j (e^{i theta_j} + p_j^{-s})
 / (e^{i theta_j} - p_j^{-s})) is inner for summable nonnegative lambda;
 pushing it through the disc automorphism (g - g(inf)) / (1 - g(inf) g)
 and framing by D(c, r) gives symbols whose boundary values fill the
-frame circle — the equality case of the subordination principle.
+frame circle — the equality case of the subordination principle.  On
+the torus each factor is i cot((phi_j - theta_j)/2), so their boundary
+values come in closed form from tangents of phase differences.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ __all__ = [
 
 # Both are multiples of 4: a Philox counter step gives 4 of the uint64s
 # that `Generator.uniform` turns into one double each, so a slice that
-# starts at a multiple of 4 starts on a counter step (see `_characters`).
+# starts at a multiple of 4 starts on a counter step (see `_phases`).
 _CHUNK = 1 << 19
 _SLICE = 1 << 16
 
@@ -153,7 +161,8 @@ class MeasureResult(NamedTuple):
 
 
 def sample_characters(plan: SamplePlan) -> np.ndarray:
-    """Unit-modulus samples, shape (d, n_samples).
+    """Unit-modulus samples, shape (d, n_samples): e^{i theta} of the
+    phases theta that the sampled measures evaluate.
 
     Coordinate j uses the counter-based stream keyed (seed, j), so the
     same (seed, j) always reproduces the same column of phases no
@@ -168,28 +177,38 @@ def sample_characters(plan: SamplePlan) -> np.ndarray:
     return out
 
 
-def _characters(plan: SamplePlan, lo: int, hi: int) -> np.ndarray:
-    """Columns [lo, hi) of `sample_characters(plan)`, bit for bit, as a
+def _phases(plan: SamplePlan, lo: int, hi: int) -> np.ndarray:
+    """Columns [lo, hi) of the phases uniform on [0, 2 pi), as a real
     (d, hi - lo) block drawn without the columns before `lo`.
 
     Philox4x64 gives 4 uint64 per counter step and `Generator.uniform`
     turns each into one double, so the stream opened at counter lo // 4
     starts exactly at column lo; lo must be a multiple of 4.
     """
-    Z = np.empty((plan.d, hi - lo), dtype=complex)
-    for j, row in enumerate(Z):
+    theta = np.empty((plan.d, hi - lo))
+    for j, row in enumerate(theta):
         # a plain list turns a seed of 2^63 or more into a float64 key
         key = np.array([plan.seed, j], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key, counter=lo // 4))
-        _unimodular(gen.uniform(0.0, 2.0 * math.pi, hi - lo), row)
+        # uniform(0, 2 pi) is 0 + 2 pi * random(), drawn here in place
+        gen.random(out=row)
+        row *= 2.0 * math.pi
+    return theta
+
+
+def _characters(plan: SamplePlan, lo: int, hi: int) -> np.ndarray:
+    """Columns [lo, hi) of `sample_characters(plan)`, bit for bit: the
+    characters e^{i theta} of `_phases(plan, lo, hi)`."""
+    Z = np.empty((plan.d, hi - lo), dtype=complex)
+    _unimodular(_phases(plan, lo, hi), Z)
     return Z
 
 
 # --- boundary values ------------------------------------------------------
 #
 # A sampleable symbol exposes its frame as `.c` and `.r`, its torus
-# dimension as `.d`, and `boundary(Z)`: phi*(chi) for a (d, m) block of
-# character values.
+# dimension as `.d`, and `boundary(theta)`: phi*(chi) at the characters
+# chi_j = e^{i theta_j} for a real (d, m) block of phases.
 
 def _required_dim(phi) -> int:
     return max(int(phi.d), 1)
@@ -206,16 +225,16 @@ def _line_grid(phi, t_min: float, t_max: float, n: int) -> np.ndarray:
 
 def _line_values(phi, t: np.ndarray) -> np.ndarray:
     """phi(it) along the imaginary axis: the boundary values at the
-    characters Z_j = p_j^{-it}, in column slices."""
+    phases -t log p_j of the characters p_j^{-it}, in column slices."""
     logs = [math.log(p) for p in first_primes(_required_dim(phi))]
     out = np.empty(t.size, dtype=complex)
 
     def fill(lo, hi):
-        Z = np.empty((len(logs), hi - lo), dtype=complex)
-        for row, log_p in zip(Z, logs):
+        theta = np.empty((len(logs), hi - lo))
+        for row, log_p in zip(theta, logs):
             # 0 - t log p is -t log p, with +0.0 at t = 0 as in exp(-1j t log p)
-            _unimodular(0.0 - t[lo:hi] * log_p, row)
-        out[lo:hi] = phi.boundary(Z)
+            np.subtract(0.0, t[lo:hi] * log_p, out=row)
+        out[lo:hi] = phi.boundary(theta)
 
     _map_slices(fill, t.size)
     return out
@@ -230,8 +249,8 @@ def _character_column(chi: Character | Sequence[complex], d: int) -> np.ndarray:
 
 
 def boundary_value(phi, chi: Character | Sequence[complex]) -> complex:
-    """phi*(chi) for a single character."""
-    return complex(phi.boundary(_character_column(chi, _required_dim(phi)))[0])
+    """phi*(chi) for a single character, at the phases np.angle(chi_j)."""
+    return complex(phi.boundary(np.angle(_character_column(chi, _required_dim(phi))))[0])
 
 
 # --- measures -------------------------------------------------------------
@@ -250,7 +269,7 @@ def measure_E_delta(phi, delta: float, plan: SamplePlan) -> MeasureResult:
     n = plan.n_samples
 
     def count(lo, hi):
-        vals = phi.boundary(_characters(plan, lo, hi))
+        vals = phi.boundary(_phases(plan, lo, hi))
         return int(np.count_nonzero(np.abs(vals - c) < delta * r))
 
     hits = sum(_map_slices(count, n))
@@ -324,7 +343,7 @@ def mc_comp_norm_sq(phi, f: DirichletPoly, plan: SamplePlan) -> MeasureResult:
         v = buf[: min(_CHUNK, n - i)]
 
         def fill(lo, hi):
-            v[lo:hi] = np.abs(evaluate(f, phi.boundary(_characters(plan, i + lo, i + hi)))) ** 2
+            v[lo:hi] = np.abs(evaluate(f, phi.boundary(_phases(plan, i + lo, i + hi)))) ** 2
 
         _map_slices(fill, v.size)
         # the sums run on the whole block, so they add in one fixed order
@@ -337,6 +356,61 @@ def mc_comp_norm_sq(phi, f: DirichletPoly, plan: SamplePlan) -> MeasureResult:
 
 
 # --- inner-factor symbols -------------------------------------------------
+#
+# Double-double helpers for `_cot_turns`: a pair (hi, lo) stands for the
+# unrounded sum hi + lo (Dekker, "A floating-point technique for
+# extending the available precision", Numer. Math. 18, 1971).
+
+# 2 pi = fl(2 pi) + _TWO_PI_LO + _TWO_PI_LO2 to about 1e-48
+_TWO_PI_LO, _TWO_PI_LO2 = 2.4492935982947064e-16, -5.989539619436679e-33
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a, b):
+    def split(x):
+        hi = x * 134217729.0  # 2^27 + 1
+        hi = hi - (hi - x)
+        return hi, x - hi
+
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _mod_two_pi(hi, lo):
+    """hi + lo less its nearest whole number of turns 2 pi n, as a pair."""
+    n = np.rint(hi / (2.0 * math.pi))
+    p, pe = _two_prod(n, 2.0 * math.pi)
+    # hi - p is exact: the two lie within a factor 2 of each other
+    h, l = _two_sum(hi - p, lo - pe - n * _TWO_PI_LO)
+    return h, l - n * _TWO_PI_LO2
+
+
+def _cot_turns(lam: float, th: float, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lam cot((phase - th)/2) up to whole turns 2 pi, and the columns
+    where phase == th, which get 0.  The half difference x is taken
+    exactly and reduced by whole turns, lam / x is formed as a pair and
+    reduced too, and lam (cot x - 1/x) is added in double."""
+    gap, gap_lo = _two_sum(phase, -th)
+    pole = gap == 0.0
+    h, l = _mod_two_pi(np.where(pole, 1.0, gap), gap_lo)
+    # no double resolves the turns of lam / x long before |x| = 2^-500;
+    # the floor keeps every step below finite and normal
+    x = np.copysign(np.maximum(np.abs(0.5 * h), 2.0**-500), h)
+    q = lam / x
+    p, pe = _two_prod(q, x)
+    q, q_lo = _mod_two_pi(q, ((lam - p) - pe - q * (0.5 * l)) / x)
+    # cot x - 1/x from its Taylor series where 1/tan x - 1/x would cancel
+    x2 = x * x
+    series = -x * (1.0 / 3.0 + x2 * (1.0 / 45.0 + x2 * (2.0 / 945.0)))
+    rest = np.where(np.abs(x) < 2.0**-6, series, 1.0 / np.tan(x) - 1.0 / x)
+    return np.where(pole, 0.0, q + (q_lo + lam * rest)), pole
+
 
 @dataclass(frozen=True)
 class InnerSymbolParams:
@@ -363,6 +437,8 @@ class InnerSymbolParams:
             raise ValueError("lambdas and thetas must have equal length")
         if any(x < 0.0 for x in lam):
             raise ValueError("lambdas must be nonnegative")
+        if not math.exp(-sum(lam)) < 1.0:
+            raise ValueError("lambdas must have a positive sum, so that g_infinity < 1")
         if not float(self.lambda_tail) >= 0.0:
             raise ValueError("lambda_tail must be nonnegative")
         cc = complex(self.c)
@@ -383,32 +459,25 @@ class InnerSymbolParams:
     def g_infinity(self) -> float:
         return math.exp(-sum(self.lambdas))
 
-    def exponent_sum(self, Z: np.ndarray, sigma: float = 0.0) -> np.ndarray:
+    def exponent_sum(self, Z: np.ndarray, sigma: float) -> np.ndarray:
         """S = sum_j lambda_j (e^{i theta_j} + z_j)/(e^{i theta_j} - z_j),
         z_j = p_j^{-sigma} Z[j], for a (d, m) block Z of character values
-        at depth sigma >= 0; g = exp(-S).  At sigma > 0 a column within
-        1e-12 of a factor pole raises ValueError; at sigma = 0 a column
-        exactly at a pole gets S = +inf, the radial limit, where g = 0.
+        at depth sigma > 0; g = exp(-S).  A column within 1e-12 of a
+        factor pole raises ValueError.
         """
+        if not sigma > 0.0:
+            raise ValueError("sigma must be positive")
         primes = first_primes(self.d)
         S = np.zeros(Z.shape[1], dtype=complex)
-        at_pole = np.zeros(Z.shape[1], dtype=bool)
         for j, (lam, th) in enumerate(zip(self.lambdas, self.thetas)):
             if lam == 0.0:
                 continue
             pole = complex(math.cos(th), math.sin(th))
-            z = Z[j] * float(primes[j]) ** (-sigma) if sigma > 0.0 else Z[j]
+            z = Z[j] * float(primes[j]) ** (-sigma)
             gap = pole - z
-            if sigma > 0.0 and np.any(np.abs(gap) < 1e-12):
+            if np.any(np.abs(gap) < 1e-12):
                 raise ValueError(f"character coordinate {j} is within 1e-12 of the factor pole")
-            hit = gap == 0
-            at_pole |= hit
-            gap[hit] = 1.0
-            # lambda_j multiplies the numerator inside the disc and the
-            # quotient on the boundary: each order rounds as the reports
-            # and digests of its depth pin, bit for bit
-            S += lam * (pole + z) / gap if sigma > 0.0 else lam * ((pole + z) / gap)
-        S[at_pole] = np.inf
+            S += lam * (pole + z) / gap
         return S
 
     def exponent_sum_real(self, Z: np.ndarray, sigma: float) -> np.ndarray:
@@ -438,16 +507,52 @@ class InnerSymbolParams:
         ginf = self.g_infinity
         return self.c + self.r * (g - ginf) / (1.0 - ginf * g)
 
-    def boundary(self, Z: np.ndarray) -> np.ndarray:
-        """phi*(chi) = frame(g) at depth 0 for a (d, m) block Z.
+    def boundary(self, theta: np.ndarray) -> np.ndarray:
+        """phi*(chi) = frame(g) at depth 0 for a (d, m) block of phases.
 
-        On the torus each factor of S is purely imaginary, so g =
-        exp(-i Im S) and |g| = 1 up to the rounding of cos and sin; the
-        computed real part of S is rounding noise, which grows near a
-        pole, and is dropped.
+        On the torus each factor is (e^{i theta_j} + e^{i phi})/(e^{i
+        theta_j} - e^{i phi}) = i cot((phi - theta_j)/2), so g = e^{-iA}
+        with A = sum_j lambda_j cot((phi_j - theta_j)/2), and frame(g) =
+        c + r e^{-iB} with tan(B/2) = k tan(A/2), k = (1 + g_inf)/(1 -
+        g_inf): one tangent per factor and one per sample, and no
+        complex arithmetic.  Where |cot| > 128, or phi_j - theta_j may
+        round off, `_cot_turns` recomputes the term modulo 2 pi.  A
+        column with phi_j == theta_j sits on a pole and takes the radial
+        limit g = 0, so phi* = c - r g_inf.
         """
-        S = self.exponent_sum(Z)
-        return self.frame(np.where(np.isinf(S.real), 0.0, np.exp(-1j * S.imag)))
+        A = np.zeros(theta.shape[1])
+        at_pole = np.zeros(theta.shape[1], dtype=bool)
+        for lam, th, phase in zip(self.lambdas, self.thetas, theta):
+            if lam == 0.0:
+                continue
+            t = np.subtract(phase, th)
+            # past one turn the difference may round off: recompute them all
+            wide = not -2.0 * math.pi <= t.min(initial=0.0) <= t.max(initial=0.0) <= 2.0 * math.pi
+            t *= 0.5
+            np.tan(t, out=t)
+            # near a pole, where |cot| > 128
+            idx = np.arange(t.size) if wide else np.flatnonzero(np.abs(t) < 2.0**-7)
+            t[idx] = 1.0
+            term = np.divide(lam, t, out=t)
+            term[idx], pole = _cot_turns(lam, th, phase[idx])
+            at_pole[idx[pole]] = True
+            A += term
+        # e^{-iB} = (1 - iv)/(1 + iv) = (h - 1) - i v h, v = tan(B/2), h = 2/(1 + v^2)
+        ginf = self.g_infinity
+        A *= 0.5
+        v = np.tan(A, out=A)
+        v *= (1.0 + ginf) / (1.0 - ginf)
+        h = np.multiply(v, v)
+        h += 1.0
+        np.divide(2.0, h, out=h)
+        out = np.empty(theta.shape[1], dtype=complex)
+        np.multiply(h - 1.0, self.r, out=out.real)
+        out.real += self.c.real
+        v *= h
+        v *= -self.r
+        np.add(v, self.c.imag, out=out.imag)
+        out[at_pole] = self.c - self.r * ginf
+        return out
 
     def to_jsonable(self) -> dict:
         return {

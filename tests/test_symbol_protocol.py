@@ -1,11 +1,12 @@
-"""The symbol protocol: `boundary(Z)`, line traces and `to_jsonable()`
+"""The symbol protocol: `boundary(theta)`, line traces and `to_jsonable()`
 against the type-dispatched routes they replace.
 
 The reference functions below are the dispatch ladders kept verbatim as
 independent routes: a boundary block, a line trace and a JSON form per
 symbol class.  Affine and polynomial values must agree bit for bit
 wherever the arithmetic is the same; the documented exceptions are
-checked at the tolerance their rounding allows.
+checked at the tolerance their rounding allows.  Inner symbols are
+checked against mpmath at 30 digits on the same double phases.
 """
 
 from __future__ import annotations
@@ -19,23 +20,31 @@ from h2comp.affine import AffineSymbol, PolynomialSymbol
 from h2comp.fixtures import fixtures
 from h2comp.opnorm import PhiAlphaSymbol
 from h2comp.primes import exponents_over, first_primes
-from h2comp.torus import InnerSymbolParams, SamplePlan, curve_trace, sample_characters
+from h2comp.torus import InnerSymbolParams, SamplePlan, _phases, curve_trace, sample_characters
 
 SAMPLEABLE = [name for name, fx in fixtures().items() if fx.kind in ("affine", "poly", "inner")]
 
 
 # --- reference routes -----------------------------------------------------
 
-def _ref_inner_g(phi: InnerSymbolParams, Z: np.ndarray) -> np.ndarray:
-    S = np.zeros(Z.shape[1], dtype=complex)
-    for j, (lam, th) in enumerate(zip(phi.lambdas, phi.thetas)):
-        if lam == 0.0:
-            continue
-        pole = complex(math.cos(th), math.sin(th))
-        # at an exact pole S turns infinite and exp(-S) gives g = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            S += lam * (pole + Z[j]) / (pole - Z[j])
-    return np.exp(-S)
+def _ref_inner(phi: InnerSymbolParams, theta: np.ndarray) -> np.ndarray:
+    """phi*(chi) at 30 digits on the same double phases: the factors
+    (e^{i theta_j} + chi_j)/(e^{i theta_j} - chi_j) = i cot((phi_j -
+    theta_j)/2) summed exactly, then g = e^{-iA} and the frame.  A
+    column with phi_j == theta_j takes the radial limit g = 0."""
+    import mpmath as mp
+
+    out = np.empty(theta.shape[1], dtype=complex)
+    with mp.workdps(30):
+        ginf = mp.exp(-mp.fsum(phi.lambdas))
+        for i, col in enumerate(theta.T):
+            half = [(mp.mpf(float(x)) - mp.mpf(th)) / 2 for x, th in zip(col, phi.thetas)]
+            if any(h == 0 for h, lam in zip(half, phi.lambdas) if lam):
+                g = mp.mpf(0)
+            else:
+                g = mp.expj(-mp.fsum(lam * mp.cot(h) for h, lam in zip(half, phi.lambdas) if lam))
+            out[i] = complex(phi.c + phi.r * (g - ginf) / (1 - ginf * g))
+    return out
 
 
 def _ref_boundary(phi, Z: np.ndarray) -> np.ndarray:
@@ -55,10 +64,6 @@ def _ref_boundary(phi, Z: np.ndarray) -> np.ndarray:
                     term = term * Z[j] ** e
             out += term
         return out
-    if isinstance(phi, InnerSymbolParams):
-        g = _ref_inner_g(phi, Z)
-        ginf = phi.g_infinity
-        return phi.c + phi.r * (g - ginf) / (1.0 - ginf * g)
     raise TypeError(phi)
 
 
@@ -74,8 +79,7 @@ def _ref_line(phi, t: np.ndarray) -> np.ndarray:
             out += a * np.exp(-1j * t * math.log(n))
         return out
     if isinstance(phi, InnerSymbolParams):
-        Z = np.stack([np.exp(-1j * t * math.log(p)) for p in first_primes(phi.d)])
-        return _ref_boundary(phi, Z)
+        return _ref_inner(phi, np.stack([0.0 - t * math.log(p) for p in first_primes(phi.d)]))
     raise TypeError(phi)
 
 
@@ -101,17 +105,6 @@ def _ref_jsonable(sym) -> dict:
     raise TypeError(sym)
 
 
-def _ref_inner_on_circle(phi: InnerSymbolParams, Z: np.ndarray) -> np.ndarray:
-    """The reference inner value with g pushed radially onto the unit
-    circle.  Near a pole the reference |g| strays from 1 by up to about
-    1e-8, through rounding in the real parts of the factors; the
-    protocol drops those real parts, so only the angle of g is shared."""
-    g = _ref_inner_g(phi, Z)
-    g = np.where(g == 0, 0, g / np.where(g == 0, 1, np.abs(g)))
-    ginf = phi.g_infinity
-    return phi.c + phi.r * (g - ginf) / (1.0 - ginf * g)
-
-
 def _ref_prime_order(phi: AffineSymbol, Z: np.ndarray) -> np.ndarray:
     """The affine value with its terms added one prime at a time, the
     order the line traces have always used."""
@@ -121,8 +114,20 @@ def _ref_prime_order(phi: AffineSymbol, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _torus_block(phi, seed: int, m: int = 4099) -> np.ndarray:
-    return sample_characters(SamplePlan(n_samples=m, seed=seed, d=max(phi.d, 1)))
+def _torus_block(phi, seed: int, m: int = 4099) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled phases and their characters."""
+    plan = SamplePlan(n_samples=m, seed=seed, d=max(phi.d, 1))
+    return _phases(plan, 0, m), sample_characters(plan)
+
+
+def _near_poles(phi: InnerSymbolParams, theta: np.ndarray) -> np.ndarray:
+    """theta with columns appended 1e-9 and 1e-12 off each factor's pole
+    on either side, as sampled phases in [0, 2 pi)."""
+    offs = np.array([1e-9, -1e-9, 1e-12, -1e-12])
+    near = np.repeat(theta[:, :1], phi.d * offs.size, axis=1)
+    for j, th in enumerate(phi.thetas):
+        near[j, j * offs.size : (j + 1) * offs.size] = (th + offs) % (2.0 * math.pi)
+    return np.concatenate([theta, near], axis=1)
 
 
 _EXTRA_AFFINE = [
@@ -137,40 +142,42 @@ _EXTRA_AFFINE = [
 @pytest.mark.parametrize("name", SAMPLEABLE)
 def test_boundary_block_matches_reference(name):
     phi = fixtures()[name].symbol
-    Z = _torus_block(phi, seed=17)
-    got = phi.boundary(Z)
-    assert got.shape == (Z.shape[1],)
-    ref = _ref_boundary(phi, Z)
+    theta, Z = _torus_block(phi, seed=17)
+    if isinstance(phi, InnerSymbolParams):
+        theta = _near_poles(phi, theta)
+    got = phi.boundary(theta)
+    assert got.shape == (theta.shape[1],)
     if isinstance(phi, AffineSymbol):
         assert got.tobytes() == _ref_prime_order(phi, Z).tobytes()
+        ref = _ref_boundary(phi, Z)
         np.testing.assert_allclose(got, ref, rtol=0, atol=4 * np.finfo(float).eps * abs(phi.c))
     elif isinstance(phi, PolynomialSymbol):
-        assert got.tobytes() == ref.tobytes()
+        assert got.tobytes() == _ref_boundary(phi, Z).tobytes()
     else:
-        np.testing.assert_allclose(got, _ref_inner_on_circle(phi, Z), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, _ref_inner(phi, theta), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("phi", _EXTRA_AFFINE, ids=repr)
 def test_affine_boundary_edge_cases(phi):
-    Z = _torus_block(phi, seed=5, m=257)
-    got = phi.boundary(Z)
+    theta, Z = _torus_block(phi, seed=5, m=257)
+    got = phi.boundary(theta)
     assert got.tobytes() == _ref_prime_order(phi, Z).tobytes()
     np.testing.assert_allclose(got, _ref_boundary(phi, Z), rtol=0, atol=1e-15)
 
 
 def test_inner_boundary_is_on_the_frame_circle():
     phi = fixtures()["example-7.3"].symbol
-    Z = _torus_block(phi, seed=23, m=20000)
-    off = np.abs(phi.boundary(Z) - phi.c)
+    theta, _ = _torus_block(phi, seed=23, m=20000)
+    off = np.abs(phi.boundary(theta) - phi.c)
     np.testing.assert_allclose(off, phi.r, rtol=0, atol=1e-14)
 
 
 def test_inner_boundary_at_exact_pole_takes_radial_limit():
     phi = InnerSymbolParams(lambdas=(0.4, 0.2), thetas=(0.0, 1.0))
     # columns: on the first factor's pole, on the second's, on neither
-    Z = np.array([[1.0, -1.0, -1.0], [1.0, complex(math.cos(1.0), math.sin(1.0)), -1.0]])
+    theta = np.array([[0.0, math.pi, math.pi], [1.0, 1.0, math.pi]])
     with np.errstate(all="raise"):
-        got = phi.boundary(Z)
+        got = phi.boundary(theta)
     assert got[0] == phi.c - phi.r * phi.g_infinity
     assert got[1] == phi.c - phi.r * phi.g_infinity
     assert abs(got[2] - phi.c) == pytest.approx(phi.r, abs=1e-15)
@@ -192,8 +199,7 @@ def test_line_trace_matches_reference(name):
         # n^{-it} is now the product of powers of p^{-it}
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
     else:
-        Z = np.stack([np.exp(-1j * t * math.log(p)) for p in first_primes(phi.d)])
-        np.testing.assert_allclose(got, _ref_inner_on_circle(phi, Z), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("phi", _EXTRA_AFFINE, ids=repr)

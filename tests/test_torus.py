@@ -58,13 +58,18 @@ def test_sampling_seed_changes_draw():
     assert not np.array_equal(a, b)
 
 
-def _full_array_draw(plan):
-    """One (d, n) draw per coordinate stream, all held at once."""
-    out = np.empty((plan.d, plan.n_samples), dtype=complex)
+def _full_phase_draw(plan):
+    """One (d, n) draw of phases per coordinate stream, all held at once."""
+    out = np.empty((plan.d, plan.n_samples))
     for j in range(plan.d):
         gen = np.random.Generator(np.random.Philox(key=[plan.seed, j]))
-        out[j] = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, plan.n_samples))
+        out[j] = gen.uniform(0.0, 2.0 * math.pi, plan.n_samples)
     return out
+
+
+def _full_array_draw(plan):
+    """The characters of `_full_phase_draw`, through np.exp."""
+    return np.exp(1j * _full_phase_draw(plan))
 
 
 def test_sampling_matches_one_full_draw_across_blocks():
@@ -78,7 +83,8 @@ def test_characters_start_at_their_counter_offset():
     # columns before lo; the last range is the short last slice
     n = 2 * torus._CHUNK + 12345
     plan = SamplePlan(n_samples=n, seed=2718, d=6)
-    full = _full_array_draw(plan)
+    phases = _full_phase_draw(plan)
+    full = np.exp(1j * phases)
     last = n - n % torus._SLICE
     for lo, hi in [
         (0, 1),
@@ -89,6 +95,7 @@ def test_characters_start_at_their_counter_offset():
         (last, n),
     ]:
         assert torus._characters(plan, lo, hi).tobytes() == full[:, lo:hi].tobytes(), (lo, hi)
+        assert torus._phases(plan, lo, hi).tobytes() == phases[:, lo:hi].tobytes(), (lo, hi)
 
 
 def test_characters_keep_every_bit_of_a_64_bit_seed():
@@ -110,10 +117,10 @@ def test_chunked_estimates_match_full_array_route():
     phi = get_fixture("fig1-c").symbol
     f = DirichletPoly({1: 1.0, 2: 0.5 - 0.25j, 3: 0.75j, 6: -0.2})
     plan = SamplePlan(n_samples=n, seed=31, d=phi.d)
-    Z = _full_array_draw(plan)
+    theta = _full_phase_draw(plan)
     hits, total, total_sq = 0, 0.0, 0.0
     for i in range(0, n, torus._CHUNK):
-        vals = phi.boundary(Z[:, i : i + torus._CHUNK])
+        vals = phi.boundary(theta[:, i : i + torus._CHUNK])
         hits += int(np.count_nonzero(np.abs(vals - phi.c) < 0.6 * phi.r))
         v = np.abs(evaluate(f, vals)) ** 2
         total += float(np.sum(v))
@@ -439,37 +446,91 @@ def test_mobius_symbol_boundary_modulus():
         assert abs(val - params.c) / params.r == pytest.approx(1.0, abs=1e-5)
 
 
-# --- one exponent-sum kernel ----------------------------------------------
+# --- the inner boundary kernel ----------------------------------------------
 
-def _ref_boundary(params: InnerSymbolParams, Z: np.ndarray) -> np.ndarray:
-    """An independent boundary route: the imaginary part of each
-    factor, summed as a real array."""
-    A = np.zeros(Z.shape[1])
-    at_pole = np.zeros(Z.shape[1], dtype=bool)
-    for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
-        if lam == 0.0:
-            continue
-        pole = complex(math.cos(th), math.sin(th))
-        gap = pole - Z[j]
-        hit = gap == 0
-        at_pole |= hit
-        A += lam * ((pole + Z[j]) / np.where(hit, 1.0, gap)).imag
-    g = np.where(at_pole, 0.0, np.exp(-1j * A))
+def _ref_boundary(params: InnerSymbolParams, theta: np.ndarray) -> np.ndarray:
+    """The boundary kernel written out plainly: lambda / tan of each half
+    difference, `_cot_turns` near a pole or on a row past one turn, and
+    the frame in half-angle form."""
+    A = np.zeros(theta.shape[1])
+    at_pole = np.zeros(theta.shape[1], dtype=bool)
+    for lam, th, phase in zip(params.lambdas, params.thetas, theta):
+        gap = phase - th
+        t = np.tan(0.5 * gap)
+        near = np.abs(t) < 2.0**-7
+        if not np.all(np.abs(gap) <= 2.0 * math.pi):
+            near[:] = True
+        term = lam / np.where(near, 1.0, t)
+        term[near], pole = torus._cot_turns(lam, th, phase[near])
+        at_pole[np.flatnonzero(near)[pole]] = True
+        A = A + term
     ginf = params.g_infinity
-    return params.c + params.r * (g - ginf) / (1.0 - ginf * g)
+    # the frame of e^{-iA}: c + r e^{-iB}, tan(B/2) = k tan(A/2)
+    v = np.tan(0.5 * A) * ((1.0 + ginf) / (1.0 - ginf))
+    h = 2.0 / (1.0 + v * v)
+    out = np.empty(theta.shape[1], dtype=complex)
+    out.real = (h - 1.0) * params.r + params.c.real
+    out.imag = v * h * -params.r + params.c.imag
+    out[at_pole] = params.c - params.r * ginf
+    return out
 
 
 def test_inner_boundary_block_keeps_its_bits():
     params = get_fixture("example-7.3").symbol
-    Z = sample_characters(SamplePlan(n_samples=4096, seed=61, d=params.d))
-    # one column exactly at a pole of factor 2, one at every pole at once
-    Z[2, 17] = complex(math.cos(params.thetas[2]), math.sin(params.thetas[2]))
-    Z[:, 300] = [complex(math.cos(th), math.sin(th)) for th in params.thetas]
-    out = params.boundary(Z)
-    assert out.tobytes() == _ref_boundary(params, Z).tobytes()
+    theta = torus._phases(SamplePlan(n_samples=4096, seed=61, d=params.d), 0, 4096)
+    # one column exactly at a pole of factor 2, one at every pole at once,
+    # and columns 1e-9 and 1e-12 off a pole on either side
+    theta[2, 17] = params.thetas[2]
+    theta[:, 300] = params.thetas
+    theta[1, 400:404] = params.thetas[1] + np.array([1e-9, -1e-9, 1e-12, -1e-12])
+    theta[0, 500:502] = 2.0 * math.pi - np.array([1e-9, 1e-12])
+    out = params.boundary(theta)
+    assert out.tobytes() == _ref_boundary(params, theta).tobytes()
     # g takes its radial limit 0 at the poles, so phi* = c - r g_inf
     limit = params.c - params.r * params.g_infinity
     assert out[17] == limit and out[300] == limit
+    # a line trace: every row but the first passes one turn
+    t = np.linspace(-40.0, 40.0, 1001)
+    theta = np.stack([0.0 - t * math.log(p) for p in torus.first_primes(params.d)])
+    assert params.boundary(theta).tobytes() == _ref_boundary(params, theta).tobytes()
+
+
+def test_cot_turns_matches_mpmath():
+    # lambda cot((phase - theta)/2) modulo 2 pi: phases near both poles
+    # of the half angle, inexact differences past one turn, and an
+    # exact pole, which gets term 0
+    import mpmath as mp
+
+    lam, th = 0.4, 1.0
+    offs = [1e-3, 1e-6, 1e-9, 1e-12, 1e-15]
+    phase = np.array(
+        [th + o for o in offs] + [th - o for o in offs] + [th + 2.0 * math.pi - o for o in offs]
+        + [th - 2.0 * math.pi + o for o in offs] + [123.456, -987.654, 0.5 + 40.0 * math.pi, th]
+    )
+    got, pole = torus._cot_turns(lam, th, phase)
+    assert pole.tolist() == [False] * (phase.size - 1) + [True]
+    assert got[-1] == 0.0
+    with mp.workdps(40):
+        for x, g in zip(phase[:-1], got[:-1]):
+            diff = float(g) - mp.mpf(lam) * mp.cot((mp.mpf(float(x)) - mp.mpf(th)) / 2)
+            # equal modulo whole turns
+            assert abs(diff - 2 * mp.pi * mp.nint(diff / (2 * mp.pi))) < 1e-15, x
+
+
+def test_inner_params_need_a_positive_lambda_sum():
+    # with g = 1 everywhere, g_inf = 1 and the frame's automorphism is 0/0
+    with pytest.raises(ValueError, match="positive sum"):
+        InnerSymbolParams(lambdas=(0.0, 0.0), thetas=(0.0, 1.0))
+    with pytest.raises(ValueError, match="positive sum"):
+        InnerSymbolParams(lambdas=(1e-17,), thetas=(0.0,))
+
+
+def test_exponent_sum_needs_positive_depth():
+    params = get_fixture("example-7.3").symbol
+    Z = sample_characters(SamplePlan(n_samples=8, seed=3, d=params.d))
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            params.exponent_sum(Z, sigma)
 
 
 @pytest.mark.parametrize("fn", [inner_boundary_modulus, mobius_symbol_value])
@@ -485,8 +546,8 @@ def test_near_pole_rejected_inside_the_disc(fn, offset):
 
 # --- column slices on every CPU ---------------------------------------------
 #
-# The references below are the serial route the slices replaced: every
-# character through np.exp, one whole block at a time.
+# The references below are the serial route the slices replaced: one
+# whole block of phases at a time.
 
 F5 = DirichletPoly({1: 1.0, 2: 0.5 - 0.25j, 3: 0.75j, 5: 0.3 + 0.1j, 6: -0.2})
 SLICED_FIXTURES = ["example-7.1", "fig1-c", "example-7.3"]
@@ -496,12 +557,13 @@ def _serial_blocks(plan):
     gens = [np.random.Generator(np.random.Philox(key=[plan.seed, j])) for j in range(plan.d)]
     for i in range(0, plan.n_samples, torus._CHUNK):
         m = min(torus._CHUNK, plan.n_samples - i)
-        yield np.stack([np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, m)) for gen in gens])
+        yield np.stack([gen.uniform(0.0, 2.0 * math.pi, m) for gen in gens])
 
 
 def _serial_line_values(phi, t):
     primes = torus.first_primes(max(phi.d, 1))
-    return phi.boundary(np.stack([np.exp(-1j * t * math.log(p)) for p in primes]))
+    # the phases of exp(-1j t log p), with +0.0 at t = 0
+    return phi.boundary(np.stack([0.0 - t * math.log(p) for p in primes]))
 
 
 def _serial_measure(phi, delta, plan):
@@ -584,11 +646,13 @@ def test_line_characters_keep_their_signed_zeros():
     class Identity:  # boundary values = the first character coordinate
         c, r, d = 0j, 1.0, 1
 
-        def boundary(self, Z):
-            return Z[0].copy()
+        def boundary(self, theta):
+            chi = np.empty(theta.shape[1], dtype=complex)
+            torus._unimodular(theta[0], chi)
+            return chi
 
     t = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, math.pi, -1e4, 3e5])
-    assert torus._line_values(Identity(), t).tobytes() == _serial_line_values(Identity(), t).tobytes()
+    assert torus._line_values(Identity(), t).tobytes() == np.exp(-1j * t * math.log(2)).tobytes()
 
 
 def test_results_do_not_depend_on_worker_count(pool_size):
@@ -651,11 +715,11 @@ def test_worker_error_reaches_the_caller(pool_size, monkeypatch, capsys):
     raised_in = []
     boundary = InnerSymbolParams.boundary
 
-    def failing(self, Z):
-        if Z.shape[1] < torus._SLICE:  # the short last slice
+    def failing(self, theta):
+        if theta.shape[1] < torus._SLICE:  # the short last slice
             raised_in.append(threading.current_thread())
             raise ValueError("boundary failed in a slice")
-        return boundary(self, Z)
+        return boundary(self, theta)
 
     monkeypatch.setattr(InnerSymbolParams, "boundary", failing)
     phi = get_fixture("example-7.3").symbol

@@ -29,7 +29,7 @@ coefficients square to underflow, and on one symbol with three and one
 with four active primes (no shipped fixture has more than two), `measure`, `curve` and a
 short `curve --csv` on every boundary-sampleable fixture, `measure` at
 1,100,000 samples on the polynomial, one affine and the inner fixture, `curve` at 600,000 steps
-and `inner-check` at 600,000 samples (each spans more than one
+on an affine and the inner fixture and `inner-check` at 600,000 samples (each spans more than one
 2^19-column block and many 2^16-column slices), `inner-check` at its
 defaults and at 16 and 500 samples on other seeds,
 `majorize`, `subordinate` (exact, float and `--scan`),
@@ -42,7 +42,7 @@ wrong-kind fixtures, malformed `--c` and `--coeffs`, a symbol outside
 the bounded class, an unknown suite, out-of-range `bounds`, `measure`,
 `curve` and `--scan` arguments, `subordinate` vectors that cannot be
 compared, flags argparse rejects and no command at all, each exiting 1;
-then the `dkzeta` suite alias and two `--help` calls, 130 commands in
+then the `dkzeta` suite alias and two `--help` calls, 131 commands in
 all.  The commands run in this
 process through `h2comp.cli.main`, with the package imported from this
 checkout's `src` and help and usage text wrapped at 80 columns.
@@ -109,6 +109,7 @@ def commands() -> list[list[str]]:
     for name in ("example-7.1", "fig1-c", "example-7.3"):
         out.append(["measure", "--fixture", name, "--delta", "0.9", "--samples", "1100000"])
     out.append(["curve", "--fixture", "fig1-b", "--steps", "600000"])
+    out.append(["curve", "--fixture", "example-7.3", "--steps", "600000"])
     out.append(["inner-check"])
     out.append(["inner-check", "--samples", "16", "--seed", "3"])
     out.append(["inner-check", "--samples", "500", "--seed", "9"])
