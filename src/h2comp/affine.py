@@ -294,12 +294,13 @@ def mapping_disc(phi: AffineSymbol) -> tuple[complex, float]:
 
 
 def _xi_from(a: float, r: float) -> float:
-    gap = a * a - r * r
-    if gap < 0.0:
-        if gap < -1e-12 * max(1.0, a * a):
-            raise ValueError(f"xi undefined: Re c - 1/2 = {a} < r = {r}")
-        gap = 0.0
-    return a + math.sqrt(gap)
+    # scaled by the power of two of a (exact; none below 1/2): no square overflows
+    e = max(math.frexp(a)[1], 0)
+    sa, sr = math.ldexp(a, -e), math.ldexp(r, -e)
+    gap = sa * sa - sr * sr
+    if gap < -1e-12 * max(math.ldexp(1.0, -2 * e), sa * sa):
+        raise ValueError(f"xi undefined: Re c - 1/2 = {a} < r = {r}")
+    return math.ldexp(sa + math.sqrt(max(gap, 0.0)), e)
 
 
 def xi(phi: AffineSymbol) -> float:

@@ -27,6 +27,8 @@ whose square column sum approaches ||C_phi n^{-s}||^2 from below with a
 certified per-column defect.  Each total-degree block of A has rank
 one, so A = U M diag(n^{-i Im c}) with U an isometry and the real
 (K_out + 1) x n_in degree factor M[t, n] = ||alpha_t|| n^{-Re c} (log n)^t.
+The weights ||alpha_t||^2 do not depend on n: the factor and its
+column defects read one vector of their logarithms (`_log_weights`).
 The package never forms the lattice.  `build_matrix` is the one affine
 section: it holds M and the phases n^{-i Im c}, one row per total
 degree, and computes the certified defects the first time they are
@@ -49,13 +51,13 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .affine import (
     AffineSymbol,
     _tail_log_bound,
     _xi_from,
     effective_constant,
-    h2k_means,
     xi,
 )
 from .errors import InequalityViolation, NonConvergence
@@ -138,36 +140,49 @@ class TruncatedOperator:
         return np.sum(self.factor**2, axis=0)
 
 
-def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out: int) -> np.ndarray:
+def _log_weights(moduli: Sequence[float], K: int) -> np.ndarray:
+    """log ||alpha_t||^2 for t <= K: the multinomial sum over |k| = t of
+    prod_j c_j^{2 k_j} / (k_j!)^2 (= m_t r^{2t} / (t!)^2), as a log-sum-exp
+    convolution of the active primes' rows 2k log c_j - 2 log k!, 32
+    output degrees at a time, in O(K) memory."""
+    lg = np.array([math.lgamma(k + 1.0) for k in range(K + 1)])
+    lw, *rest = [2.0 * (np.arange(K + 1) * math.log(c) - lg) for c in moduli]
+    for row in rest:
+        # W[t, k] = lw[t - k], and -inf for k > t: a strided view of lw
+        W = sliding_window_view(np.concatenate((np.full(K, -np.inf), lw)), K + 1)[:, ::-1]
+        lw = np.empty(K + 1)
+        for t in range(0, K + 1, 32):
+            S = W[t : t + 32, : t + 32] + row[: t + 32]
+            top = S.max(axis=1)
+            lw[t : t + 32] = top + np.log(np.exp(S - top[:, None]).sum(axis=1))
+    return lw
+
+
+def _column_defects(re_c: float, moduli: Sequence[float], ns: np.ndarray, K_out: int) -> np.ndarray:
     """Certified series tails: the mass of column n beyond degree K_out.
 
-    Each term n^{-2 Re c} (x^K / K!)^2 m_K, with x = r log n, is formed
-    from its logarithm, and so is the remainder bound, so neither
-    x^K / K! nor n^{-2 Re c} has to fit a float on its own.  Since
-    m_K <= 1, the whole column is at most n^{-2 Re c} e^{2x} =
-    n^{-2(Re c - r)}, and no defect exceeds that.  If the remainder
-    bound has turned over by K_big = 4000 in no column, every defect is
-    that whole-column bound and no tail term is summed."""
-    r = float(sum(coeffs))
+    Each term n^{-2 Re c} ||alpha_K||^2 (log n)^{2K} and the remainder
+    bound are formed from logarithms (`_log_weights`), so no power or
+    factorial has to fit a float.  Since ||alpha_K||^2 <= r^{2K}/(K!)^2,
+    a whole column is at most n^{-2(Re c - r)}, and no defect exceeds
+    that.  If the remainder bound has turned over by K_big = 4000 in no
+    column, every defect is that bound and no tail term is summed."""
     ns = ns.astype(float)
-    x = r * np.log(ns)
-    xmax = float(x.max()) if x.size else 0.0
-    if xmax == 0.0 or r == 0.0:
-        return np.zeros(len(ns))
-    K_big = K_out
-    while _tail_log_bound(0.0, xmax, K_big) > math.log(1e-22) and K_big < 4000:
-        K_big += 8
+    x = float(sum(moduli)) * np.log(ns)
     out = np.zeros(len(ns))
     live = x > 0.0
+    if not live.any():
+        return out
+    K_big, xmax = K_out, float(x.max())
+    while _tail_log_bound(0.0, xmax, K_big) > math.log(1e-22) and K_big < 4000:
+        K_big += 8
     la = -re_c * np.log(ns[live])
     bound = np.exp(2.0 * (la + x[live]))
     remainder = np.array([math.exp(_tail_log_bound(a, xi_, K_big)) for a, xi_ in zip(la, x[live])])
     if np.isfinite(remainder).any():
-        means = h2k_means(coeffs, K_big)
-        lx = np.log(x[live])
-        acc = np.zeros(len(lx))
-        for K in range(K_out + 1, K_big + 1):
-            acc += np.exp(2.0 * (la + K * lx - math.lgamma(K + 1.0))) * means[K]
+        lw = _log_weights(moduli, K_big)
+        lln = np.log(np.log(ns[live]))
+        acc = sum(np.exp(2.0 * (la + K * lln) + lw[K]) for K in range(K_out + 1, K_big + 1))
         bound = np.minimum(acc + remainder, bound)
     out[live] = bound
     return out
@@ -175,12 +190,11 @@ def _column_defects(re_c: float, coeffs: Sequence[float], ns: np.ndarray, K_out:
 
 def _section_shape(phi: AffineSymbol, n_in: int, K_out: int) -> None:
     """Check the section of phi, the comb(K_out + d, d) x n_in lattice
-    matrix for d active primes, against the caps.
-
-    No lattice is built, but its row count bounds the O(d K_out^2 n_in)
-    convolution that forms the degree factor in `build_matrix`: a cap
-    on the (K_out + 1) x n_in factor's entries alone would admit d = 2
-    with K_out = 60,000, hours of work."""
+    matrix for d active primes, against the caps.  No lattice is built,
+    but its row count, at least (K_out + 1)(K_out + 2) / 2 for d >= 2,
+    bounds the O((d - 1) K_out^2) convolution of the degree weights,
+    which a cap on the (K_out + 1) x n_in factor alone would not: at
+    d = 2 it takes about a second at K_out = 8,000."""
     if n_in < 1:
         raise ValueError("need at least one input column")
     if K_out < 0:
@@ -204,45 +218,30 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
     alpha_t (x) n^{-c} (log n)^t with alpha_t[k] = prod_j (-c_j)^{k_j} /
     k_j!, a rank-one block, so M[t, n] = ||alpha_t|| n^{-Re c} (log n)^t,
     and singular values, column norms and every ||A v|| = ||M (phase v)||
-    are those of the lattice matrix.  ||alpha_t||^2 (log n)^{2t} is the
-    d-fold convolution over the active primes of the squares of
-    (|c_j| log n)^k / k!.  Column n = 1 is the unit vector at degree 0:
-    constants map to constants.  The certified column defects are
-    computed on first read.
-
-    The lattice size is checked against the caps, and an overflowing
-    per-prime table raises FloatingPointError; each partial product
-    already carries n^{-Re c}, so it is at most 1 and its square cannot
-    overflow.
-    """
+    are those of the lattice matrix.  Row 0 is n^{-Re c}, and row t is
+    row t - 1 times log n ||alpha_t|| / ||alpha_{t-1}|| (`_log_weights`);
+    every entry is at most n^{-(Re c - r)} <= 1, so no step overflows.
+    Column n = 1 is the unit vector at degree 0: constants map to
+    constants.  The lattice size is checked against the caps; the
+    certified column defects are computed on first read."""
     _section_shape(phi, n_in, K_out)
     moduli = [x for x in phi.coeffs if x > 0.0]
     K = K_out if moduli else 0
     M = np.zeros((K + 1, n_in))
     M[0, 0] = 1.0
-    # columns n >= 2
-    ns = np.arange(2, n_in + 1, dtype=float)
-    with np.errstate(over="raise", invalid="raise"):
-        x = np.array(moduli)[:, None] * np.log(ns)[None, :]
-        E = np.empty((len(moduli), K + 1, n_in - 1))
-        E[:, 0] = 1.0
-        for k in range(1, K + 1):
-            E[:, k] = E[:, k - 1] * x / k
-        base = ns ** (-phi.c.real)
-        N = base * E[0] if moduli else base[None, :]
-        for Ej in E[1:]:
-            # N[t] <- ||(N[t - k] Ej[k])_{k <= t}||
-            S = np.zeros_like(N)
-            for k in range(K + 1):
-                S[k:] += (N[: K + 1 - k] * Ej[k]) ** 2
-            N = np.sqrt(S)
-        M[:, 1:] = N
+    ns = np.arange(2, n_in + 1, dtype=float)  # columns n >= 2
+    M[0, 1:] = ns ** (-phi.c.real)
+    if K:
+        ln = np.log(ns)
+        step = np.exp(np.diff(_log_weights(moduli, K)) / 2.0)
+        for t in range(1, K + 1):
+            M[t, 1:] = M[t - 1, 1:] * ln * step[t - 1]
     phase = np.array([n ** complex(0.0, -phi.c.imag) for n in range(1, n_in + 1)])
     return TruncatedOperator(
         symbol=phi,
         factor=M,
         phase=phase,
-        make_defects=lambda: _column_defects(phi.c.real, phi.coeffs, np.arange(1, n_in + 1), K_out),
+        make_defects=lambda: _column_defects(phi.c.real, moduli, np.arange(1, n_in + 1), K_out),
     )
 
 

@@ -14,6 +14,7 @@ from h2comp.affine import (
     AffineSymbol,
     CoeffVector,
     PolynomialSymbol,
+    _xi_from,
     annulus_radii,
     bvn_decompose,
     comp_bruteforce_norm_sq,
@@ -27,7 +28,8 @@ from h2comp.affine import (
     xi,
 )
 from h2comp.dseries import DirichletPoly, evaluate
-from h2comp.fixtures import get_fixture, single_prime_symbol
+from h2comp.cli import _gate_sweep_symbols
+from h2comp.fixtures import fixtures, get_fixture, single_prime_symbol
 
 
 def _random_symbol(rng, d=None):
@@ -107,6 +109,23 @@ def test_xi_values():
 def test_xi_of_constant_symbol():
     # r = 0: xi degenerates to 2(Re c - 1/2)
     assert xi(AffineSymbol(2.0, ())) == pytest.approx(3.0)
+
+
+def test_xi_squares_do_not_overflow():
+    # (Re c - 1/2)^2 and r^2 overflow here, so their difference was
+    # inf - inf; scaled by a power of two, xi is 1e300 (1 + sqrt(0.99))
+    assert xi(AffineSymbol(1e300, (1e299,))) == pytest.approx(1e300 * (1.0 + math.sqrt(0.99)), rel=1e-15)
+    # the tolerance on a negative gap scales with them
+    assert _xi_from(1e300, 1e300 * (1.0 + 1e-14)) == 1e300
+    with pytest.raises(ValueError, match="xi undefined"):
+        _xi_from(1e300, 1.1e300)
+    # the scaling is exact: where no square overflowed, xi keeps its bits
+    syms = [fx.symbol for fx in fixtures().values() if fx.kind == "affine"]
+    syms += list(_gate_sweep_symbols())
+    assert len(syms) == 205
+    for phi in syms:
+        a, r = phi.c.real - 0.5, phi.r
+        assert xi(phi) == a + math.sqrt(max(a * a - r * r, 0.0)), phi
 
 
 def test_effective_constant():

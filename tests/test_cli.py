@@ -470,11 +470,9 @@ def test_section_over_the_row_cap_exits_one(capsys):
     ["opnorm", "--c", "1.5,inf", "--coeffs", "0.5"],
     ["subordinate", "--coeffs", "0.5,0.5", "--against", "1,0", "--c", "inf"],
     ["majorize", "--coeffs", "nan,1", "--against", "1,0"],
-    ["bounds", "--c", "1e300", "--coeffs", "1e299"],
     ["curve", "--fixture", "fig1-a", "--T", "inf"],
     ["curve", "--fixture", "fig1-a", "--T", "1e308"],
     ["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"],
-    ["bounds", "--c", "1e9", "--coeffs", "2e8"],
     # library and CLI usage errors, all on the one ValueError route
     ["measure", "--fixture", "nope", "--delta", "0.5"],
     ["bounds", "--fixture", "example-7.1"],
@@ -529,16 +527,29 @@ def test_unwritable_out_path_exits_one(capsys, tmp_path, target):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("cmd", ["bounds", "opnorm"])
-def test_overflowing_defect_tail_still_reports(capsys, cmd):
-    # r log n_in is about 374, past where (r log n)^K / K! of a defect
-    # tail would overflow a float, but no entry overflows: the report
-    # prints with no warning
+@pytest.mark.parametrize("cmd, c, coeffs", [
+    pytest.param(cmd, c, coeffs, id=cmd if c == "100" else f"{cmd}-{c}")
+    for c, coeffs in (("100", "90"), ("1e9", "2e8"), ("1e300", "1e299"))
+    for cmd in ("bounds", "opnorm")
+])
+def test_overflowing_defect_tail_still_reports(capsys, cmd, c, coeffs):
+    # r log n_in is about 374 at --c 100, past where (r log n)^K / K! of
+    # a defect tail would overflow a float; at --c 1e9 a table of
+    # (|c_j| log n)^k / k! itself would, and at --c 1e300 the squares
+    # (Re c - 1/2)^2 and r^2 of xi.  No entry overflows: each report
+    # prints with no warning, and the bracket closes at 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = _run(capsys, [cmd, "--c", "100", "--coeffs", "90"])
+        code, out, err = _run(capsys, [cmd, "--c", c, "--coeffs", coeffs])
     assert code == 0 and caught == [] and err == ""
-    assert json.loads(out)["command"] == cmd
+    data = json.loads(out)
+    assert data["command"] == cmd
+    if cmd == "bounds":
+        assert data["report"]["gate_ok"]
+        assert data["report"]["bracket"] == {"max_lower": 1, "min_upper": 1}
+    else:
+        assert data["monotone_ok"]
+        assert [lv["sigma_max_sq"] for lv in data["levels"]] == [1, 1, 1, 1]
 
 
 def test_measure_samples_once(capsys, monkeypatch):

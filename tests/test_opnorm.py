@@ -185,8 +185,9 @@ def test_sigma_is_the_top_squared_singular_value():
     _FOUR_PRIMES,
 ], ids=["d1", "d2", "d3", "d4"])
 def test_degree_weights_are_the_power_means(phi):
-    # the factor's weights ||alpha_t||^2 come from convolving the lattice
-    # tables; the power means reach the same numbers by folding binomials
+    # the factor's weights ||alpha_t||^2 are the multinomial sums over
+    # the lattice, convolved in log space (`_log_weights`); the power
+    # means reach the same numbers by folding binomials
     n_in, K = opnorm._truncation("affine", phi, None, None)
     M = build_matrix(phi, n_in, K).factor
     r = sum(phi.coeffs)
@@ -754,6 +755,50 @@ def test_defects_past_the_tail_cap_are_the_whole_column_bound():
     d = op.column_defects
     assert np.isfinite(d).all() and (d >= 0.0).all()
     assert (d <= 1.0 / np.arange(1, 65)).all()
+
+
+def _mp_column_tail(re_c, moduli, n, K_out, mp):
+    """The mass of column n beyond degree K_out in mpmath: the whole
+    column n^{-2 Re c} prod_j I_0(2 c_j log n) minus its head, the
+    multinomial weights ||alpha_K||^2 (log n)^{2K} for K <= K_out."""
+    L = mp.log(n)
+    whole = mp.mpf(1)
+    for c in moduli:
+        whole *= mp.besseli(0, 2 * mp.mpf(c) * L)
+    head = [mp.mpf(1)] + [mp.mpf(0)] * K_out
+    for c in moduli:
+        row = [(mp.mpf(c) * L) ** (2 * k) / mp.factorial(k) ** 2 for k in range(K_out + 1)]
+        head = [sum(head[t - k] * row[k] for k in range(t + 1)) for t in range(K_out + 1)]
+    return mp.power(n, -2 * mp.mpf(re_c)) * (whole - sum(head))
+
+
+@pytest.mark.parametrize("coeffs", [(700.0, 400.0, 300.0), (1400.0,)], ids=["d3", "d1"])
+def test_defects_with_a_long_tail_stay_small(coeffs):
+    # r log n runs from 970 to 5,822, so the tails are summed to degree
+    # 4000; their weights take O(K) memory, where a table of power means
+    # to that degree took hundreds of MB
+    import tracemalloc
+
+    import mpmath
+
+    op = build_matrix(AffineSymbol(1500.0, coeffs), 64, 20)
+    tracemalloc.start()
+    try:
+        d = op.column_defects
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    tails = {n: float(_mp_column_tail(1500.0, coeffs, n, 20, mp)) for n in range(2, 65)}
+    # up to n = 13 the remainder past degree 4000 is negligible, so the
+    # defect is the tail itself
+    for n in (2, 8, 13):
+        assert d[n - 1] == pytest.approx(tails[n], rel=1e-11, abs=0.0), n
+    # and no defect falls below its tail by more than rounding
+    for n, tail in tails.items():
+        assert d[n - 1] >= tail * (1.0 - 1e-11), n
 
 
 # --- the boundary-fixing family -------------------------------------------

@@ -22,10 +22,12 @@ K_out = 0, a constant symbol with no active prime, a single opnorm
 level), explicit sections for an affine `opnorm` and a family `bounds`
 and `opnorm`, family `bounds` with one and with two output rows (the
 seed rows E_0 = 1 and E_1 = beta of the section's recurrence),
-`bounds` and `opnorm` on a symbol with r log n_in about 374, whose
-per-prime tables (r log n)^k / k! are huge but finite (neither
-command computes column defects), `bounds` on two symbols whose
-coefficients square to underflow, and on one symbol with three and one
+`bounds` and `opnorm` on a symbol with r log n_in about 374, where
+(r log n)^k / k! is huge but finite (neither command computes column
+defects), `bounds` on two huge symbols whose brackets close at 1
+(`--c 1e9 --coeffs 2e8`, and `--c 1e300 --coeffs 1e299`, whose squares
+in xi overflow), `bounds` on two symbols whose coefficients square to
+underflow, and on one symbol with three and one
 with four active primes (no shipped fixture has more than two), `measure`, `curve` and a
 short `curve --csv` on every boundary-sampleable fixture, `measure` at
 1,100,000 samples on the polynomial, one affine and the inner fixture, `curve` at 600,000 steps
@@ -33,10 +35,10 @@ on an affine and the inner fixture and `inner-check` at 600,000 samples (each sp
 2^19-column block and many 2^16-column slices), `inner-check` at its
 defaults and at 16 and 500 samples on other seeds,
 `majorize`, `subordinate` (exact, float and `--scan`),
-`verify-lemmas --suite` for every suite, then eleven error paths
-(non-finite symbols and line ranges, overflowing arithmetic, a finite
-symbol whose section entries overflow, a scan with no samples, a
-section past the lattice row cap), which print no report and exit 1.
+`verify-lemmas --suite` for every suite, then nine error paths
+(non-finite symbols and line ranges, overflowing arithmetic, a scan
+with no samples, a section past the lattice row cap), which print no
+report and exit 1.
 After them come the usage errors: unknown or
 wrong-kind fixtures, malformed `--c` and `--coeffs`, a symbol outside
 the bounded class, an unknown suite, out-of-range `bounds`, `measure`,
@@ -94,6 +96,8 @@ def commands() -> list[list[str]]:
     out.append(["opnorm", "--fixture", "phi-alpha-1", "--nin", "64", "--kout", "50", "--levels", "2"])
     out.append(["bounds", "--c", "100", "--coeffs", "90"])
     out.append(["opnorm", "--c", "100", "--coeffs", "90"])
+    out.append(["bounds", "--c", "1e9", "--coeffs", "2e8"])
+    out.append(["bounds", "--c", "1e300", "--coeffs", "1e299"])
     # coefficients whose squares underflow
     out.append(["bounds", "--c", "1.5", "--coeffs", "1e-320"])
     out.append(["bounds", "--c", "3", "--coeffs", "2.5e-300,1e-300"])
@@ -129,11 +133,9 @@ def commands() -> list[list[str]]:
     out.append(["opnorm", "--c", "1.5,inf", "--coeffs", "0.5"])
     out.append(["subordinate", "--coeffs", "0.5,0.5", "--against", "1,0", "--c", "inf"])
     out.append(["majorize", "--coeffs", "nan,1", "--against", "1,0"])
-    out.append(["bounds", "--c", "1e300", "--coeffs", "1e299"])
     out.append(["curve", "--fixture", "fig1-a", "--T", "inf"])
     out.append(["curve", "--fixture", "fig1-a", "--T", "1e308"])
     out.append(["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"])
-    out.append(["bounds", "--c", "1e9", "--coeffs", "2e8"])
     out.append(["bounds", "--fixture", "fig1-c", "--kout", "200"])
     out.append(["measure", "--fixture", "nope", "--delta", "0.5"])
     out.append(["bounds", "--fixture", "example-7.1"])
