@@ -37,10 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dseries import DirichletPoly, evaluate, h2_norm_sq, multiply
+from .dseries import DirichletPoly, _unimodular, evaluate, h2_norm_sq, multiply
 from .errors import InequalityViolation
 from .primes import dimension_needed, exponents_over, first_primes
-from .torus import _unimodular
 
 __all__ = [
     "CoeffVector",
@@ -250,18 +249,19 @@ class PolynomialSymbol:
 
     def boundary(self, theta: np.ndarray) -> np.ndarray:
         """phi*(chi) at chi_j = e^{i theta_j} for a (d, m) block of
-        phases: each term a_n n^{-s} becomes a_n prod_j chi_j^{e_j} with
-        n = prod_j p_j^{e_j}."""
-        Z = np.empty(theta.shape, dtype=complex)
-        _unimodular(theta, Z)
-        out = np.full(Z.shape[1], self.c, dtype=complex)
+        phases: each term a_n n^{-s}, n = prod_j p_j^{e_j}, becomes a_n
+        times the one character at the phase sum_j e_j theta_j, the
+        terms added in increasing n."""
+        out = np.full(theta.shape[1], self.c, dtype=complex)
+        chi = np.empty(theta.shape[1], dtype=complex)
         primes = first_primes(self.d)
         for n, a in self.terms.items():
-            term = np.full(Z.shape[1], a, dtype=complex)
-            for j, e in enumerate(exponents_over(n, primes)):
+            phase = None
+            for e, row in zip(exponents_over(n, primes), theta):
                 if e:
-                    term = term * Z[j] ** e
-            out += term
+                    phase = e * row if phase is None else phase + e * row
+            _unimodular(phase, chi)
+            out += a * chi
         return out
 
     def to_jsonable(self) -> dict:

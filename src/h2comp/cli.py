@@ -466,8 +466,9 @@ def _inner_rows(params: InnerSymbolParams, plan: SamplePlan, sigmas) -> tuple[di
     evaluated at every depth at once, in one task on every CPU, so
     memory is one slice per worker plus 8 bytes of 1 - |g| per sample
     per depth, which the medians need.  The gap 1 - |g| = -expm1(-Re S)
-    takes Re S from its closed form, which keeps every digit at small
-    depths; the moduli and offsets come from the complex sum."""
+    and the moduli |g| = exp(-Re S) take Re S from its closed form,
+    which keeps every digit at small depths; the offsets come from the
+    complex sum."""
     gaps = np.empty((len(sigmas), plan.n_samples))
     deep = inner_boundary_modulus(params, _characters(plan, 0, 1)[:, 0], 40.0)
 
@@ -478,7 +479,7 @@ def _inner_rows(params: InnerSymbolParams, plan: SamplePlan, sigmas) -> tuple[di
             S = params.exponent_sum(Z, s)
             re_S = params.exponent_sum_real(Z, s)
             np.negative(np.expm1(-re_S), out=gaps[row, lo:hi])
-            mods = np.exp(-S.real)
+            mods = np.exp(-re_S)
             offs = np.abs(params.frame(np.exp(-S)) - params.c)
             out.append((mods.min(), mods.max(), offs.max()))
         return out

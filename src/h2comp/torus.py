@@ -15,6 +15,11 @@ A sample is a column of phases theta_j uniform on [0, 2 pi), with
 chi_j = e^{i theta_j}, and the phases are what every symbol's
 `boundary(theta)` takes: affine and polynomial symbols form the
 characters from them, inner symbols need only the phase differences.
+Every character comes from one tangent, e^{i theta} = (1 + it)/(1 - it)
+with t = tan(theta/2) (`_unimodular`, from `dseries`): numpy's float64
+tan is a SIMD kernel and its cos and sin are scalar libm, so no
+boundary value on the torus and no array `evaluate` calls cos, sin or
+a complex exp.
 
 Sampling is bit-for-bit reproducible: a counter-based generator keyed by
 (seed, coordinate), the seed any 64-bit unsigned integer, drives each
@@ -52,7 +57,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dseries import Character, DirichletPoly, evaluate
+from .dseries import Character, DirichletPoly, _unimodular, evaluate
 from .primes import first_primes
 
 __all__ = [
@@ -128,13 +133,6 @@ def _map_slices(fn, m: int) -> list:
     futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
     wait(futures)
     return [f.result() for f in futures]
-
-
-def _unimodular(phase: np.ndarray, out: np.ndarray) -> None:
-    """out = e^{i phase}, written as cos and sin in place.  For every
-    phase other than -0.0 these are the bits of np.exp(1j * phase)."""
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
 
 
 @dataclass(frozen=True)
@@ -326,33 +324,45 @@ def curve_trace(phi, t_min: float, t_max: float, steps: int) -> np.ndarray:
     return out
 
 
+def _slice_moments(v: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of one slice, two-pass."""
+    mean = float(np.sum(v)) / v.size
+    dev = v - mean
+    return v.size, mean, float(np.sum(dev * dev))
+
+
+def _merge_moments(parts) -> tuple[int, float, float]:
+    """The moments of the concatenated slices, merged left to right
+    (Chan, Golub and LeVeque, "Algorithms for computing the sample
+    variance", Amer. Stat. 37, 1983)."""
+    n, mean, m2 = parts[0]
+    for nb, mean_b, m2_b in parts[1:]:
+        total = n + nb
+        delta = mean_b - mean
+        mean += delta * (nb / total)
+        m2 += m2_b + delta * delta * (n * nb / total)
+        n = total
+    return n, mean, m2
+
+
 def mc_comp_norm_sq(phi, f: DirichletPoly, plan: SamplePlan) -> MeasureResult:
     """Monte Carlo ||f o phi||^2 = E |f(phi*(chi))|^2 with a 95% radius.
 
     Valid because the boundary-character distribution is the Haar
-    measure the composition norm integrates against.
+    measure the composition norm integrates against.  Each column slice
+    returns its count, mean and squared deviations, merged in slice
+    order, so the variance does not cancel as E[v^2] - mean^2 would.
     """
     d = _required_dim(phi)
     if plan.d != d:
         raise ValueError(f"plan has d={plan.d}, symbol needs d={d}")
-    n = plan.n_samples
-    total = 0.0
-    total_sq = 0.0
-    buf = np.empty(min(_CHUNK, n))
-    for i in range(0, n, _CHUNK):
-        v = buf[: min(_CHUNK, n - i)]
 
-        def fill(lo, hi):
-            v[lo:hi] = np.abs(evaluate(f, phi.boundary(_phases(plan, i + lo, i + hi)))) ** 2
+    def moments(lo, hi):
+        return _slice_moments(np.abs(evaluate(f, phi.boundary(_phases(plan, lo, hi)))) ** 2)
 
-        _map_slices(fill, v.size)
-        # the sums run on the whole block, so they add in one fixed order
-        total += float(np.sum(v))
-        total_sq += float(np.sum(v * v))
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    ci = 1.96 * math.sqrt(var / n)
-    return MeasureResult(mean, ci)
+    n, mean, m2 = _merge_moments(_map_slices(moments, plan.n_samples))
+    var = m2 / n
+    return MeasureResult(mean, 1.96 * math.sqrt(var / n))
 
 
 # --- inner-factor symbols -------------------------------------------------
@@ -459,16 +469,14 @@ class InnerSymbolParams:
     def g_infinity(self) -> float:
         return math.exp(-sum(self.lambdas))
 
-    def exponent_sum(self, Z: np.ndarray, sigma: float) -> np.ndarray:
-        """S = sum_j lambda_j (e^{i theta_j} + z_j)/(e^{i theta_j} - z_j),
-        z_j = p_j^{-sigma} Z[j], for a (d, m) block Z of character values
-        at depth sigma > 0; g = exp(-S).  A column within 1e-12 of a
-        factor pole raises ValueError.
-        """
+    def _factors(self, Z: np.ndarray, sigma: float):
+        """(lambda_j, p_j, e^{i theta_j}, z_j, e^{i theta_j} - z_j) for
+        each factor with lambda_j > 0, z_j = p_j^{-sigma} Z[j], at depth
+        sigma > 0.  A column within 1e-12 of a factor pole raises
+        ValueError."""
         if not sigma > 0.0:
             raise ValueError("sigma must be positive")
         primes = first_primes(self.d)
-        S = np.zeros(Z.shape[1], dtype=complex)
         for j, (lam, th) in enumerate(zip(self.lambdas, self.thetas)):
             if lam == 0.0:
                 continue
@@ -477,6 +485,16 @@ class InnerSymbolParams:
             gap = pole - z
             if np.any(np.abs(gap) < 1e-12):
                 raise ValueError(f"character coordinate {j} is within 1e-12 of the factor pole")
+            yield lam, primes[j], pole, z, gap
+
+    def exponent_sum(self, Z: np.ndarray, sigma: float) -> np.ndarray:
+        """S = sum_j lambda_j (e^{i theta_j} + z_j)/(e^{i theta_j} - z_j),
+        z_j = p_j^{-sigma} Z[j], for a (d, m) block Z of character values
+        at depth sigma > 0; g = exp(-S).  A column within 1e-12 of a
+        factor pole raises ValueError.
+        """
+        S = np.zeros(Z.shape[1], dtype=complex)
+        for lam, _, pole, z, gap in self._factors(Z, sigma):
             S += lam * (pole + z) / gap
         return S
 
@@ -484,20 +502,15 @@ class InnerSymbolParams:
         """Re S at depth sigma > 0 for a (d, m) block Z of unimodular
         character values, from the closed form Re M = (1 - |z|^2) /
         |e^{i theta} - z|^2 with 1 - |z|^2 = -expm1(-2 sigma log p_j).
+        A column within 1e-12 of a factor pole raises ValueError.
 
         The real part of the complex quotient in `exponent_sum` cancels
         near the boundary: at sigma = 1e-8 it keeps about 8 digits, and
         this form keeps all but the rounding of the characters.
         """
-        if not sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        primes = first_primes(self.d)
         re_S = np.zeros(Z.shape[1])
-        for j, (lam, th) in enumerate(zip(self.lambdas, self.thetas)):
-            if lam == 0.0:
-                continue
-            gap = complex(math.cos(th), math.sin(th)) - Z[j] * float(primes[j]) ** (-sigma)
-            one_minus_z2 = -math.expm1(-2.0 * sigma * math.log(primes[j]))
+        for lam, p, _, _, gap in self._factors(Z, sigma):
+            one_minus_z2 = -math.expm1(-2.0 * sigma * math.log(p))
             re_S += lam * one_minus_z2 / (gap.real**2 + gap.imag**2)
         return re_S
 
@@ -571,10 +584,7 @@ def inner_boundary_modulus(params: InnerSymbolParams, chi, sigma: float) -> floa
     sigma -> +inf.  A character landing within 1e-12 of a pole of one
     Blaschke-type factor is rejected.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    S = params.exponent_sum(_character_column(chi, params.d), sigma)
-    return float(np.exp(-S.real)[0])
+    return float(np.exp(-params.exponent_sum_real(_character_column(chi, params.d), sigma))[0])
 
 
 def inner_truncation_bound(params: InnerSymbolParams, sigma: float) -> float:

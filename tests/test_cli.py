@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -23,7 +22,7 @@ from h2comp.cli import main
 from h2comp.errors import InequalityViolation
 from h2comp.fixtures import get_fixture
 from h2comp.primes import first_primes
-from h2comp.torus import SamplePlan, inner_boundary_modulus, sample_characters
+from h2comp.torus import SamplePlan, _phases, inner_boundary_modulus, sample_characters
 from h2comp.zeta import zeta
 
 
@@ -275,31 +274,23 @@ def test_inner_check_runs_light(capsys):
 INNER_SIGMAS = (0.1, 1e-2, 1e-4, 1e-6, 1e-8)  # the depths inner-check reports
 
 
-def _ref_modulus(params, chi, sigma):
-    """|g| at one character, through a scalar complex sum."""
-    primes = first_primes(params.d)
-    S = 0.0 + 0.0j
-    for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
-        pole = complex(math.cos(th), math.sin(th))
-        z = complex(chi[j]) * float(primes[j]) ** (-sigma)
-        S += lam * (pole + z) / (pole - z)
-    return math.exp(-S.real)
+def _mp_inner(params, phases, sigma):
+    """(|g|, 1 - |g|, |frame(g) - c|) at one column of double phases, at
+    30 digits: S = sum_j lambda_j (e^{i theta_j} + z_j)/(e^{i theta_j} -
+    z_j) with z_j = p_j^{-sigma} e^{i phase_j}, and g = exp(-S)."""
+    import mpmath as mp
 
-
-def _ref_framed(params, chi, sigma):
-    """The framed value at one character: a one-column array sum, then
-    the frame map in scalar complex arithmetic."""
     primes = first_primes(params.d)
-    S = np.zeros(1, dtype=complex)
-    for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
-        if lam == 0.0:
-            continue
-        pole = complex(math.cos(th), math.sin(th))
-        z = np.array([chi[j]]) * float(primes[j]) ** (-sigma)
-        S += lam * (pole + z) / (pole - z)
-    g = complex(np.exp(-S)[0])
-    ginf = params.g_infinity
-    return params.c + params.r * (g - ginf) / (1.0 - ginf * g)
+    with mp.workdps(30):
+        S = mp.mpc(0)
+        for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
+            pole = mp.expj(th)
+            z = mp.expj(float(phases[j])) * mp.power(primes[j], -mp.mpf(sigma))
+            S += lam * (pole + z) / (pole - z)
+        g = mp.exp(-S)
+        ginf = mp.exp(-mp.fsum(params.lambdas))
+        framed = params.r * (g - ginf) / (1 - ginf * g)
+        return float(abs(g)), float(-mp.expm1(-S.real)), float(abs(framed))
 
 
 @pytest.mark.parametrize("n, seed", [(64, cli.DEFAULT_SEED), (16, 3), (500, 9)])
@@ -308,17 +299,16 @@ def test_inner_rows_match_per_sample_reference(n, seed):
     plan = SamplePlan(n_samples=n, seed=seed, d=params.d)
     report, ok = cli._inner_rows(params, plan, INNER_SIGMAS)
     assert ok and report["deep_interior_matches_limit"] is True
-    Z = sample_characters(plan)
-    deep = _ref_modulus(params, Z[:, 0], 40.0)
+    theta = _phases(plan, 0, n)
+    deep = _mp_inner(params, theta[:, 0], 40.0)[0]
     assert report["deep_interior_modulus"] == pytest.approx(deep, rel=0, abs=1e-12)
     for row, s in zip(report["rows"], INNER_SIGMAS, strict=True):
-        mods = np.array([_ref_modulus(params, Z[:, i], s) for i in range(n)])
-        offs = np.array([abs(_ref_framed(params, Z[:, i], s) - params.c) for i in range(n)])
+        mods, gaps, offs = np.array([_mp_inner(params, theta[:, i], s) for i in range(n)]).T
         assert row["sigma"] == s
         for key, ref in [
             ("modulus_min", mods.min()),
             ("modulus_max", mods.max()),
-            ("median_gap_to_unit", np.median(np.abs(1.0 - mods))),
+            ("median_gap_to_unit", np.median(gaps)),
             ("offset_max", offs.max()),
         ]:
             assert row[key] == pytest.approx(ref, rel=0, abs=1e-12), key
@@ -342,7 +332,7 @@ def test_inner_rows_blocked_scan_matches_one_draw():
     assert report["deep_interior_modulus"] == inner_boundary_modulus(params, Z[:, 0], 40.0)
     for row, s in zip(report["rows"], INNER_SIGMAS, strict=True):
         S = params.exponent_sum(Z, s)
-        mods = np.exp(-S.real)
+        mods = np.exp(-params.exponent_sum_real(Z, s))
         offs = np.abs(params.frame(np.exp(-S)) - params.c)
         assert row["modulus_min"] == mods.min()
         assert row["modulus_max"] == mods.max()

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +285,60 @@ def test_json_roundtrip():
     assert g.support == f.support
     for n in f.support:
         assert g.coeff(n) == pytest.approx(f.coeff(n), abs=1e-15)
+
+
+def _mp_evaluate_atol(f, s):
+    """f(s) at 30 digits on the same double s, and what the array path
+    may lose: per term, 2 ulp of 1 in the character, the rounding of
+    log n carried through s log n, and a few ulp in exp and the products;
+    then one ulp of the running sum per term."""
+    import mpmath as mp
+
+    ref = np.empty(s.shape, dtype=complex)
+    atol = np.empty(s.shape)
+    eps = np.finfo(float).eps
+    with mp.workdps(30):
+        for i, sv in np.ndenumerate(s):
+            ss = mp.mpc(sv.real, sv.imag)
+            ref[i] = complex(mp.fsum(mp.mpc(a) * mp.power(n, -ss) for n, a in f.items()))
+            size = [abs(a) * n ** -sv.real for n, a in f.items()]
+            reach = (abs(sv.real) + abs(sv.imag)) * np.log([n for n, _ in f.items()])
+            atol[i] = sum(m * (4.44e-16 + 2 * eps * x + 4 * eps) for m, x in zip(size, reach))
+            atol[i] += len(f) * eps * sum(size)
+    return ref, atol
+
+
+def test_evaluate_array_path_matches_mpmath():
+    rng = np.random.default_rng(61)
+    f = _random_poly(rng, max_n=1000, terms=7) + DirichletPoly.one()
+    x = rng.uniform(0.5, 3.0, size=(3, 40))
+    y = np.concatenate([rng.uniform(-50.0, 50.0, 60), rng.uniform(-1e4, 1e4, 58), [0.0, -0.0]])
+    s = x + 1j * y.reshape(3, 40)
+    got = evaluate(f, s)
+    assert got.shape == s.shape
+    ref, atol = _mp_evaluate_atol(f, s)
+    assert np.all(np.abs(got.real - ref.real) <= atol)
+    assert np.all(np.abs(got.imag - ref.imag) <= atol)
+
+
+def test_evaluate_array_path_does_not_follow_blas_threads():
+    # the array path makes no BLAS call, so the thread count of a
+    # threaded BLAS cannot reach its bits
+    code = (
+        "import hashlib, numpy as np\n"
+        "from h2comp.dseries import DirichletPoly, evaluate\n"
+        "rng = np.random.default_rng(7)\n"
+        "f = DirichletPoly({n: complex(*rng.normal(size=2)) for n in (1, 2, 3, 5, 6, 10, 12, 30)})\n"
+        "s = rng.uniform(0.6, 2.0, 1 << 17) + 1j * rng.uniform(-300.0, 300.0, 1 << 17)\n"
+        "print(hashlib.sha256(evaluate(f, s).tobytes()).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]

@@ -5,8 +5,9 @@ The reference functions below are the dispatch ladders kept verbatim as
 independent routes: a boundary block, a line trace and a JSON form per
 symbol class.  Affine and polynomial values must agree bit for bit
 wherever the arithmetic is the same; the documented exceptions are
-checked at the tolerance their rounding allows.  Inner symbols are
-checked against mpmath at 30 digits on the same double phases.
+checked at the tolerance their rounding allows.  Characters come from
+one helper, so the exact values they are held to are mpmath's at 30
+digits on the same double phases, as are the inner symbols'.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from h2comp.affine import AffineSymbol, PolynomialSymbol
+from h2comp.dseries import _unimodular
 from h2comp.fixtures import fixtures
 from h2comp.opnorm import PhiAlphaSymbol
 from h2comp.primes import exponents_over, first_primes
@@ -81,6 +83,55 @@ def _ref_line(phi, t: np.ndarray) -> np.ndarray:
     if isinstance(phi, InnerSymbolParams):
         return _ref_inner(phi, np.stack([0.0 - t * math.log(p) for p in first_primes(phi.d)]))
     raise TypeError(phi)
+
+
+# 2 ulp of 1: how far a character may lie from e^{i theta} at its double phase
+CHAR_ATOL = 4.44e-16
+EPS = np.finfo(float).eps
+
+
+def _characters(theta: np.ndarray) -> np.ndarray:
+    Z = np.empty(theta.shape, dtype=complex)
+    _unimodular(theta, Z)
+    return Z
+
+
+def _line_phases(phi, t: np.ndarray) -> np.ndarray:
+    """The phases 0 - t log p_j that line traces pass to `boundary`."""
+    return np.stack([0.0 - t * math.log(p) for p in first_primes(max(phi.d, 1))])
+
+
+def _mp_value(phi, theta: np.ndarray) -> np.ndarray:
+    """c + sum of a_n e^{i sum_j e_j theta_j} over the terms a_n n^{-s},
+    n = prod_j p_j^{e_j}, at 30 digits on the same double phases."""
+    import mpmath as mp
+
+    if isinstance(phi, AffineSymbol):
+        terms = [(np.eye(phi.d, dtype=int)[j], a) for j, a in enumerate(phi.effective_coeffs())]
+    else:
+        terms = [(exponents_over(n, first_primes(phi.d)), a) for n, a in phi.terms.items()]
+    out = np.empty(theta.shape[1], dtype=complex)
+    with mp.workdps(30):
+        for i, col in enumerate(theta.T):
+            phases = [mp.fsum(int(e) * mp.mpf(float(x)) for e, x in zip(expo, col)) for expo, _ in terms]
+            out[i] = complex(phi.c + mp.fsum(mp.mpc(a) * mp.expj(ph) for ph, (_, a) in zip(phases, terms)))
+    return out
+
+
+def _value_atol(phi, theta: np.ndarray) -> float:
+    """What a value c + sum a_n chi_n may lose per part: each character
+    2 ulp of 1 and the rounding of its phase sum_j e_j theta_j, each
+    product and each sum a few ulp."""
+    if isinstance(phi, AffineSymbol):
+        mods, reach = [abs(a) for a in phi.effective_coeffs()], [1] * phi.d
+    else:
+        mods = [abs(a) for a in phi.terms.values()]
+        reach = [sum(exponents_over(n, first_primes(phi.d))) for n in phi.terms]
+    top = float(np.abs(theta).max(initial=0.0))
+    size = abs(phi.c) + sum(mods)
+    # a phase of k > 1 steps rounds at most k - 1 times, each under one ulp of k top
+    phase = [(k - 1) * np.spacing(k * top) for k in reach]
+    return sum(m * (CHAR_ATOL + e + 2 * EPS) for m, e in zip(mods, phase)) + len(mods) * EPS * size
 
 
 def _ref_jsonable(sym) -> dict:
@@ -152,7 +203,10 @@ def test_boundary_block_matches_reference(name):
         ref = _ref_boundary(phi, Z)
         np.testing.assert_allclose(got, ref, rtol=0, atol=4 * np.finfo(float).eps * abs(phi.c))
     elif isinstance(phi, PolynomialSymbol):
-        assert got.tobytes() == _ref_boundary(phi, Z).tobytes()
+        ref = _mp_value(phi, theta)
+        atol = _value_atol(phi, theta)
+        np.testing.assert_allclose(got.real, ref.real, rtol=0, atol=atol)
+        np.testing.assert_allclose(got.imag, ref.imag, rtol=0, atol=atol)
     else:
         np.testing.assert_allclose(got, _ref_inner(phi, theta), rtol=0, atol=1e-12)
 
@@ -193,8 +247,7 @@ def test_line_trace_matches_reference(name):
     ref = _ref_line(phi, t)
     got = trace[:, 1] + 1j * trace[:, 2]
     if isinstance(phi, AffineSymbol):
-        assert trace[:, 1].tobytes() == ref.real.tobytes()
-        assert trace[:, 2].tobytes() == ref.imag.tobytes()
+        _assert_affine_line(phi, trace)
     elif isinstance(phi, PolynomialSymbol):
         # n^{-it} is now the product of powers of p^{-it}
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
@@ -204,10 +257,21 @@ def test_line_trace_matches_reference(name):
 
 @pytest.mark.parametrize("phi", _EXTRA_AFFINE, ids=repr)
 def test_affine_line_trace_edge_cases(phi):
-    trace = curve_trace(phi, -10.0, 30.0, 801)
-    ref = _ref_line(phi, trace[:, 0])
+    _assert_affine_line(phi, curve_trace(phi, -10.0, 30.0, 801))
+
+
+def _assert_affine_line(phi: AffineSymbol, trace: np.ndarray) -> None:
+    """A trace is the sampled route bit for bit, its terms added one
+    prime at a time at the phases 0 - t log p_j, and within rounding of
+    the exact values at those phases."""
+    theta = _line_phases(phi, trace[:, 0])
+    ref = _ref_prime_order(phi, _characters(theta))
     assert trace[:, 1].tobytes() == ref.real.tobytes()
     assert trace[:, 2].tobytes() == ref.imag.tobytes()
+    exact = _mp_value(phi, theta[: phi.d])
+    atol = _value_atol(phi, theta)
+    np.testing.assert_allclose(trace[:, 1], exact.real, rtol=0, atol=atol)
+    np.testing.assert_allclose(trace[:, 2], exact.imag, rtol=0, atol=atol)
 
 
 # --- JSON forms -----------------------------------------------------------

@@ -67,15 +67,43 @@ def _full_phase_draw(plan):
     return out
 
 
-def _full_array_draw(plan):
-    """The characters of `_full_phase_draw`, through np.exp."""
-    return np.exp(1j * _full_phase_draw(plan))
+def _characters_of(phases):
+    """The characters of a block of phases, all at once, through the one
+    character helper."""
+    out = np.empty(phases.shape, dtype=complex)
+    torus._unimodular(phases, out)
+    return out
+
+
+# 2 ulp of 1: how far a character may lie from e^{i theta} at its double phase
+CHAR_ATOL = 4.44e-16
+
+
+def _mp_characters(phases):
+    """e^{i theta} at 30 digits on the same double phases, rounded once."""
+    import mpmath as mp
+
+    flat = np.asarray(phases, dtype=float).reshape(-1)
+    out = np.empty(flat.size, dtype=complex)
+    with mp.workdps(30):
+        for i, x in enumerate(flat):
+            out[i] = complex(mp.expj(mp.mpf(float(x))))
+    return out.reshape(np.shape(phases))
+
+
+def _assert_characters_exact_to(got, phases):
+    ref = _mp_characters(phases)
+    np.testing.assert_allclose(got.real, ref.real, rtol=0, atol=CHAR_ATOL)
+    np.testing.assert_allclose(got.imag, ref.imag, rtol=0, atol=CHAR_ATOL)
 
 
 def test_sampling_matches_one_full_draw_across_blocks():
     for n in (5, torus._CHUNK, torus._CHUNK + 1, 2 * torus._CHUNK + 12345):
         plan = SamplePlan(n_samples=n, seed=2718, d=2)
-        assert sample_characters(plan).tobytes() == _full_array_draw(plan).tobytes()
+        phases = _full_phase_draw(plan)
+        got = sample_characters(plan)
+        assert got.tobytes() == _characters_of(phases).tobytes()
+        _assert_characters_exact_to(got[:, ::211], phases[:, ::211])
 
 
 def test_characters_start_at_their_counter_offset():
@@ -84,7 +112,8 @@ def test_characters_start_at_their_counter_offset():
     n = 2 * torus._CHUNK + 12345
     plan = SamplePlan(n_samples=n, seed=2718, d=6)
     phases = _full_phase_draw(plan)
-    full = np.exp(1j * phases)
+    full = _characters_of(phases)
+    _assert_characters_exact_to(full[:, ::257], phases[:, ::257])
     last = n - n % torus._SLICE
     for lo, hi in [
         (0, 1),
@@ -118,18 +147,32 @@ def test_chunked_estimates_match_full_array_route():
     f = DirichletPoly({1: 1.0, 2: 0.5 - 0.25j, 3: 0.75j, 6: -0.2})
     plan = SamplePlan(n_samples=n, seed=31, d=phi.d)
     theta = _full_phase_draw(plan)
-    hits, total, total_sq = 0, 0.0, 0.0
+    hits, parts = 0, []
     for i in range(0, n, torus._CHUNK):
         vals = phi.boundary(theta[:, i : i + torus._CHUNK])
         hits += int(np.count_nonzero(np.abs(vals - phi.c) < 0.6 * phi.r))
-        v = np.abs(evaluate(f, vals)) ** 2
-        total += float(np.sum(v))
-        total_sq += float(np.sum(v * v))
+        parts += _slice_moments(np.abs(evaluate(f, vals)) ** 2)
     est = hits / n
     assert measure_E_delta(phi, 0.6, plan) == (est, 1.96 * math.sqrt(est * (1.0 - est) / n))
-    mean = total / n
-    ci = 1.96 * math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
+    _, mean, m2 = torus._merge_moments(parts)
+    ci = 1.96 * math.sqrt(m2 / n / n)
     assert mc_comp_norm_sq(phi, f, plan) == (mean, ci)
+
+
+@pytest.mark.parametrize("n", [1 << 16, 3 * torus._SLICE + 5])
+def test_mc_variance_does_not_cancel(n):
+    # |f o phi|^2 is about 1e12 and varies by about 1e3: E[v^2] - mean^2
+    # cancels to 0 there, while the slice moments keep its digits
+    phi = get_fixture("fig1-a").symbol
+    f = DirichletPoly({1: 1e6, 2: 1e-3})
+    plan = SamplePlan(n_samples=n, seed=404, d=phi.d)
+    est, ci = mc_comp_norm_sq(phi, f, plan)
+    v = np.abs(evaluate(f, phi.boundary(_full_phase_draw(plan)))) ** 2
+    mean = float(np.sum(v)) / n
+    ref = 1.96 * math.sqrt(float(np.sum((v - mean) ** 2)) / n / n)
+    assert est == pytest.approx(mean, rel=1e-15)
+    assert ci > 0.0
+    assert ci == pytest.approx(ref, rel=1e-6)
 
 
 def test_sampled_measure_memory_is_one_block():
@@ -575,14 +618,17 @@ def _serial_measure(phi, delta, plan):
 
 
 def _serial_mc(phi, f, plan):
-    total, total_sq = 0.0, 0.0
+    parts = []
     for Z in _serial_blocks(plan):
         v = np.abs(evaluate(f, phi.boundary(Z))) ** 2
-        total += float(np.sum(v))
-        total_sq += float(np.sum(v * v))
-    mean = total / plan.n_samples
-    var = max(total_sq / plan.n_samples - mean * mean, 0.0)
-    return mean, 1.96 * math.sqrt(var / plan.n_samples)
+        parts += _slice_moments(v)
+    n, mean, m2 = torus._merge_moments(parts)
+    return mean, 1.96 * math.sqrt(m2 / n / n)
+
+
+def _slice_moments(v):
+    """The moments of each 2^16-column slice of v, in order."""
+    return [torus._slice_moments(v[i : i + torus._SLICE]) for i in range(0, v.size, torus._SLICE)]
 
 
 def _serial_curve(phi, t_min, t_max, steps):
@@ -622,8 +668,7 @@ def pool_size(monkeypatch):
 @pytest.mark.parametrize("name", SLICED_FIXTURES)
 def test_sliced_estimates_match_serial_route(name):
     # 2^19 + 4097 columns: one full block and one short one, each cut
-    # into slices; 5 terms give dseries.evaluate chunks of 419,430 rows,
-    # which no slice boundary matches
+    # into slices; the serial route evaluates whole blocks at once
     phi = get_fixture(name).symbol
     plan = SamplePlan(n_samples=torus._CHUNK + 4097, seed=47, d=phi.d)
     for delta in (0.5, 0.9):
@@ -652,7 +697,36 @@ def test_line_characters_keep_their_signed_zeros():
             return chi
 
     t = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, math.pi, -1e4, 3e5])
-    assert torus._line_values(Identity(), t).tobytes() == np.exp(-1j * t * math.log(2)).tobytes()
+    got = torus._line_values(Identity(), t)
+    # the phases of p^{-it}, with +0.0 at t = +-0.0
+    phases = 0.0 - t * math.log(2)
+    assert not np.signbit(phases[:2]).any()
+    _assert_characters_exact_to(got, phases)
+    # zero parts carry the sign of sin(theta), which is the sign of theta near 0
+    ref = _mp_characters(phases)
+    assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag) | np.signbit(phases) & (ref.imag == 0))
+    assert got[:2].tobytes() == np.array([1.0, 1.0], dtype=complex).tobytes()
+
+
+def test_unimodular_at_adversarial_phases():
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308])
+    k = np.arange(-8, 9) * (math.pi / 2.0)
+    near = np.concatenate([k, np.nextafter(k, np.inf), np.nextafter(k, -np.inf)])
+    two_pi = np.array([np.nextafter(2.0 * math.pi, 0.0), np.nextafter(math.pi, 4.0), np.nextafter(math.pi, 0.0)])
+    rng = np.random.default_rng(2026)
+    wide = np.concatenate([10.0 ** np.arange(3, 16), -(10.0 ** rng.uniform(3.0, 15.0, 40)), rng.uniform(-1e3, 1e3, 40)])
+    phases = np.concatenate([tiny, near, two_pi, wide])
+    got = np.empty(phases.size, dtype=complex)
+    # halving a subnormal phase underflows, which is exact enough
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        torus._unimodular(phases, got)
+    assert np.isfinite(got).all()
+    _assert_characters_exact_to(got, phases)
+    np.testing.assert_allclose(np.abs(got), 1.0, rtol=0, atol=CHAR_ATOL)
+    # at +-0.0 the character is 1 +- 0i, with the sign of the phase
+    assert got[:2].tobytes() == np.array([1.0, 0.0, 1.0, -0.0]).tobytes()
+    assert np.array_equal(np.signbit(got.imag[: tiny.size]), np.signbit(tiny))
 
 
 def test_results_do_not_depend_on_worker_count(pool_size):
