@@ -467,8 +467,8 @@ def _inner_rows(params: InnerSymbolParams, plan: SamplePlan, sigmas) -> tuple[di
     memory is one slice per worker plus 8 bytes of 1 - |g| per sample
     per depth, which the medians need.  The gap 1 - |g| = -expm1(-Re S)
     and the moduli |g| = exp(-Re S) take Re S from its closed form,
-    which keeps every digit at small depths; the offsets come from the
-    complex sum."""
+    which keeps every digit at small depths; the offsets frame g =
+    exp(-Re S) e^{-i Im S} (`InnerSymbolParams.interior_values`)."""
     gaps = np.empty((len(sigmas), plan.n_samples))
     deep = inner_boundary_modulus(params, _characters(plan, 0, 1)[:, 0], 40.0)
 
@@ -476,11 +476,10 @@ def _inner_rows(params: InnerSymbolParams, plan: SamplePlan, sigmas) -> tuple[di
         Z = _characters(plan, lo, hi)
         out = []
         for row, s in enumerate(sigmas):
-            S = params.exponent_sum(Z, s)
-            re_S = params.exponent_sum_real(Z, s)
+            re_S, g = params.interior_values(Z, s)
             np.negative(np.expm1(-re_S), out=gaps[row, lo:hi])
             mods = np.exp(-re_S)
-            offs = np.abs(params.frame(np.exp(-S)) - params.c)
+            offs = np.abs(params.frame(g) - params.c)
             out.append((mods.min(), mods.max(), offs.max()))
         return out
 

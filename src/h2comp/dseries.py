@@ -213,7 +213,8 @@ def evaluate(f: DirichletPoly, s):
 
     On arrays each term is a_n exp(-Re s log n) e^{-i Im s log n}, the
     character from `_unimodular`, added term by term in support order:
-    elementwise, so no matrix product and no BLAS call.
+    elementwise, so no matrix product and no BLAS call.  The n = 1 term
+    is a_1 itself.
     """
     sup = f.support
     if not sup:
@@ -231,6 +232,9 @@ def evaluate(f: DirichletPoly, s):
         mag = np.empty(blk.size)
         term = np.empty(blk.size, dtype=complex)
         for an, lnn in zip(a, ln):
+            if lnn == 0.0:  # n = 1: exp(0) = 1 and the character at phase 0 is 1 + 0i
+                acc += an
+                continue
             np.multiply(blk.imag, -lnn, out=mag)
             _unimodular(mag, term)
             np.multiply(blk.real, -lnn, out=mag)

@@ -31,6 +31,11 @@ use, and memory stays at one slice per worker for any sample count.
 Float reductions run afterwards in a fixed order, so no result depends
 on the number of workers either.
 
+C_delta is the measure m(E_delta) times a weight, so `shapiro_constant`
+reads the estimate of the last `measure_E_delta` call when that call had
+the same symbol object, delta and plan, and samples only otherwise.
+`measure_E_delta` never reads that stored result: every call samples.
+
 Vertical-line versions (`ergodic_measure`, `curve_trace`) average over
 t in [-T, T] instead, at the phases -t log p_j; the flow t ->
 (p_j^{-it})_j equidistributes over the polytorus, so the two kinds of
@@ -253,17 +258,34 @@ def boundary_value(phi, chi: Character | Sequence[complex]) -> complex:
 
 # --- measures -------------------------------------------------------------
 
-def measure_E_delta(phi, delta: float, plan: SamplePlan) -> MeasureResult:
-    """Fraction of boundary characters with |phi* - c| < delta * r,
-    with a binomial 95% confidence radius."""
+def _check_level_args(phi, delta: float, plan: SamplePlan) -> None:
+    """Raise ValueError unless delta lies in [0, 1], the frame radius is
+    positive and the plan has the symbol's torus dimension."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    c, r = phi.c, phi.r
-    if not r > 0.0:
+    if not phi.r > 0.0:
         raise ValueError("level-set measures need a nondegenerate frame radius")
     d = _required_dim(phi)
     if plan.d != d:
         raise ValueError(f"plan has d={plan.d}, symbol needs d={d}")
+
+
+# The last `measure_E_delta` result with its key (symbol object, delta,
+# plan), for `shapiro_constant` to read.  One tuple is swapped in whole,
+# so a reader in any thread sees a result with its own key.
+_last_measure: tuple | None = None
+
+
+def measure_E_delta(phi, delta: float, plan: SamplePlan) -> MeasureResult:
+    """Fraction of boundary characters with |phi* - c| < delta * r,
+    with a binomial 95% confidence radius.
+
+    Every call samples; the result is kept, with its symbol object,
+    delta and plan, for `shapiro_constant` to read.
+    """
+    global _last_measure
+    _check_level_args(phi, delta, plan)
+    c, r = phi.c, phi.r
     n = plan.n_samples
 
     def count(lo, hi):
@@ -273,7 +295,9 @@ def measure_E_delta(phi, delta: float, plan: SamplePlan) -> MeasureResult:
     hits = sum(_map_slices(count, n))
     est = hits / n
     ci = 1.96 * math.sqrt(max(est * (1.0 - est), 0.0) / n)
-    return MeasureResult(est, ci)
+    result = MeasureResult(est, ci)
+    _last_measure = (phi, delta, plan, result)
+    return result
 
 
 def _shapiro_weight(delta: float) -> float:
@@ -283,10 +307,21 @@ def _shapiro_weight(delta: float) -> float:
 
 def shapiro_constant(phi, delta: float, plan: SamplePlan) -> float:
     """C_delta = (1/2) (1-delta)/(1+delta) m(E_delta): the weight the
-    level set lends to the point evaluation in the pointwise bound."""
+    level set lends to the point evaluation in the pointwise bound.
+
+    When the last `measure_E_delta` call had the same symbol object,
+    delta and plan, m(E_delta) is its stored estimate, bit for bit what
+    a new sweep would count; otherwise this samples.  At delta = 1 the
+    weight is 0 and nothing is sampled.
+    """
+    _check_level_args(phi, delta, plan)
     if delta == 1.0:
         return 0.0
-    est, _ = measure_E_delta(phi, delta, plan)
+    last = _last_measure
+    if last is not None and last[0] is phi and last[1] == delta and last[2] == plan:
+        est = last[3].estimate
+    else:
+        est = measure_E_delta(phi, delta, plan).estimate
     return _shapiro_weight(delta) * est
 
 
@@ -514,6 +549,23 @@ class InnerSymbolParams:
             re_S += lam * one_minus_z2 / (gap.real**2 + gap.imag**2)
         return re_S
 
+    def interior_values(self, Z: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """(Re S, g) at depth sigma > 0 for a (d, m) block Z of unimodular
+        character values: g = exp(-Re S) e^{-i Im S}, Re S from
+        `exponent_sum_real` and the character at -Im S from `_unimodular`.
+        A column within 1e-12 of a factor pole raises ValueError.
+
+        Near a factor pole exp(-S) of the complex sum would carry the
+        cancelled digits of its real part into both parts of g.
+        """
+        re_S = self.exponent_sum_real(Z, sigma)
+        g = np.empty(Z.shape[1], dtype=complex)
+        _unimodular(-self.exponent_sum(Z, sigma).imag, g)
+        modulus = np.exp(-re_S)
+        g.real *= modulus
+        g.imag *= modulus
+        return re_S, g
+
     def frame(self, g: np.ndarray) -> np.ndarray:
         """c + r (g - g_inf)/(1 - g_inf g): the disc automorphism that
         sends g_inf to 0, then the frame disc D(c, r)."""
@@ -547,8 +599,9 @@ class InnerSymbolParams:
             idx = np.arange(t.size) if wide else np.flatnonzero(np.abs(t) < 2.0**-7)
             t[idx] = 1.0
             term = np.divide(lam, t, out=t)
-            term[idx], pole = _cot_turns(lam, th, phase[idx])
-            at_pole[idx[pole]] = True
+            if idx.size:
+                term[idx], pole = _cot_turns(lam, th, phase[idx])
+                at_pole[idx[pole]] = True
             A += term
         # e^{-iB} = (1 - iv)/(1 + iv) = (h - 1) - i v h, v = tan(B/2), h = 2/(1 + v^2)
         ginf = self.g_infinity
@@ -611,5 +664,5 @@ def mobius_symbol_value(params: InnerSymbolParams, chi, sigma: float) -> complex
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    S = params.exponent_sum(_character_column(chi, params.d), sigma)
-    return complex(params.frame(np.exp(-S))[0])
+    _, g = params.interior_values(_character_column(chi, params.d), sigma)
+    return complex(params.frame(g)[0])

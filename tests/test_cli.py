@@ -331,9 +331,8 @@ def test_inner_rows_blocked_scan_matches_one_draw():
     Z = sample_characters(plan)
     assert report["deep_interior_modulus"] == inner_boundary_modulus(params, Z[:, 0], 40.0)
     for row, s in zip(report["rows"], INNER_SIGMAS, strict=True):
-        S = params.exponent_sum(Z, s)
         mods = np.exp(-params.exponent_sum_real(Z, s))
-        offs = np.abs(params.frame(np.exp(-S)) - params.c)
+        offs = np.abs(params.frame(params.interior_values(Z, s)[1]) - params.c)
         assert row["modulus_min"] == mods.min()
         assert row["modulus_max"] == mods.max()
         assert row["median_gap_to_unit"] == np.median(-np.expm1(-params.exponent_sum_real(Z, s)))

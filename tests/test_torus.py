@@ -298,12 +298,127 @@ def test_shapiro_constant_rejects_delta_outside_unit_interval(delta):
         shapiro_constant(phi, delta, SamplePlan(100, 1, 2))
 
 
+def test_shapiro_constant_validates_before_the_delta_one_shortcut():
+    # the weight at delta = 1 is 0, but the arguments are checked first
+    phi = get_fixture("fig1-b").symbol
+    for delta in (1.0, 0.5):
+        with pytest.raises(ValueError, match="plan has d=3"):
+            shapiro_constant(phi, delta, SamplePlan(100, 1, 3))
+        with pytest.raises(ValueError, match="nondegenerate frame radius"):
+            shapiro_constant(AffineSymbol(2.0, ()), delta, SamplePlan(100, 1, 1))
+
+
 def test_shapiro_constant_poly_fixture():
     phi = get_fixture("example-7.1").symbol
     plan = SamplePlan(n_samples=200_000, seed=4, d=1)
     c = shapiro_constant(phi, SQ58, plan)
     expected = (13.0 - 4.0 * math.sqrt(10.0)) / 18.0
     assert c == pytest.approx(expected, abs=2e-3)
+
+
+# --- the stored level-set measure ----------------------------------------
+
+@pytest.fixture
+def phase_draws(monkeypatch):
+    """Count the slices of phases drawn, with nothing stored to start."""
+    monkeypatch.setattr(torus, "_last_measure", None)
+    calls = []
+    draw = torus._phases
+    monkeypatch.setattr(torus, "_phases", lambda *a: calls.append(a) or draw(*a))
+    return calls
+
+
+def test_shapiro_constant_reads_the_measure_just_made(phase_draws, monkeypatch):
+    phi = get_fixture("fig1-b").symbol
+    plan = SamplePlan(n_samples=2 * torus._SLICE + 5, seed=8, d=phi.d)
+    est, _ = measure_E_delta(phi, 0.8, plan)
+    assert len(phase_draws) == 3
+    phase_draws.clear()
+    stored = shapiro_constant(phi, 0.8, plan)
+    assert phase_draws == []
+    monkeypatch.setattr(torus, "_last_measure", None)
+    fresh = shapiro_constant(phi, 0.8, plan)
+    assert len(phase_draws) == 3
+    assert _bits(stored) == _bits(fresh) == _bits(torus._shapiro_weight(0.8) * est)
+
+
+def test_shapiro_constant_samples_for_other_arguments(phase_draws):
+    phi = get_fixture("fig1-b").symbol
+    plan = SamplePlan(n_samples=1000, seed=8, d=phi.d)
+    twin = AffineSymbol(phi.c, phi.coeffs, twist=phi.twist)
+    assert twin == phi and twin is not phi
+    for args in [
+        (phi, 0.7, plan),
+        (phi, 0.8, SamplePlan(1000, 9, phi.d)),
+        (phi, 0.8, SamplePlan(1001, 8, phi.d)),
+        (twin, 0.8, plan),
+    ]:
+        measure_E_delta(phi, 0.8, plan)
+        phase_draws.clear()
+        shapiro_constant(*args)
+        assert len(phase_draws) == 1, args
+    # a second identical measure samples again
+    measure_E_delta(phi, 0.8, plan)
+    phase_draws.clear()
+    measure_E_delta(phi, 0.8, plan)
+    assert len(phase_draws) == 1
+
+
+def test_failed_sweep_stores_nothing(phase_draws, monkeypatch):
+    phi = get_fixture("example-7.3").symbol
+    plan = SamplePlan(n_samples=2 * torus._SLICE + 5, seed=1, d=phi.d)
+    with pytest.raises(ValueError):
+        measure_E_delta(phi, 1.5, plan)
+    assert torus._last_measure is None
+
+    def failing(self, theta):
+        raise ValueError("boundary failed in a slice")
+
+    with monkeypatch.context() as m:
+        m.setattr(InnerSymbolParams, "boundary", failing)
+        with pytest.raises(ValueError, match="boundary failed"):
+            measure_E_delta(phi, 0.5, plan)
+    assert torus._last_measure is None
+    phase_draws.clear()
+    shapiro_constant(phi, 0.5, plan)
+    assert len(phase_draws) == 3
+
+
+def test_stored_measure_under_thread_contention(monkeypatch):
+    import threading
+
+    monkeypatch.setattr(torus, "_last_measure", None)
+    # slices below the pool's threshold, so every call runs inline
+    cases = [
+        (get_fixture(name).symbol, delta, seed)
+        for name in ("fig1-a", "fig1-b", "example-7.1")
+        for delta, seed in ((0.6, 1), (0.9, 2))
+    ]
+    cases = [(phi, delta, SamplePlan(512, seed, phi.d)) for phi, delta, seed in cases]
+    expected = [torus._shapiro_weight(d) * measure_E_delta(phi, d, plan).estimate for phi, d, plan in cases]
+    wrong = []
+
+    def worker(k):
+        for i in range(200):
+            phi, delta, plan = cases[(k + i) % len(cases)]
+            if i % 2:
+                measure_E_delta(phi, delta, plan)
+            got = shapiro_constant(phi, delta, plan)
+            if got != expected[(k + i) % len(cases)]:
+                wrong.append((k, i, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # --- ergodic averages -----------------------------------------------------
@@ -401,6 +516,25 @@ def test_mc_comp_norm_matches_exact():
         assert abs(est - exact) <= 2.0 * ci + 1e-9
 
 
+def test_mc_ci95_is_a_95_percent_interval():
+    # z = (est - series) / (ci95 / 1.96) over seeded runs with 5-term f:
+    # its spread is 1, and |z| > 1.96 happens 5% of the time.  The share
+    # band [2, 21] of 200 misses a Binomial(200, 0.05) count with
+    # probability under 1e-3.
+    rng = np.random.default_rng(20261020)
+    z = []
+    for i in range(200):
+        phi = get_fixture(("fig1-a", "fig1-b", "fig1-c")[i % 3]).symbol
+        support = [1, *(int(n) for n in rng.choice(np.arange(2, 13), 4, replace=False))]
+        f = DirichletPoly({n: complex(rng.normal(), rng.normal()) for n in support})
+        plan = SamplePlan(n_samples=8192, seed=int(rng.integers(0, 2**63)), d=phi.d)
+        est, ci = mc_comp_norm_sq(phi, f, plan)
+        z.append((est - comp_norm_sq(phi, f)) / (ci / 1.96))
+    z = np.array(z)
+    assert 0.85 <= z.std() <= 1.15
+    assert 2 <= np.count_nonzero(np.abs(z) > 1.96) <= 21
+
+
 # --- inner-factor symbols -------------------------------------------------
 
 def test_inner_params_validation():
@@ -487,6 +621,34 @@ def test_mobius_symbol_boundary_modulus():
         chi = tuple(np.exp(1j * rng.uniform(0.05, 6.2, size=params.d)))
         val = mobius_symbol_value(params, chi, sigma=1e-8)
         assert abs(val - params.c) / params.r == pytest.approx(1.0, abs=1e-5)
+
+
+def test_mobius_symbol_value_near_a_pole_matches_mpmath():
+    # the column of `inner-check --samples 500 --seed 9` with the largest
+    # Re S at sigma = 1e-6: factor 5 is 5.0e-4 from its pole, so S = 0.48
+    # - 99.5i, and Re S cancels in the complex quotient
+    import mpmath as mp
+
+    params = get_fixture("example-7.3").symbol
+    plan = SamplePlan(n_samples=500, seed=9, d=params.d)
+    sigma = 1e-6
+    Z = torus._characters(plan, 0, plan.n_samples)
+    col = int(np.argmax(params.exponent_sum_real(Z, sigma)))
+    assert col == 45
+    phases = torus._phases(plan, 0, plan.n_samples)[:, col]
+    primes = torus.first_primes(params.d)
+    with mp.workdps(30):
+        S = mp.mpc(0)
+        for lam, th, p, u in zip(params.lambdas, params.thetas, primes, phases):
+            pole, z = mp.expj(th), mp.expj(float(u)) * mp.power(p, -mp.mpf(sigma))
+            S += lam * (pole + z) / (pole - z)
+        g, ginf = mp.exp(-S), mp.exp(-mp.fsum(params.lambdas))
+        ref = complex(params.c + params.r * (g - ginf) / (1 - ginf * g))
+    val = mobius_symbol_value(params, Z[:, col], sigma)
+    # what is left is Im S: rounding the pole e^{4i} and z_5 across the
+    # gap costs about 8e-12 there, and it turns g along the frame circle
+    assert abs(val.imag - ref.imag) < 5e-13
+    assert abs(val - ref) < 6.5e-12
 
 
 # --- the inner boundary kernel ----------------------------------------------
