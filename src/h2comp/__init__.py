@@ -31,7 +31,6 @@ from .affine import (
     hq_dominance,
     in_gordon_hedenmalm,
     majorizes,
-    mapping_disc,
     xi,
 )
 from .disc import (
@@ -47,15 +46,11 @@ from .disc import (
     shapiro_bound_check,
 )
 from .dseries import (
-    Character,
     DirichletPoly,
     carlson_mean,
-    derivative_at,
     evaluate,
     h2_norm_sq,
-    h2k_norm,
     multiply,
-    twist,
 )
 from .errors import InequalityViolation, NonConvergence
 from .fixtures import (
@@ -90,7 +85,6 @@ from .torus import (
     InnerSymbolParams,
     MeasureResult,
     SamplePlan,
-    boundary_value,
     curve_trace,
     ergodic_measure,
     inner_boundary_modulus,
@@ -98,7 +92,6 @@ from .torus import (
     mc_comp_norm_sq,
     measure_E_delta,
     mobius_symbol_value,
-    sample_characters,
     shapiro_constant,
 )
 from .zeta import (
@@ -121,14 +114,13 @@ __all__ = [
     "AffineSymbol", "CoeffVector", "PolynomialSymbol", "annulus_radii",
     "bvn_decompose", "comp_bruteforce_norm_sq", "comp_norm_sq",
     "effective_constant", "h2k_means", "hq_dominance", "in_gordon_hedenmalm",
-    "majorizes", "mapping_disc", "xi",
+    "majorizes", "xi",
     # disc
     "LittlewoodCheck", "PowerSeries", "ShapiroCheck", "compose_truncated",
     "composition_matrix", "littlewood_check", "mobius_comp_norm_sq", "psi_matrix", "psi_z2z",
     "shapiro_bound_check",
     # dseries
-    "Character", "DirichletPoly", "carlson_mean", "derivative_at",
-    "evaluate", "h2_norm_sq", "h2k_norm", "multiply", "twist",
+    "DirichletPoly", "carlson_mean", "evaluate", "h2_norm_sq", "multiply",
     # errors
     "InequalityViolation",
     "NonConvergence",
@@ -144,10 +136,10 @@ __all__ = [
     # primes
     "first_primes", "is_prime", "primes_up_to",
     # torus
-    "InnerSymbolParams", "MeasureResult", "SamplePlan", "boundary_value",
-    "curve_trace", "ergodic_measure", "inner_boundary_modulus",
-    "inner_truncation_bound", "mc_comp_norm_sq", "measure_E_delta",
-    "mobius_symbol_value", "sample_characters", "shapiro_constant",
+    "InnerSymbolParams", "MeasureResult", "SamplePlan", "curve_trace",
+    "ergodic_measure", "inner_boundary_modulus", "inner_truncation_bound",
+    "mc_comp_norm_sq", "measure_E_delta", "mobius_symbol_value",
+    "shapiro_constant",
     # zeta
     "CofiniteTail", "FullIntegers", "GeometricPowers", "PrimeSemigroup",
     "abscissa", "alpha0", "dkzeta_sandwich", "riemann_sum_bounds",

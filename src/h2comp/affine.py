@@ -46,7 +46,6 @@ __all__ = [
     "AffineSymbol",
     "PolynomialSymbol",
     "in_gordon_hedenmalm",
-    "mapping_disc",
     "xi",
     "majorizes",
     "bvn_decompose",
@@ -189,14 +188,6 @@ class AffineSymbol:
             out["twist"] = [[t.real, t.imag] for t in self.twist]
         return out
 
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "AffineSymbol":
-        c = complex(data["c"][0], data["c"][1])
-        tw = None
-        if data.get("twist") is not None:
-            tw = [complex(t[0], t[1]) for t in data["twist"]]
-        return cls(c, tuple(data["coeffs"]), twist=tw)
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class PolynomialSymbol:
@@ -286,11 +277,6 @@ def in_gordon_hedenmalm(phi: AffineSymbol) -> bool:
     if not a > 0.0:
         return False
     return a >= phi.r - 1e-12
-
-
-def mapping_disc(phi: AffineSymbol) -> tuple[complex, float]:
-    """(center, radius) of the closed disc swept by the symbol's values."""
-    return (phi.c, phi.r)
 
 
 def _xi_from(a: float, r: float) -> float:

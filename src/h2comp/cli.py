@@ -10,8 +10,9 @@ Exit codes:
 * 0 — the report was produced and every checked inequality held;
 * 1 — usage or domain errors (bad flags, malformed or non-finite
   vectors, symbols outside the bounded class, arithmetic that
-  overflows or divides by zero on extreme inputs, or an ``--out`` path
-  that cannot be written);
+  overflows or divides by zero on extreme inputs, an ``--out`` path
+  that cannot be written, or an array too large to allocate, which
+  stderr reports on one ``error: out of memory:`` line);
 * 2 — a mathematically guaranteed inequality failed its numerical
   check.  This is the interesting failure mode: it means a numerical
   regression, never a matter of taste.  A check inside the library
@@ -1157,6 +1158,9 @@ def main(argv=None) -> int:
         return 1
     except ArithmeticError as e:
         print(f"error: floating-point arithmetic failed: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)

@@ -29,7 +29,6 @@ checks the other.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
@@ -80,14 +79,6 @@ class PowerSeries:
         for a in self.coeffs[::-1]:
             out = out * zz + a
         return complex(out) if out.ndim == 0 else out
-
-    def to_json(self) -> str:
-        return json.dumps({"coeffs": [[a.real, a.imag] for a in self.coeffs]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PowerSeries":
-        data = json.loads(text)
-        return cls([complex(re, im) for re, im in data["coeffs"]])
 
     def __repr__(self):
         return f"PowerSeries(degree={self.degree}, norm_sq={self.norm_sq():.6g})"

@@ -8,36 +8,25 @@ here.
 
 Products are computed by hash-map convolution on the multiplicative
 support — supports stay small and sparse, so no transform tricks are
-wanted.  A `Character` assigns unit-modulus values to the first d
-primes and extends completely multiplicatively; twisting by it is a
-coefficient-wise rotation and hence an isometry.
+wanted.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .primes import exponents_over, first_primes
-
 __all__ = [
     "DirichletPoly",
-    "Character",
     "h2_norm_sq",
     "multiply",
     "evaluate",
-    "derivative_at",
-    "twist",
     "carlson_mean",
-    "h2k_norm",
 ]
 
 _DROP_REL = 1e-15
-H2K_SUPPORT_CAP = 2_000_000
 
 
 class DirichletPoly:
@@ -78,15 +67,6 @@ class DirichletPoly:
     @classmethod
     def monomial(cls, n: int, a: complex = 1.0) -> "DirichletPoly":
         return cls({n: a})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DirichletPoly":
-        data = json.loads(text)
-        return cls({int(n): complex(re, im) for n, re, im in data["coeffs"]})
-
-    def to_json(self) -> str:
-        triples = [[n, a.real, a.imag] for n, a in self._coeffs.items()]
-        return json.dumps({"coeffs": triples})
 
     # --- access ---
 
@@ -134,37 +114,6 @@ class DirichletPoly:
         return DirichletPoly({n: a * other for n, a in self._coeffs.items()})
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class Character:
-    """A completely multiplicative unit-modulus map on the first d primes.
-
-    chi(n) multiplies the values along the exponent vector of n; an n
-    with a prime factor beyond the d-th prime is outside the domain and
-    raises.
-    """
-
-    values: tuple[complex, ...]
-
-    def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        for v in vals:
-            if abs(abs(v) - 1.0) > 1e-12:
-                raise ValueError(f"character value {v} is not unimodular")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-    def __call__(self, n: int) -> complex:
-        expo = exponents_over(int(n), first_primes(self.dim))
-        out = 1.0 + 0.0j
-        for v, k in zip(self.values, expo):
-            if k:
-                out *= v**k
-        return out
 
 
 # --- operations -----------------------------------------------------------
@@ -246,21 +195,6 @@ def evaluate(f: DirichletPoly, s):
     return out.reshape(ss.shape)
 
 
-def derivative_at(f: DirichletPoly, k: int, c: complex) -> complex:
-    """k-th derivative at c: sum_n a_n (-log n)^k n^{-c}."""
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
-    out = 0.0 + 0.0j
-    for n, a in f.items():
-        out += a * (-math.log(n)) ** k * n ** (-complex(c))
-    return out
-
-
-def twist(f: DirichletPoly, chi: Character) -> DirichletPoly:
-    """Coefficient rotation a_n -> chi(n) a_n (an isometry)."""
-    return DirichletPoly({n: chi(n) * a for n, a in f.items()})
-
-
 def carlson_mean(f: DirichletPoly, T: float) -> float:
     """Mean of |f(it)|^2 over [-T, T] by composite Simpson.
 
@@ -286,22 +220,3 @@ def carlson_mean(f: DirichletPoly, T: float) -> float:
     w[2:-1:2] = 2.0
     h = 2.0 * T / steps
     return float(np.sum(w * vals) * h / 3.0 / (2.0 * T))
-
-
-def h2k_norm(f: DirichletPoly, k: int) -> float:
-    """2k-th power of the H^{2k} norm: the square norm of f^k.
-
-    Computed by repeated Dirichlet multiplication, so it is exact
-    convolution combinatorics; guarded against supports blowing up.
-    """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValueError("k must be a positive integer")
-    if len(f) ** k > H2K_SUPPORT_CAP:
-        raise ValueError(
-            f"support of size {len(f)} raised to k={k} exceeds the "
-            f"configured cap {H2K_SUPPORT_CAP}"
-        )
-    power = f
-    for _ in range(k - 1):
-        power = multiply(power, f)
-    return h2_norm_sq(power)

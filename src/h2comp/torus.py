@@ -62,14 +62,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dseries import Character, DirichletPoly, _unimodular, evaluate
+from .dseries import DirichletPoly, _unimodular, evaluate
 from .primes import first_primes
 
 __all__ = [
     "SamplePlan",
     "MeasureResult",
-    "sample_characters",
-    "boundary_value",
     "measure_E_delta",
     "shapiro_constant",
     "ergodic_measure",
@@ -163,23 +161,6 @@ class MeasureResult(NamedTuple):
     ci95: float
 
 
-def sample_characters(plan: SamplePlan) -> np.ndarray:
-    """Unit-modulus samples, shape (d, n_samples): e^{i theta} of the
-    phases theta that the sampled measures evaluate.
-
-    Coordinate j uses the counter-based stream keyed (seed, j), so the
-    same (seed, j) always reproduces the same column of phases no
-    matter how many coordinates any particular symbol needs.
-    """
-    out = np.empty((plan.d, plan.n_samples), dtype=complex)
-
-    def fill(lo, hi):
-        out[:, lo:hi] = _characters(plan, lo, hi)
-
-    _map_slices(fill, plan.n_samples)
-    return out
-
-
 def _phases(plan: SamplePlan, lo: int, hi: int) -> np.ndarray:
     """Columns [lo, hi) of the phases uniform on [0, 2 pi), as a real
     (d, hi - lo) block drawn without the columns before `lo`.
@@ -200,8 +181,9 @@ def _phases(plan: SamplePlan, lo: int, hi: int) -> np.ndarray:
 
 
 def _characters(plan: SamplePlan, lo: int, hi: int) -> np.ndarray:
-    """Columns [lo, hi) of `sample_characters(plan)`, bit for bit: the
-    characters e^{i theta} of `_phases(plan, lo, hi)`."""
+    """The sampled characters e^{i theta} of `_phases(plan, lo, hi)`, a
+    (d, hi - lo) block: bit for bit columns [lo, hi) of any wider block
+    of the same plan."""
     Z = np.empty((plan.d, hi - lo), dtype=complex)
     _unimodular(_phases(plan, lo, hi), Z)
     return Z
@@ -241,19 +223,6 @@ def _line_values(phi, t: np.ndarray) -> np.ndarray:
 
     _map_slices(fill, t.size)
     return out
-
-
-def _character_column(chi: Character | Sequence[complex], d: int) -> np.ndarray:
-    """The first d coordinates of a character, as a (d, 1) block."""
-    vals = chi.values if isinstance(chi, Character) else tuple(complex(v) for v in chi)
-    if len(vals) < d:
-        raise ValueError(f"character has {len(vals)} coordinates, symbol needs {d}")
-    return np.array(vals[:d], dtype=complex).reshape(d, 1)
-
-
-def boundary_value(phi, chi: Character | Sequence[complex]) -> complex:
-    """phi*(chi) for a single character, at the phases np.angle(chi_j)."""
-    return complex(phi.boundary(np.angle(_character_column(chi, _required_dim(phi))))[0])
 
 
 # --- measures -------------------------------------------------------------
@@ -628,6 +597,19 @@ class InnerSymbolParams:
             "r": self.r,
             "lambda_tail": self.lambda_tail,
         }
+
+
+def _character_column(chi: Sequence[complex], d: int) -> np.ndarray:
+    """The first d coordinates of a character, as a (d, 1) block.  A
+    coordinate that is not finite or lies more than 1e-12 off the unit
+    circle raises ValueError: the closed forms assume |chi_j| = 1."""
+    vals = [complex(v) for v in chi]
+    if len(vals) < d:
+        raise ValueError(f"character has {len(vals)} coordinates, symbol needs {d}")
+    for v in vals:
+        if not abs(abs(v) - 1.0) <= 1e-12:  # false for nan and inf too
+            raise ValueError(f"character value {v} is not unimodular")
+    return np.array(vals[:d], dtype=complex).reshape(d, 1)
 
 
 def inner_boundary_modulus(params: InnerSymbolParams, chi, sigma: float) -> float:

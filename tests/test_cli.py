@@ -22,7 +22,7 @@ from h2comp.cli import main
 from h2comp.errors import InequalityViolation
 from h2comp.fixtures import get_fixture
 from h2comp.primes import first_primes
-from h2comp.torus import SamplePlan, _phases, inner_boundary_modulus, sample_characters
+from h2comp.torus import SamplePlan, _characters, _phases, inner_boundary_modulus
 from h2comp.zeta import zeta
 
 
@@ -328,7 +328,7 @@ def test_inner_rows_blocked_scan_matches_one_draw():
     finally:
         tracemalloc.stop()
     assert ok
-    Z = sample_characters(plan)
+    Z = _characters(plan, 0, plan.n_samples)
     assert report["deep_interior_modulus"] == inner_boundary_modulus(params, Z[:, 0], 40.0)
     for row, s in zip(report["rows"], INNER_SIGMAS, strict=True):
         mods = np.exp(-params.exponent_sum_real(Z, s))
@@ -451,6 +451,21 @@ def test_section_over_the_row_cap_exits_one(capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "exceeds the configured caps" in lines[0]
+
+
+def test_failed_allocation_exits_one(capsys, monkeypatch):
+    # `inner-check --samples 100000000000` once ended in numpy's
+    # _ArrayMemoryError; the allocation fails here by stand-in, since a
+    # system that overcommits memory might really make it
+    def fail(params, plan, sigmas):
+        raise MemoryError("Unable to allocate 3.64 TiB for an array with shape (5, 100000000000)")
+
+    monkeypatch.setattr(cli, "_inner_rows", fail)
+    code, out, err = _run(capsys, ["inner-check", "--samples", "16"])
+    assert code == 1 and out == ""
+    assert err == (
+        "error: out of memory: Unable to allocate 3.64 TiB for an array with shape (5, 100000000000)\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,7 @@
-"""Dirichlet-polynomial arithmetic: norms, convolution, twists, vertical means."""
+"""Dirichlet-polynomial arithmetic: norms, convolution, evaluation, vertical means."""
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import subprocess
@@ -12,17 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from h2comp.dseries import (
-    Character,
-    DirichletPoly,
-    carlson_mean,
-    derivative_at,
-    evaluate,
-    h2_norm_sq,
-    h2k_norm,
-    multiply,
-    twist,
-)
+from h2comp.dseries import DirichletPoly, carlson_mean, evaluate, h2_norm_sq, multiply
 
 
 def _random_poly(rng, max_n=60, terms=8):
@@ -128,80 +117,6 @@ def test_evaluate_manual_sum():
     assert evaluate(f, s) == pytest.approx(manual, abs=1e-13)
 
 
-def test_derivative_examples():
-    assert derivative_at(DirichletPoly.one(), 1, 0.3 + 1j) == 0.0
-    f = DirichletPoly.monomial(2, 1.0)
-    assert derivative_at(f, 1, 2.0) == pytest.approx(-math.log(2.0) / 4.0)
-    g = (
-        DirichletPoly.one()
-         + (DirichletPoly.monomial(2, 1.0))
-         + (DirichletPoly.monomial(3, 1.0))
-    )
-    assert derivative_at(g, 0, 2.0) == pytest.approx(49.0 / 36.0)
-
-
-def test_derivative_matches_finite_difference():
-    rng = np.random.default_rng(29)
-    f = _random_poly(rng, max_n=30, terms=6)
-    c = 1.5
-    h = 1e-6
-    fd = (evaluate(f, c + h) - evaluate(f, c - h)) / (2 * h)
-    assert derivative_at(f, 1, c) == pytest.approx(fd, abs=1e-7)
-
-
-def test_twist_examples():
-    f = DirichletPoly.monomial(2, 1.0)
-    chi = Character((-1.0,))
-    assert twist(f, chi).coeff(2) == pytest.approx(-1.0)
-
-    g = DirichletPoly.monomial(6, 1.0)
-    chi2 = Character((1j, 1j))
-    assert twist(g, chi2).coeff(6) == pytest.approx(-1.0)
-
-
-def test_twist_trivial_character():
-    rng = np.random.default_rng(31)
-    f = _random_poly(rng, max_n=16, terms=4)
-    chi = Character((1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
-    g = twist(f, chi)
-    for n in f.support:
-        assert g.coeff(n) == pytest.approx(f.coeff(n))
-
-
-def test_twist_isometry_random():
-    # support must factor over the character's primes, so build the support
-    # from random exponent tuples over (2, 3, 5)
-    rng = np.random.default_rng(37)
-    for _ in range(15):
-        f = DirichletPoly.zero()
-        for _ in range(7):
-            e2, e3, e5 = rng.integers(0, 4, size=3)
-            n = 2 ** int(e2) * 3 ** int(e3) * 5 ** int(e5)
-            f = f + DirichletPoly.monomial(n, complex(rng.normal(), rng.normal()))
-        angles = rng.uniform(0, 2 * math.pi, size=3)
-        chi = Character(tuple(np.exp(1j * angles)))
-        assert h2_norm_sq(twist(f, chi)) == pytest.approx(h2_norm_sq(f), rel=1e-13)
-
-
-def test_twist_is_multiplicative():
-    chi = Character((np.exp(0.3j), np.exp(1.1j), np.exp(2.2j)))
-    # chi(12) = chi(2)^2 chi(3)
-    f = DirichletPoly.monomial(12, 1.0)
-    expected = np.exp(0.3j) ** 2 * np.exp(1.1j)
-    assert twist(f, chi).coeff(12) == pytest.approx(expected)
-
-
-def test_twist_prime_out_of_range():
-    f = DirichletPoly.monomial(5, 1.0)
-    with pytest.raises(ValueError):
-        twist(f, Character((1.0, 1.0)))  # covers only primes 2 and 3
-
-
-def test_character_rejects_nonunimodular():
-    with pytest.raises(ValueError):
-        Character((0.5,))
-
-
 def test_carlson_constant_and_monomial():
     one = DirichletPoly.one()
     assert carlson_mean(one, 10.0) == pytest.approx(1.0, rel=1e-12)
@@ -227,64 +142,6 @@ def test_carlson_convergence_rate():
     target = h2_norm_sq(f)
     for T in (1e2, 1e3, 1e4):
         assert abs(carlson_mean(f, T) - target) <= k_f / T + 1e-9
-
-
-def test_h2k_single_term_power():
-    f = DirichletPoly.monomial(2, 0.7)
-    for k in (1, 2, 3, 5):
-        assert h2k_norm(f, k) == pytest.approx(0.7 ** (2 * k), rel=1e-12)
-
-
-def test_h2k_examples():
-    f = DirichletPoly.monomial(2, 1.0) + (DirichletPoly.monomial(3, 1.0))
-    assert h2k_norm(f, 2) == pytest.approx(6.0, rel=1e-12)
-    g = f + (DirichletPoly.monomial(5, 1.0))
-    assert h2k_norm(g, 1) == pytest.approx(3.0, rel=1e-12)
-
-
-def test_h2k_binomial_identity():
-    # the k-th power of a two-prime unit vector has multinomial coefficients;
-    # the squared norm is the central binomial number
-    f = DirichletPoly.monomial(2, 1.0) + (DirichletPoly.monomial(3, 1.0))
-    for k in (1, 2, 3, 4, 5, 6):
-        assert h2k_norm(f, k) == pytest.approx(float(math.comb(2 * k, k)), rel=1e-10)
-
-
-def test_h2k_power_mean_monotone():
-    # normalized by (sum c_j)^{2k}, the sequence is nonincreasing in k
-    coeffs = [(0.5, 0.3), (0.4, 0.4, 0.2), (1.0,)]
-    for cs in coeffs:
-        primes = (2, 3, 5)
-        f = DirichletPoly.zero()
-        for p, c in zip(primes, cs):
-            f = f + (DirichletPoly.monomial(p, c))
-        total = sum(cs)
-        prev = math.inf
-        for k in range(1, 7):
-            ratio = h2k_norm(f, k) / total ** (2 * k)
-            assert ratio <= prev + 1e-12
-            prev = ratio
-
-
-def test_h2k_support_cap_guard():
-    f = DirichletPoly.zero()
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
-        f = f + (DirichletPoly.monomial(p, 1.0))
-    with pytest.raises(ValueError):
-        h2k_norm(f, 12)
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(43)
-    f = _random_poly(rng, max_n=50, terms=6)
-    blob = f.to_json()
-    parsed = json.loads(blob)
-    ns = [row[0] for row in parsed["coeffs"]]
-    assert ns == sorted(ns)
-    g = DirichletPoly.from_json(blob)
-    assert g.support == f.support
-    for n in f.support:
-        assert g.coeff(n) == pytest.approx(f.coeff(n), abs=1e-15)
 
 
 def _mp_evaluate_atol(f, s):

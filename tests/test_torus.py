@@ -12,7 +12,7 @@ import pytest
 
 from h2comp.affine import AffineSymbol, comp_norm_sq
 from h2comp import torus
-from h2comp.dseries import Character, DirichletPoly, evaluate
+from h2comp.dseries import DirichletPoly, evaluate
 from h2comp.fixtures import (
     get_fixture,
     poly_level_measure,
@@ -22,7 +22,6 @@ from h2comp.fixtures import (
 from h2comp.torus import (
     InnerSymbolParams,
     SamplePlan,
-    boundary_value,
     curve_trace,
     ergodic_measure,
     inner_boundary_modulus,
@@ -30,7 +29,6 @@ from h2comp.torus import (
     measure_E_delta,
     mc_comp_norm_sq,
     mobius_symbol_value,
-    sample_characters,
     shapiro_constant,
 )
 
@@ -39,22 +37,27 @@ SQ58 = math.sqrt(5.0 / 8.0)
 
 # --- character sampling ---------------------------------------------------
 
+def _all_characters(plan):
+    """Every column of a plan's characters, drawn as one block."""
+    return torus._characters(plan, 0, plan.n_samples)
+
+
 def test_sampling_is_reproducible():
     plan = SamplePlan(n_samples=512, seed=1234, d=3)
-    a = sample_characters(plan)
-    b = sample_characters(plan)
+    a = _all_characters(plan)
+    b = _all_characters(plan)
     assert a.shape == (3, 512)
     assert np.array_equal(a, b)
 
 
 def test_sampling_is_unimodular():
-    Z = sample_characters(SamplePlan(n_samples=1000, seed=9, d=2))
+    Z = _all_characters(SamplePlan(n_samples=1000, seed=9, d=2))
     np.testing.assert_allclose(np.abs(Z), 1.0, atol=1e-12)
 
 
 def test_sampling_seed_changes_draw():
-    a = sample_characters(SamplePlan(n_samples=64, seed=1, d=1))
-    b = sample_characters(SamplePlan(n_samples=64, seed=2, d=1))
+    a = _all_characters(SamplePlan(n_samples=64, seed=1, d=1))
+    b = _all_characters(SamplePlan(n_samples=64, seed=2, d=1))
     assert not np.array_equal(a, b)
 
 
@@ -101,7 +104,7 @@ def test_sampling_matches_one_full_draw_across_blocks():
     for n in (5, torus._CHUNK, torus._CHUNK + 1, 2 * torus._CHUNK + 12345):
         plan = SamplePlan(n_samples=n, seed=2718, d=2)
         phases = _full_phase_draw(plan)
-        got = sample_characters(plan)
+        got = _all_characters(plan)
         assert got.tobytes() == _characters_of(phases).tobytes()
         _assert_characters_exact_to(got[:, ::211], phases[:, ::211])
 
@@ -198,23 +201,18 @@ def test_plan_validation():
 # --- boundary values ------------------------------------------------------
 
 def test_boundary_value_extremes():
+    # chi = (1, 1) at phases 0 and chi = (-1, -1) at phases pi
     phi = AffineSymbol(1.5, (0.6, 0.4))
-    assert boundary_value(phi, (1.0, 1.0)) == pytest.approx(phi.c + phi.r)
-    assert boundary_value(phi, (-1.0, -1.0)) == pytest.approx(phi.c - phi.r)
+    vals = phi.boundary(np.array([[0.0, math.pi], [0.0, math.pi]]))
+    assert vals[0] == pytest.approx(phi.c + phi.r)
+    assert vals[1] == pytest.approx(phi.c - phi.r)
 
 
 def test_boundary_value_triangle():
     rng = np.random.default_rng(17)
     phi = AffineSymbol(1.5, (0.5, 0.3, 0.2))
-    for _ in range(50):
-        chi = tuple(np.exp(1j * rng.uniform(0, 2 * math.pi, size=3)))
-        assert abs(boundary_value(phi, chi) - phi.c) <= phi.r + 1e-12
-
-
-def test_boundary_value_dim_check():
-    phi = AffineSymbol(1.5, (0.5, 0.5))
-    with pytest.raises(ValueError):
-        boundary_value(phi, (1.0,))
+    vals = phi.boundary(rng.uniform(0, 2 * math.pi, size=(3, 50)))
+    assert np.all(np.abs(vals - phi.c) <= phi.r + 1e-12)
 
 
 # --- level-set measures ---------------------------------------------------
@@ -548,15 +546,14 @@ def test_inner_params_validation():
 
 def test_inner_modulus_deep_limit():
     params = InnerSymbolParams(lambdas=(0.5,), thetas=(0.0,))
-    chi = Character((1.0,))
-    val = inner_boundary_modulus(params, chi, sigma=40.0)
+    val = inner_boundary_modulus(params, (1.0,), sigma=40.0)
     assert val == pytest.approx(math.exp(-0.5), abs=1e-6)
     assert params.g_infinity == pytest.approx(math.exp(-0.5))
 
 
 def test_inner_modulus_boundary_single_factor():
     params = InnerSymbolParams(lambdas=(0.5,), thetas=(0.0,))
-    val = inner_boundary_modulus(params, Character((-1.0,)), sigma=1e-8)
+    val = inner_boundary_modulus(params, (-1.0,), sigma=1e-8)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
@@ -586,7 +583,22 @@ def test_inner_pole_guard():
     params = InnerSymbolParams(lambdas=(0.5,), thetas=(0.0,))
     with pytest.raises(ValueError):
         # chi aligned with the pole and essentially on the boundary
-        inner_boundary_modulus(params, Character((1.0,)), sigma=1e-14)
+        inner_boundary_modulus(params, (1.0,), sigma=1e-14)
+
+
+@pytest.mark.parametrize("fn", [inner_boundary_modulus, mobius_symbol_value])
+@pytest.mark.parametrize("chi, message", [
+    ((2.0,) * 6, "not unimodular"),
+    ((0.5j,) * 6, "not unimodular"),
+    ((math.nan,) * 6, "not unimodular"),
+    ((1.0,) * 5, "symbol needs 6"),
+], ids=["two", "half-i", "nan", "short"])
+def test_characters_off_the_torus_rejected(fn, chi, message):
+    # the closed form of Re S assumes |chi_j| = 1: off the circle it
+    # returns a modulus below 1 that belongs to no point of the symbol
+    params = get_fixture("example-7.3").symbol
+    with pytest.raises(ValueError, match=message):
+        fn(params, chi, 0.1)
 
 
 def test_inner_truncation_bound_decreases():
@@ -732,7 +744,7 @@ def test_inner_params_need_a_positive_lambda_sum():
 
 def test_exponent_sum_needs_positive_depth():
     params = get_fixture("example-7.3").symbol
-    Z = sample_characters(SamplePlan(n_samples=8, seed=3, d=params.d))
+    Z = _all_characters(SamplePlan(n_samples=8, seed=3, d=params.d))
     for sigma in (0.0, -1.0):
         with pytest.raises(ValueError, match="sigma must be positive"):
             params.exponent_sum(Z, sigma)
@@ -900,7 +912,7 @@ def test_results_do_not_depend_on_worker_count(pool_size):
     def run():
         from h2comp.cli import _inner_rows
         return (
-            sample_characters(plan).tobytes(),
+            _all_characters(plan).tobytes(),
             measure_E_delta(phi, 0.8, plan),
             mc_comp_norm_sq(phi, F5, plan),
             curve_trace(phi, -50.0, 50.0, 2 * torus._SLICE + 3).tobytes(),
