@@ -244,7 +244,7 @@ def _cmd_bounds(args) -> tuple[str, int]:
 def _cmd_opnorm(args) -> tuple[str, int]:
     _require_positive(args, "nin", "levels")
     kind, sym, echo = _resolve_symbol(args, ("affine", "family"))
-    base, k_out = _truncation(kind, sym, args.nin, args.kout)
+    base, k_out = _truncation(kind, args.nin, args.kout)
     smallest = 4 if kind == "family" else 2
     sizes = sorted({max(smallest, base >> s) for s in range(min(args.levels, base.bit_length() + 1))})
     section = partial(phi_alpha_operator, sym.alpha) if kind == "family" else partial(build_matrix, sym)
@@ -746,7 +746,7 @@ def _suite_matrix_certificates() -> dict:
     for i, n in enumerate(op.input_ns):
         exact = comp_norm_sq(phi, DirichletPoly.monomial(n))
         ok &= colsq[i] - 1e-12 <= exact <= colsq[i] + op.column_defects[i] + 1e-12
-    e0 = np.zeros(len(op.out_indices))
+    e0 = np.zeros(op.factor.shape[0])
     e0[0] = 1.0
     ok &= bool(np.allclose(op.entries[:, 0].real, e0, atol=1e-15))
     ok &= abs(op.column_defects[0]) == 0.0
@@ -883,9 +883,8 @@ def _suite_kernel_order() -> dict:
         if fx.kind == "affine":
             phi = fx.symbol
             adj = _adjoint_entry(phi).value
-            # the report's columns at a fixed output degree 40 for every
-            # fixture, one section shared by all the kernel points
-            op = build_matrix(phi, *_truncation("affine", phi, None, 40))
+            # the report's own section, shared by all the kernel points
+            op = build_matrix(phi, *_truncation("affine", None, None))
             best, allowance = 0.0, 0.0
             for s in _KERNEL_SIGMAS:
                 rk = kernel_quotient_report(op, s)

@@ -87,8 +87,11 @@ __all__ = [
     "suite_for_phi_alpha",
 ]
 
-_ROW_CAP = 200_000
+# section caps (`_check_section`): entries of the (K_out + 1) x n_in
+# factor, and the output degree, which also caps the column-defect tail
+# K_big and so bounds the O((d - 1) K^2) convolution of the degree weights
 _ENTRY_CAP = 8_000_000
+_K_CAP = 4000
 # Brent refinement of the adjoint suprema: step cap and relative
 # tolerance (the square root of the float64 epsilon)
 _BRENT_ITERS = 60
@@ -107,9 +110,9 @@ class TruncatedOperator:
     The entries are `factor * phase`: a real factor and the column
     phases n^{-i Im c} of an affine section, or the factor alone for the
     family (phase None).  Columns are indexed by the input frequencies
-    `input_ns` = 1..n_in; rows by the output indices `out_indices` =
-    (t,): total degrees for an affine symbol, powers 2^t for the
-    family.  `column_defects[i]` is a certified upper bound on
+    `input_ns` = 1..n_in; row t is the output degree t: total degree t
+    for an affine symbol, the power 2^t for the family.
+    `column_defects[i]` is a certified upper bound on
     ||C_phi n^{-s}||^2 minus the truncated column square sum, so
     truncated column norms are exact up to a known gap; it is computed
     from the builder's `make_defects` the first time it is read.
@@ -127,10 +130,6 @@ class TruncatedOperator:
     @property
     def input_ns(self) -> tuple[int, ...]:
         return tuple(range(1, self.factor.shape[1] + 1))
-
-    @property
-    def out_indices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple((t,) for t in range(self.factor.shape[0]))
 
     @cached_property
     def column_defects(self) -> np.ndarray:
@@ -165,8 +164,8 @@ def _column_defects(re_c: float, moduli: Sequence[float], ns: np.ndarray, K_out:
     bound are formed from logarithms (`_log_weights`), so no power or
     factorial has to fit a float.  Since ||alpha_K||^2 <= r^{2K}/(K!)^2,
     a whole column is at most n^{-2(Re c - r)}, and no defect exceeds
-    that.  If the remainder bound has turned over by K_big = 4000 in no
-    column, every defect is that bound and no tail term is summed."""
+    that.  If the remainder bound has turned over by K_big = _K_CAP in
+    no column, every defect is that bound and no tail term is summed."""
     ns = ns.astype(float)
     x = float(sum(moduli)) * np.log(ns)
     out = np.zeros(len(ns))
@@ -174,7 +173,7 @@ def _column_defects(re_c: float, moduli: Sequence[float], ns: np.ndarray, K_out:
     if not live.any():
         return out
     K_big, xmax = K_out, float(x.max())
-    while _tail_log_bound(0.0, xmax, K_big) > math.log(1e-22) and K_big < 4000:
+    while _tail_log_bound(0.0, xmax, K_big) > math.log(1e-22) and K_big < _K_CAP:
         K_big += 8
     la = -re_c * np.log(ns[live])
     bound = np.exp(2.0 * (la + x[live]))
@@ -188,23 +187,14 @@ def _column_defects(re_c: float, moduli: Sequence[float], ns: np.ndarray, K_out:
     return out
 
 
-def _section_shape(phi: AffineSymbol, n_in: int, K_out: int) -> None:
-    """Check the section of phi, the comb(K_out + d, d) x n_in lattice
-    matrix for d active primes, against the caps.  No lattice is built,
-    but its row count, at least (K_out + 1)(K_out + 2) / 2 for d >= 2,
-    bounds the O((d - 1) K_out^2) convolution of the degree weights,
-    which a cap on the (K_out + 1) x n_in factor alone would not: at
-    d = 2 it takes about a second at K_out = 8,000."""
-    if n_in < 1:
-        raise ValueError("need at least one input column")
-    if K_out < 0:
-        raise ValueError("K_out must be nonnegative")
-    d_act = _active_primes(phi)
-    rows = math.comb(K_out + d_act, d_act)
-    if rows > _ROW_CAP or rows * n_in > _ENTRY_CAP:
+def _check_section(n_in: int, K_out: int) -> None:
+    """Raise ValueError unless a section, affine or family, has at least
+    one input column, an output degree 0 <= K_out <= _K_CAP and at most
+    _ENTRY_CAP entries in its (K_out + 1) x n_in factor."""
+    if n_in < 1 or not 0 <= K_out <= _K_CAP or (K_out + 1) * n_in > _ENTRY_CAP:
         raise ValueError(
-            f"truncation size {rows} x {n_in} exceeds the configured caps "
-            f"({_ROW_CAP} rows, {_ENTRY_CAP} entries)"
+            f"section of {K_out + 1} x {n_in} is outside the caps "
+            f"(n_in >= 1, 0 <= K_out <= {_K_CAP}, {_ENTRY_CAP} entries)"
         )
 
 
@@ -222,9 +212,9 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
     row t - 1 times log n ||alpha_t|| / ||alpha_{t-1}|| (`_log_weights`);
     every entry is at most n^{-(Re c - r)} <= 1, so no step overflows.
     Column n = 1 is the unit vector at degree 0: constants map to
-    constants.  The lattice size is checked against the caps; the
+    constants.  The section size is checked against the caps; the
     certified column defects are computed on first read."""
-    _section_shape(phi, n_in, K_out)
+    _check_section(n_in, K_out)
     moduli = [x for x in phi.coeffs if x > 0.0]
     K = K_out if moduli else 0
     M = np.zeros((K + 1, n_in))
@@ -567,29 +557,17 @@ class BoundReport:
         }
 
 
-def _default_kout(d_act: int) -> int:
-    if d_act <= 1:
-        return 40
-    K = 1
-    while math.comb(K + 1 + d_act, d_act) <= 4096:
-        K += 1
-    return min(K, 40)
-
-
 def _active_primes(phi: AffineSymbol) -> int:
     return sum(1 for x in phi.coeffs if x > 0)
 
 
-def _truncation(kind: str, sym, n_in: int | None, K_out: int | None) -> tuple[int, int]:
-    """The section size (n_in, K_out) of a report on `sym`, a symbol of
-    `kind`, with None for a size that takes the kind's default: 64
-    columns and `_default_kout` of the active-prime count for affine
-    symbols, 512 columns and 400 lattice levels for the family."""
-    if kind == "family":
-        return (512 if n_in is None else n_in), (400 if K_out is None else K_out)
-    if K_out is None:
-        K_out = _default_kout(_active_primes(sym))
-    return (64 if n_in is None else n_in), K_out
+def _truncation(kind: str, n_in: int | None, K_out: int | None) -> tuple[int, int]:
+    """The section size (n_in, K_out) of a report on a symbol of `kind`,
+    with None for a size that takes the kind's default: 64 columns and
+    output degree 40 for affine symbols, 512 columns and 400 lattice
+    levels for the family."""
+    default_n, default_k = (512, 400) if kind == "family" else (64, 40)
+    return (default_n if n_in is None else n_in), (default_k if K_out is None else K_out)
 
 
 def _report(kind: str, entries: dict[str, BoundEntry], n_in: int, k_out: int) -> BoundReport:
@@ -634,7 +612,7 @@ def bound_suite(phi: AffineSymbol, n_in: int | None = None, K_out: int | None = 
     r = phi.r
     d_all = phi.d
     d_act = _active_primes(phi)
-    n_in, K_out = _truncation("affine", phi, n_in, K_out)
+    n_in, K_out = _truncation("affine", n_in, K_out)
     e: dict[str, BoundEntry] = {}
     e["genlower"] = BoundEntry(
         zeta(2.0 * re_c), True, "square norm of the image of the constant-direction kernel"
@@ -741,10 +719,7 @@ def phi_alpha_operator(alpha: float, n_in: int, K_out: int) -> TruncatedOperator
     exact up to rounding.
     """
     sym = PhiAlphaSymbol(alpha)
-    if n_in < 1 or K_out < 0:
-        raise ValueError("need n_in >= 1 and K_out >= 0")
-    if (K_out + 1) * n_in > _ENTRY_CAP:
-        raise ValueError("lattice section exceeds the configured entry cap")
+    _check_section(n_in, K_out)
     # square sums of the exponential factor are e^beta, so individual
     # coefficients reach e^{beta/2}; keep that inside double range
     if 2.0 * float(alpha) * math.log(n_in) > 1250.0:
@@ -818,7 +793,7 @@ def suite_for_phi_alpha(alpha: float, n_in: int | None = None, K_out: int | None
     quotient on a grid of real points near 0.
     """
     a = float(alpha)
-    n_in, K_out = _truncation("family", None, n_in, K_out)
+    n_in, K_out = _truncation("family", n_in, K_out)
     lower = max(2.0 / a, zeta(1.0 + 2.0 * a))
     upper = max(2.0 / a, zeta(1.0 + a))
     if a <= alpha0():

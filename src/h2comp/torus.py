@@ -79,19 +79,18 @@ __all__ = [
     "mobius_symbol_value",
 ]
 
-# Both are multiples of 4: a Philox counter step gives 4 of the uint64s
-# that `Generator.uniform` turns into one double each, so a slice that
-# starts at a multiple of 4 starts on a counter step (see `_phases`).
-_CHUNK = 1 << 19
+# A multiple of 4: a Philox counter step gives 4 of the uint64s that
+# `Generator.uniform` turns into one double each, so a slice that starts
+# at a multiple of 4 starts on a counter step (see `_phases`).
 _SLICE = 1 << 16
 
 
 # --- column slices on every CPU -------------------------------------------
 #
 # numpy releases the GIL in its elementwise loops, so contiguous column
-# slices of a block run in parallel on threads.  Small slices keep each
-# thread's temporaries small; with wider slices the per-thread malloc
-# arenas raised the peak resident size.
+# slices of the samples or of a line grid run in parallel on threads.
+# Small slices keep each thread's temporaries small; with wider slices
+# the per-thread malloc arenas raised the peak resident size.
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -210,19 +209,14 @@ def _line_grid(phi, t_min: float, t_max: float, n: int) -> np.ndarray:
 
 def _line_values(phi, t: np.ndarray) -> np.ndarray:
     """phi(it) along the imaginary axis: the boundary values at the
-    phases -t log p_j of the characters p_j^{-it}, in column slices."""
+    phases -t log p_j of the characters p_j^{-it}.  The line routes call
+    it on one column slice of their grid at a time."""
     logs = [math.log(p) for p in first_primes(_required_dim(phi))]
-    out = np.empty(t.size, dtype=complex)
-
-    def fill(lo, hi):
-        theta = np.empty((len(logs), hi - lo))
-        for row, log_p in zip(theta, logs):
-            # 0 - t log p is -t log p, with +0.0 at t = 0 as in exp(-1j t log p)
-            np.subtract(0.0, t[lo:hi] * log_p, out=row)
-        out[lo:hi] = phi.boundary(theta)
-
-    _map_slices(fill, t.size)
-    return out
+    theta = np.empty((len(logs), t.size))
+    for row, log_p in zip(theta, logs):
+        # 0 - t log p is -t log p, with +0.0 at t = 0 as in exp(-1j t log p)
+        np.subtract(0.0, t * log_p, out=row)
+    return phi.boundary(theta)
 
 
 # --- measures -------------------------------------------------------------
@@ -304,11 +298,11 @@ def ergodic_measure(phi, delta: float, T: float, steps: int) -> float:
     if not r > 0.0:
         raise ValueError("level-set measures need a nondegenerate frame radius")
     t = _line_grid(phi, -T, T, int(steps))
-    hits = 0
-    for i in range(0, t.size, _CHUNK):
-        vals = _line_values(phi, t[i : i + _CHUNK])
-        hits += int(np.count_nonzero(np.abs(vals - c) < delta * r))
-    return hits / t.size
+
+    def count(lo, hi):
+        return int(np.count_nonzero(np.abs(_line_values(phi, t[lo:hi]) - c) < delta * r))
+
+    return sum(_map_slices(count, t.size)) / t.size
 
 
 def curve_trace(phi, t_min: float, t_max: float, steps: int) -> np.ndarray:
@@ -321,10 +315,13 @@ def curve_trace(phi, t_min: float, t_max: float, steps: int) -> np.ndarray:
     t = _line_grid(phi, t_min, t_max, int(steps) + 1)
     out = np.empty((t.size, 3))
     out[:, 0] = t
-    for i in range(0, t.size, _CHUNK):
-        vals = _line_values(phi, t[i : i + _CHUNK])
-        out[i : i + _CHUNK, 1] = vals.real
-        out[i : i + _CHUNK, 2] = vals.imag
+
+    def fill(lo, hi):
+        vals = _line_values(phi, t[lo:hi])
+        out[lo:hi, 1] = vals.real
+        out[lo:hi, 2] = vals.imag
+
+    _map_slices(fill, t.size)
     return out
 
 

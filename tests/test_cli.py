@@ -443,14 +443,22 @@ def test_non_convergence_exits_three(capsys, monkeypatch, argv):
     assert issubclass(NonConvergence, RuntimeError)
 
 
-def test_section_over_the_row_cap_exits_one(capsys):
-    # fig1-c's three active primes at K_out = 200 span comb(203, 3) =
-    # 1,373,701 lattice rows, past the row cap
+def test_deep_affine_section_runs(capsys):
+    # fig1-c at K_out = 200 is a 201 x 64 degree factor, well inside the
+    # caps, though its lattice would have comb(203, 3) = 1,373,701 rows
     code, out, err = _run(capsys, ["bounds", "--fixture", "fig1-c", "--kout", "200"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["k_out"] == 200
+    assert payload["report"]["gate_ok"] is True
+
+
+def test_section_past_the_degree_cap_exits_one(capsys):
+    code, out, err = _run(capsys, ["bounds", "--fixture", "fig1-c", "--kout", "4001"])
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "exceeds the configured caps" in lines[0]
+    assert "outside the caps" in lines[0]
 
 
 def test_failed_allocation_exits_one(capsys, monkeypatch):

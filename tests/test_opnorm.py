@@ -52,8 +52,7 @@ from h2comp.zeta import (
 def test_first_column_is_unit_vector():
     op = build_matrix(AffineSymbol(1.5, (0.5, 0.5)), 8, 12)
     col = op.entries[:, 0]
-    zero_row = op.out_indices.index((0,))
-    assert col[zero_row] == pytest.approx(1.0)
+    assert col[0] == pytest.approx(1.0)
     assert np.sum(np.abs(col) ** 2) == pytest.approx(1.0)
     assert op.column_defects[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -152,9 +151,9 @@ def test_sigma_is_the_top_squared_singular_value():
     sections = {
         "phi": (phi, 64, 40),
         "twin": (_flipped(phi), 64, 40),
-        "fig1-c": (_flipped(fig1c), *opnorm._truncation("affine", fig1c, None, None)),
-        "d3": (_THREE_PRIMES, *opnorm._truncation("affine", _THREE_PRIMES, None, None)),
-        "d4": (_FOUR_PRIMES, *opnorm._truncation("affine", _FOUR_PRIMES, None, None)),
+        "fig1-c": (_flipped(fig1c), *opnorm._truncation("affine", None, None)),
+        "d3": (_THREE_PRIMES, *opnorm._truncation("affine", None, None)),
+        "d4": (_FOUR_PRIMES, 64, _LATTICE_KOUT[4]),
     }
     vals = {}
     for name, (sym, n_in, K_out) in sections.items():
@@ -188,7 +187,7 @@ def test_degree_weights_are_the_power_means(phi):
     # the factor's weights ||alpha_t||^2 are the multinomial sums over
     # the lattice, convolved in log space (`_log_weights`); the power
     # means reach the same numbers by folding binomials
-    n_in, K = opnorm._truncation("affine", phi, None, None)
+    n_in, K = opnorm._truncation("affine", None, None)
     M = build_matrix(phi, n_in, K).factor
     r = sum(phi.coeffs)
     means = h2k_means(phi.coeffs, K)
@@ -225,13 +224,40 @@ def test_bound_suite_reads_the_build_matrix_section():
 
 
 def test_section_caps():
-    # fig1-c has three active primes: comb(203, 3) = 1,373,701 lattice
-    # rows, past the row cap, though the degree factor has 201 x 64
-    with pytest.raises(ValueError, match="exceeds the configured caps"):
-        build_matrix(fixtures()["fig1-c"].symbol, 64, 200)
-    # 101 x 100,000 entries, past the entry cap
-    with pytest.raises(ValueError, match="entry cap"):
-        phi_alpha_operator(1.0, 100_000, 100)
+    # one check for both kinds of section, with one message: an output
+    # degree past _K_CAP, a (K_out + 1) x n_in factor past _ENTRY_CAP
+    # entries, no input column or a negative degree
+    phi = fixtures()["fig1-c"].symbol
+    wide = opnorm._ENTRY_CAP // 101 + 1
+    for n_in, K_out in ((8, opnorm._K_CAP + 1), (wide, 100), (0, 10), (8, -1)):
+        messages = set()
+        for make in (lambda: build_matrix(phi, n_in, K_out), lambda: phi_alpha_operator(1.0, n_in, K_out)):
+            with pytest.raises(ValueError, match="outside the caps") as exc:
+                make()
+            messages.add(str(exc.value))
+        assert len(messages) == 1, (n_in, K_out)
+    # the largest degree builds, and a factor of exactly _ENTRY_CAP
+    # entries passes the check
+    assert build_matrix(phi, 2, opnorm._K_CAP).factor.shape == (opnorm._K_CAP + 1, 2)
+    assert phi_alpha_operator(1.0, 2, opnorm._K_CAP).factor.shape == (opnorm._K_CAP + 1, 2)
+    opnorm._check_section(opnorm._ENTRY_CAP // 1000, 999)
+
+
+@pytest.mark.parametrize("phi, bracket", [
+    (AffineSymbol(1.8, (0.2,) * 6), (1.1185674231019742, 1.1378294696556568)),
+    (AffineSymbol(3.6, (1.0, 0.9, 0.5, 0.3, 0.2, 0.1)), (1.007328136420982, 1.0153613035105948)),
+], ids=["uniform", "spread"])
+def test_six_prime_lower_ends_use_degree_40(phi, bracket):
+    # the default section has output degree 40 at every d; at degree 8
+    # the binding lower end falls short by about 1e-10 relative
+    rep = bound_suite(phi)
+    low = rep.entries["matrix_lower"].value
+    assert rep.k_out == 40
+    assert low == bound_suite(phi, None, 40).entries["matrix_lower"].value
+    assert low > bound_suite(phi, None, 8).entries["matrix_lower"].value
+    assert rep.max_lower() == low
+    assert rep.bracket() == pytest.approx(bracket, rel=1e-13, abs=0.0)
+    assert rep.gate_ok()
 
 
 def _lattice_indices(d, K):
@@ -275,6 +301,10 @@ def _build_matrix_columnwise(phi, n_in, K_out):
     return A, defects, idx
 
 
+# output degrees of the literal lattice references: at d = 4 and K = 40
+# the lattice has comb(44, 4) = 135,751 rows
+_LATTICE_KOUT = {1: 40, 2: 40, 3: 27, 4: 15}
+
 _SECTION_COEFFS = {
     0: (),
     1: (0.4,),
@@ -299,13 +329,12 @@ def test_build_matrix_matches_columnwise_bytes(d_act, twist):
         "complex": tuple(complex(math.cos(j + 1.0), math.sin(j + 1.0)) for j in range(len(coeffs))),
     }[twist]
     phi = AffineSymbol(1.5 + 0.7j, coeffs, twist=tw)
-    for K_out in (0, opnorm._default_kout(max(d_act, 1))):
+    for K_out in (0, _LATTICE_KOUT[max(d_act, 1)]):
         for n_in in (1, 2, 17, 64):
             at = (K_out, n_in)
             op = build_matrix(phi, n_in, K_out)
             A, defects, _ = _build_matrix_columnwise(phi, n_in, K_out)
             assert op.entries.shape == (K_out + 1 if d_act else 1, n_in), at
-            assert op.out_indices == tuple((t,) for t in range(op.entries.shape[0])), at
             top = [np.linalg.svd(B, compute_uv=False)[0] for B in (op.entries, A)]
             np.testing.assert_allclose(top[0], top[1], rtol=1e-13, atol=0.0, err_msg=str(at))
             np.testing.assert_allclose(

@@ -81,6 +81,10 @@ def _characters_of(phases):
 # 2 ulp of 1: how far a character may lie from e^{i theta} at its double phase
 CHAR_ATOL = 4.44e-16
 
+# eight column slices (2^19 columns): the block of the serial references
+# below, and the grid sizes that cross many slice boundaries
+_WIDE = 8 * torus._SLICE
+
 
 def _mp_characters(phases):
     """e^{i theta} at 30 digits on the same double phases, rounded once."""
@@ -101,7 +105,7 @@ def _assert_characters_exact_to(got, phases):
 
 
 def test_sampling_matches_one_full_draw_across_blocks():
-    for n in (5, torus._CHUNK, torus._CHUNK + 1, 2 * torus._CHUNK + 12345):
+    for n in (5, _WIDE, _WIDE + 1, 2 * _WIDE + 12345):
         plan = SamplePlan(n_samples=n, seed=2718, d=2)
         phases = _full_phase_draw(plan)
         got = _all_characters(plan)
@@ -112,7 +116,7 @@ def test_sampling_matches_one_full_draw_across_blocks():
 def test_characters_start_at_their_counter_offset():
     # each slice opens every stream at counter lo // 4, skipping the
     # columns before lo; the last range is the short last slice
-    n = 2 * torus._CHUNK + 12345
+    n = 2 * _WIDE + 12345
     plan = SamplePlan(n_samples=n, seed=2718, d=6)
     phases = _full_phase_draw(plan)
     full = _characters_of(phases)
@@ -123,7 +127,7 @@ def test_characters_start_at_their_counter_offset():
         (0, torus._SLICE),
         (4, torus._SLICE),
         (torus._SLICE, 2 * torus._SLICE),
-        (torus._CHUNK + torus._SLICE, torus._CHUNK + 2 * torus._SLICE),
+        (_WIDE + torus._SLICE, _WIDE + 2 * torus._SLICE),
         (last, n),
     ]:
         assert torus._characters(plan, lo, hi).tobytes() == full[:, lo:hi].tobytes(), (lo, hi)
@@ -144,15 +148,15 @@ def test_characters_keep_every_bit_of_a_64_bit_seed():
 
 
 def test_chunked_estimates_match_full_array_route():
-    # n straddles a block boundary; the full-array route slices one draw
-    n = torus._CHUNK + 4097
+    # n ends in a short slice; the full-array route slices one draw
+    n = _WIDE + 4097
     phi = get_fixture("fig1-c").symbol
     f = DirichletPoly({1: 1.0, 2: 0.5 - 0.25j, 3: 0.75j, 6: -0.2})
     plan = SamplePlan(n_samples=n, seed=31, d=phi.d)
     theta = _full_phase_draw(plan)
     hits, parts = 0, []
-    for i in range(0, n, torus._CHUNK):
-        vals = phi.boundary(theta[:, i : i + torus._CHUNK])
+    for i in range(0, n, _WIDE):
+        vals = phi.boundary(theta[:, i : i + _WIDE])
         hits += int(np.count_nonzero(np.abs(vals - phi.c) < 0.6 * phi.r))
         parts += _slice_moments(np.abs(evaluate(f, vals)) ** 2)
     est = hits / n
@@ -772,8 +776,8 @@ SLICED_FIXTURES = ["example-7.1", "fig1-c", "example-7.3"]
 
 def _serial_blocks(plan):
     gens = [np.random.Generator(np.random.Philox(key=[plan.seed, j])) for j in range(plan.d)]
-    for i in range(0, plan.n_samples, torus._CHUNK):
-        m = min(torus._CHUNK, plan.n_samples - i)
+    for i in range(0, plan.n_samples, _WIDE):
+        m = min(_WIDE, plan.n_samples - i)
         yield np.stack([gen.uniform(0.0, 2.0 * math.pi, m) for gen in gens])
 
 
@@ -809,18 +813,18 @@ def _serial_curve(phi, t_min, t_max, steps):
     t = np.linspace(t_min, t_max, steps + 1)
     out = np.empty((t.size, 3))
     out[:, 0] = t
-    for i in range(0, t.size, torus._CHUNK):
-        vals = _serial_line_values(phi, t[i : i + torus._CHUNK])
-        out[i : i + torus._CHUNK, 1] = vals.real
-        out[i : i + torus._CHUNK, 2] = vals.imag
+    for i in range(0, t.size, _WIDE):
+        vals = _serial_line_values(phi, t[i : i + _WIDE])
+        out[i : i + _WIDE, 1] = vals.real
+        out[i : i + _WIDE, 2] = vals.imag
     return out
 
 
 def _serial_ergodic(phi, delta, T, steps):
     t = np.linspace(-T, T, steps)
     hits = 0
-    for i in range(0, t.size, torus._CHUNK):
-        vals = _serial_line_values(phi, t[i : i + torus._CHUNK])
+    for i in range(0, t.size, _WIDE):
+        vals = _serial_line_values(phi, t[i : i + _WIDE])
         hits += int(np.count_nonzero(np.abs(vals - phi.c) < delta * phi.r))
     return hits / t.size
 
@@ -841,10 +845,10 @@ def pool_size(monkeypatch):
 
 @pytest.mark.parametrize("name", SLICED_FIXTURES)
 def test_sliced_estimates_match_serial_route(name):
-    # 2^19 + 4097 columns: one full block and one short one, each cut
-    # into slices; the serial route evaluates whole blocks at once
+    # 2^19 + 4097 columns: eight full slices and a short one; the serial
+    # route evaluates blocks of eight slices at once
     phi = get_fixture(name).symbol
-    plan = SamplePlan(n_samples=torus._CHUNK + 4097, seed=47, d=phi.d)
+    plan = SamplePlan(n_samples=_WIDE + 4097, seed=47, d=phi.d)
     for delta in (0.5, 0.9):
         assert _bits(measure_E_delta(phi, delta, plan)) == _bits(_serial_measure(phi, delta, plan))
     if name != "example-7.3":  # Monte Carlo norms need a bounded-class symbol
@@ -854,7 +858,7 @@ def test_sliced_estimates_match_serial_route(name):
 @pytest.mark.parametrize("name", SLICED_FIXTURES)
 def test_sliced_line_values_match_serial_route(name):
     phi = get_fixture(name).symbol
-    steps = torus._CHUNK + 70_000  # crosses slice and block boundaries; t = 0 is on the grid
+    steps = _WIDE + 70_000  # crosses slice and serial-block boundaries; t = 0 is on the grid
     out = curve_trace(phi, -300.0, 300.0, steps)
     assert 0.0 in out[:, 0]
     assert out.tobytes() == _serial_curve(phi, -300.0, 300.0, steps).tobytes()

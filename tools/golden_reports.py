@@ -19,9 +19,10 @@ the file:
 The commands are `bounds` and `opnorm` on every shipped fixture they
 accept, the edge cases of the truncated section (one input column,
 K_out = 0, a constant symbol with no active prime, a single opnorm
-level), explicit sections for an affine `opnorm` and a family `bounds`
-and `opnorm`, family `bounds` with one and with two output rows (the
-seed rows E_0 = 1 and E_1 = beta of the section's recurrence),
+level, a 201 x 64 section of three active primes), explicit sections
+for an affine `opnorm` and a family `bounds` and `opnorm`, family
+`bounds` with one and with two output rows (the seed rows E_0 = 1 and
+E_1 = beta of the section's recurrence),
 `bounds` and `opnorm` on a symbol with r log n_in about 374, where
 (r log n)^k / k! is huge but finite (neither command computes column
 defects), `bounds` on two huge symbols whose brackets close at 1
@@ -31,20 +32,20 @@ underflow, and on one symbol with three and one
 with four active primes (no shipped fixture has more than two), `measure`, `curve` and a
 short `curve --csv` on every boundary-sampleable fixture, `measure` at
 1,100,000 samples on the polynomial, one affine and the inner fixture, `curve` at 600,000 steps
-on an affine and the inner fixture and `inner-check` at 600,000 samples (each spans more than one
-2^19-column block and many 2^16-column slices), `inner-check` at its
+on an affine and the inner fixture and `inner-check` at 600,000 samples
+(each spans many 2^16-column slices), `inner-check` at its
 defaults and at 16 and 500 samples on other seeds,
 `majorize`, `subordinate` (exact, float and `--scan`),
 `verify-lemmas --suite` for every suite, then nine error paths
 (non-finite symbols and line ranges, overflowing arithmetic, a scan
-with no samples, a section past the lattice row cap), which print no
+with no samples, a section past the output-degree cap), which print no
 report and exit 1.
 After them come the usage errors: unknown or
 wrong-kind fixtures, malformed `--c` and `--coeffs`, a symbol outside
 the bounded class, an unknown suite, out-of-range `bounds`, `measure`,
 `curve` and `--scan` arguments, `subordinate` vectors that cannot be
 compared, flags argparse rejects and no command at all, each exiting 1;
-then the `dkzeta` suite alias and two `--help` calls, 131 commands in
+then the `dkzeta` suite alias and two `--help` calls, 132 commands in
 all.  The commands run in this
 process through `h2comp.cli.main`, with the package imported from this
 checkout's `src` and help and usage text wrapped at 80 columns.
@@ -89,6 +90,7 @@ def commands() -> list[list[str]]:
     out.append(["bounds", "--c", "2", "--coeffs", "0"])
     out.append(["opnorm", "--fixture", "fig1-c", "--levels", "1", "--nin", "2"])
     out.append(["opnorm", "--fixture", "fig1-a", "--kout", "12"])
+    out.append(["bounds", "--fixture", "fig1-c", "--kout", "200"])
     out.append(["bounds", "--fixture", "phi-alpha-0.5", "--nin", "32", "--kout", "60"])
     # the family section's seed rows of its recurrence, E_0 = 1 and E_1 = beta
     out.append(["bounds", "--fixture", "phi-alpha-1.4", "--nin", "8", "--kout", "0"])
@@ -136,7 +138,7 @@ def commands() -> list[list[str]]:
     out.append(["curve", "--fixture", "fig1-a", "--T", "inf"])
     out.append(["curve", "--fixture", "fig1-a", "--T", "1e308"])
     out.append(["subordinate", "--coeffs", "0.5,0.5", "--scan", "--samples", "-5"])
-    out.append(["bounds", "--fixture", "fig1-c", "--kout", "200"])
+    out.append(["bounds", "--fixture", "fig1-c", "--kout", "4001"])
     out.append(["measure", "--fixture", "nope", "--delta", "0.5"])
     out.append(["bounds", "--fixture", "example-7.1"])
     out.append(["inner-check", "--fixture", "fig1-a"])
