@@ -8,9 +8,7 @@ Run:  python3 demos/zeta_toolkit.py
 from h2comp.zeta import (
     CofiniteTail,
     FullIntegers,
-    GeometricPowers,
     PrimeSemigroup,
-    abscissa,
     alpha0,
     dkzeta_sandwich,
     riemann_sum_bounds,
@@ -44,9 +42,9 @@ print()
 print("restricted-support series and their abscissas:")
 for label, spec in (
     ("all integers", FullIntegers()),
-    ("powers of 2", GeometricPowers(2)),
+    ("powers of 2", PrimeSemigroup((2,))),
     ("{2,3}-smooth", PrimeSemigroup((2, 3))),
     ("1 and n >= 50", CofiniteTail(50)),
 ):
-    print(f"  {label:<14s} abscissa {abscissa(spec):g}   value at 2: "
+    print(f"  {label:<14s} abscissa {spec.abscissa:g}   value at 2: "
           f"{zeta_lambda(spec, 2.0):.10f}")

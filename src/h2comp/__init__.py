@@ -97,9 +97,7 @@ from .torus import (
 from .zeta import (
     CofiniteTail,
     FullIntegers,
-    GeometricPowers,
     PrimeSemigroup,
-    abscissa,
     alpha0,
     dkzeta_sandwich,
     riemann_sum_bounds,
@@ -141,7 +139,7 @@ __all__ = [
     "mc_comp_norm_sq", "measure_E_delta", "mobius_symbol_value",
     "shapiro_constant",
     # zeta
-    "CofiniteTail", "FullIntegers", "GeometricPowers", "PrimeSemigroup",
-    "abscissa", "alpha0", "dkzeta_sandwich", "riemann_sum_bounds",
+    "CofiniteTail", "FullIntegers", "PrimeSemigroup", "alpha0",
+    "dkzeta_sandwich", "riemann_sum_bounds",
     "zeta", "zeta_deriv", "zeta_lambda",
 ]

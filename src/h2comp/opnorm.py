@@ -64,7 +64,6 @@ from .errors import InequalityViolation, NonConvergence
 from .zeta import (
     LambdaSpec,
     PrimeSemigroup,
-    abscissa,
     alpha0,
     zeta,
 )
@@ -388,7 +387,7 @@ def adjoint_bound_general(phi: AffineSymbol, spec: LambdaSpec, sigma_grid) -> fl
     grid = sorted(float(s) for s in sigma_grid)
     if not grid:
         raise ValueError("sigma grid is empty")
-    half_absc = abscissa(spec) / 2.0
+    half_absc = spec.abscissa / 2.0
     if grid[0] <= half_absc:
         raise ValueError(
             f"sigma grid must stay strictly above {half_absc} for this frequency set"

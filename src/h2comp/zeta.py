@@ -7,13 +7,13 @@ so the accuracy target is plain double precision on scalar arguments.
 The implementation is Euler--Maclaurin with a fixed cutoff; the tests
 certify it against a slow direct-summation oracle.
 
-Derivatives are needed only up to order 12 and only for sigma > 1.  For
-those, direct summation to 10^6 plus an incomplete-gamma integral tail
-(with the first two Euler--Maclaurin corrections) is both simple and
-accurate to near machine precision at desk scale.  At integer order the
-regularized upper incomplete gamma has the closed form
-Q(k+1, y) = e^{-y} sum_{i<=k} y^i / i!, a sum of positive terms with no
-cancellation, so the tail needs nothing beyond the standard library.
+Derivatives are needed only up to order 12 and only for sigma > 1.  They
+run on the same Euler--Maclaurin cutoff and Bernoulli corrections as
+zeta, with the integral term an incomplete gamma, and are correct to
+near double rounding.  At integer order the regularized upper
+incomplete gamma has the closed form Q(k+1, y) = e^{-y} sum_{i<=k} y^i / i!,
+a sum of positive terms with no cancellation, so the tail needs nothing
+beyond the standard library.
 
 The sandwich
 
@@ -44,10 +44,8 @@ __all__ = [
     "alpha0",
     "PrimeSemigroup",
     "CofiniteTail",
-    "GeometricPowers",
     "FullIntegers",
     "LambdaSpec",
-    "abscissa",
     "zeta_lambda",
 ]
 
@@ -151,18 +149,6 @@ def _zeta_array(sigma):
     return float(out[0]) if scalar else out
 
 
-_DERIV_CUT = 1_000_000
-_deriv_grid: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def _deriv_arrays() -> tuple[np.ndarray, np.ndarray]:
-    global _deriv_grid
-    if _deriv_grid is None:
-        n = np.arange(1, _DERIV_CUT + 1, dtype=float)
-        _deriv_grid = (n, np.log(n))
-    return _deriv_grid
-
-
 def _gamma_q(k: int, y: float) -> float:
     """Regularized upper incomplete gamma Q(k+1, y) for integer k >= 0 and
     y >= 0, from the closed form e^{-y} sum_{i<=k} y^i / i!.
@@ -186,9 +172,10 @@ def zeta_deriv(k: int, sigma: float) -> float:
 
     Returns sum_n (log n)^k n^{-sigma}, i.e. the derivative with the
     sign (-1)^k stripped, which is the positive quantity every bound in
-    this package consumes.  Direct summation to 10^6, then the integral
-    int_N^inf (log t)^k t^{-sigma} dt = Gamma(k+1, (sigma-1) log N) / (sigma-1)^{k+1}
-    with the first two Euler--Maclaurin corrections at the cut.  For
+    this package consumes.  Euler--Maclaurin at zeta's cutoff N = 100:
+    the head n < N, the integral
+    int_N^inf (log t)^k t^{-sigma} dt = Gamma(k+1, (sigma-1) log N) / (sigma-1)^{k+1},
+    half the term at N and zeta's eight Bernoulli corrections.  For
     k >= 1 the value underflows to 0 as sigma grows and is 0 at +inf.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
@@ -199,22 +186,29 @@ def zeta_deriv(k: int, sigma: float) -> float:
         raise ValueError("zeta_deriv requires sigma > 1")
     if k == 0:
         return zeta(float(sigma))
-    n, ln = _deriv_arrays()
-    head = float(np.sum(ln**k * n ** (-float(sigma))))
-
-    big = float(_DERIV_CUT)
-    lb = math.log(big)
+    s = float(sigma)
+    lb = math.log(_EM_BIG)
+    head = float(np.sum(np.log(_EM_HEAD) ** k * _EM_HEAD ** (-s)))
     # Gamma(k+1, y) = k! Q(k+1, y), with y = (sigma - 1) log N
-    q = _gamma_q(k, (sigma - 1.0) * lb)
+    q = _gamma_q(k, (s - 1.0) * lb)
     if q == 0.0:
-        # sigma > 54: N^{-sigma} has underflowed too, so the tail and both
-        # corrections are 0, while (sigma - 1)^{k+1} may overflow and the
-        # second correction would form inf * 0 = NaN at sigma = +inf
+        # sigma > 162.8: N^{-sigma} has underflowed too, so the tail and
+        # every correction are 0, while (sigma - 1)^{k+1} may overflow and
+        # the corrections would form inf * 0 = NaN at sigma = +inf
         return head
-    tail = math.factorial(k) * q / (sigma - 1.0) ** (k + 1)
-    g = lb**k * big ** (-sigma)
-    gp = (k * lb ** (k - 1) - sigma * lb**k) * big ** (-sigma - 1.0)
-    return head + tail - 0.5 * g - gp / 12.0
+    out = head + math.factorial(k) * q / (s - 1.0) ** (k + 1) + 0.5 * lb**k * _EM_BIG ** (-s)
+    # the p-th derivative of x^{-s} (log x)^k is x^{-s-p} sum_i b_i (log x)^i;
+    # one more derivative maps b_i to -(s+p) b_i + (i+1) b_{i+1}
+    b = [0.0] * k + [1.0]
+    for p in range(2 * len(_EM_COEFFS) - 1):
+        b = [-(s + p) * b[i] + (i + 1) * b[i + 1] for i in range(k)] + [-(s + p) * b[k]]
+        if p % 2 == 0:
+            # b is now the odd derivative 2j - 1 = p + 1: add -B_2j/(2j)! f^(2j-1)(N)
+            poly = 0.0
+            for c in reversed(b):
+                poly = poly * lb + c
+            out -= _EM_COEFFS[p // 2] * _EM_BIG ** (-s - p - 1.0) * poly
+    return out
 
 
 def dkzeta_sandwich(k: int, sigma: float) -> tuple[float, float, float]:
@@ -307,21 +301,6 @@ class CofiniteTail:
 
 
 @dataclass(frozen=True)
-class GeometricPowers:
-    """Powers 1, p, p^2, ... of a single prime."""
-
-    p: int
-    abscissa = 0.0
-
-    def __post_init__(self):
-        if not is_prime(int(self.p)):
-            raise ValueError(f"{self.p} is not prime")
-
-    def dirichlet_sum(self, s: float) -> float:
-        return 1.0 / (1.0 - float(self.p) ** (-s))
-
-
-@dataclass(frozen=True)
 class FullIntegers:
     """All positive integers."""
 
@@ -331,16 +310,11 @@ class FullIntegers:
         return zeta(s)
 
 
-LambdaSpec = PrimeSemigroup | CofiniteTail | GeometricPowers | FullIntegers
-
-
-def abscissa(spec: LambdaSpec) -> float:
-    """Abscissa of convergence sigma(Lambda) of sum_{n in Lambda} n^{-s}."""
-    return spec.abscissa
+LambdaSpec = PrimeSemigroup | CofiniteTail | FullIntegers
 
 
 def zeta_lambda(spec: LambdaSpec, sigma: float) -> float:
-    """sum over n in the set of n^{-sigma}, for sigma > abscissa(spec)."""
+    """sum over n in the set of n^{-sigma}, for sigma > spec.abscissa."""
     s = float(sigma)
     if not s > spec.abscissa:
         raise ValueError(f"sigma={sigma} is not beyond the abscissa of {spec!r}")

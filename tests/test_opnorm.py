@@ -38,9 +38,7 @@ from h2comp.opnorm import (
 )
 from h2comp.zeta import (
     FullIntegers,
-    GeometricPowers,
     PrimeSemigroup,
-    abscissa,
     alpha0,
     zeta,
     zeta_lambda,
@@ -409,14 +407,14 @@ def test_adjoint_general_constant_symbol():
 def test_adjoint_general_lattice_beats_full():
     phi = AffineSymbol(1.5, (1.0,))
     grid = np.geomspace(0.55, 20.0, 300)
-    lattice = adjoint_bound_general(phi, GeometricPowers(2), np.geomspace(0.05, 20.0, 300))
+    lattice = adjoint_bound_general(phi, PrimeSemigroup((2,)), np.geomspace(0.05, 20.0, 300))
     full = adjoint_bound_general(phi, FullIntegers(), grid)
     assert lattice > full
 
 
 def test_adjoint_general_strictly_above_point_bound():
     for phi in (AffineSymbol(1.5, (1.0,)), AffineSymbol(2.0, (0.5, 0.5))):
-        val = adjoint_bound_general(phi, GeometricPowers(2), np.geomspace(0.05, 30.0, 400))
+        val = adjoint_bound_general(phi, PrimeSemigroup((2,)), np.geomspace(0.05, 30.0, 400))
         assert val > zeta(2.0 * phi.c.real)
 
 
@@ -493,7 +491,7 @@ def _ref_adjoint_2s(c, r, golden):
 
 def _ref_adjoint_general(phi, spec, grid, golden):
     grid = sorted(float(s) for s in grid)
-    half_absc = abscissa(spec) / 2.0
+    half_absc = spec.abscissa / 2.0
 
     def q(sigma):
         re_phi = phi.c.real - sum(
