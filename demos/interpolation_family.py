@@ -20,7 +20,7 @@ print()
 
 print("alpha    lower bracket     upper bracket     certified?")
 for a in (0.5, 1.0, 1.4, a0, 1.6, 2.0, 3.0):
-    rep = suite_for_phi_alpha(a, n_in=128, K_out=80)
+    rep = suite_for_phi_alpha(a, n_in=128)
     lo = rep.entries["brevig_lower"].value
     hi = rep.entries["brevig_upper"].value
     pinched = "norm^2 = %.6f" % lo if abs(hi - lo) < 1e-12 else f"width {hi - lo:.6f}"
@@ -31,7 +31,7 @@ print("squared norm is pinned exactly; above it a genuine gap opens.")
 print()
 
 a = 1.0
-rep = suite_for_phi_alpha(a, n_in=256, K_out=160)
+rep = suite_for_phi_alpha(a, n_in=256)
 print(f"computed routes at alpha = {a:g} (true squared norm = 2):")
 print(f"  matrix section   {rep.entries['matrix_lower'].value:.8f}")
 print(f"  kernel quotient  {rep.entries['kernel_S_lower'].value:.8f}")

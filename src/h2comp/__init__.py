@@ -75,7 +75,6 @@ from .opnorm import (
     kernel_quotient_report,
     phi_alpha_adjoint_sup,
     phi_alpha_kernel_ratio_sq,
-    phi_alpha_operator,
     sigma_max_series,
     sigma_max_sq,
     suite_for_phi_alpha,
@@ -129,8 +128,8 @@ __all__ = [
     "BoundEntry", "BoundReport", "KernelQuotientReport", "PhiAlphaSymbol",
     "TruncatedOperator", "adjoint_bound_2s", "adjoint_bound_general",
     "bound_suite", "build_matrix", "kernel_quotient", "kernel_quotient_report",
-    "phi_alpha_adjoint_sup", "phi_alpha_kernel_ratio_sq", "phi_alpha_operator",
-    "sigma_max_series", "sigma_max_sq", "suite_for_phi_alpha",
+    "phi_alpha_adjoint_sup", "phi_alpha_kernel_ratio_sq", "sigma_max_series",
+    "sigma_max_sq", "suite_for_phi_alpha",
     # primes
     "first_primes", "is_prime", "primes_up_to",
     # torus

@@ -35,7 +35,7 @@ import sys
 from collections.abc import Iterator
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,15 +64,14 @@ from .opnorm import (
     build_matrix,
     kernel_quotient_report,
     phi_alpha_adjoint_sup,
-    phi_alpha_operator,
     sigma_max_series,
     sigma_max_sq,
     suite_for_phi_alpha,
 )
 # shared between library and CLI: the section sizes of the reports, the
 # real kernel grid, the bound suite's adjoint entry and the family's
-# kernel entry
-from .opnorm import _KERNEL_SIGMAS, _adjoint_entry, _family_kernel_entry, _truncation
+# kernel entry and column Gram
+from .opnorm import _KERNEL_SIGMAS, _adjoint_entry, _family_gram_lower, _family_kernel_entry, _truncation
 from .torus import (
     InnerSymbolParams,
     SamplePlan,
@@ -196,13 +195,16 @@ def _parse_vector_exactish(text: str):
 
 
 def _resolve_symbol(args, kinds: tuple[str, ...]):
-    """(kind, symbol, echo) from --fixture or --c/--coeffs flags."""
+    """(kind, symbol, echo) from --fixture or --c/--coeffs flags.  A
+    family fixture takes no --kout: its column Gram has no output degree."""
     if args.fixture:
         fx = get_fixture(args.fixture)
         if fx.kind not in kinds:
             raise ValueError(
                 f"fixture {fx.name!r} has kind {fx.kind!r}; this command takes {kinds}"
             )
+        if fx.kind == "family" and getattr(args, "kout", None) is not None:
+            raise ValueError("--kout applies to affine symbols only: the family's Gram has no output degree")
         return fx.kind, fx.symbol, {"fixture": fx.name}
     if args.coeffs is None and args.c is None:
         raise ValueError("give either --fixture or --c/--coeffs")
@@ -228,7 +230,7 @@ def _cmd_bounds(args) -> tuple[str, int]:
     _require_positive(args, "nin")
     kind, sym, echo = _resolve_symbol(args, ("affine", "family"))
     if kind == "family":
-        rep = suite_for_phi_alpha(sym.alpha, args.nin, args.kout)
+        rep = suite_for_phi_alpha(sym.alpha, args.nin)
     else:
         rep = bound_suite(sym, args.nin, args.kout)
     echo.update({k: getattr(args, k) for k in ("nin", "kout") if getattr(args, k) is not None})
@@ -247,9 +249,12 @@ def _cmd_opnorm(args) -> tuple[str, int]:
     base, k_out = _truncation(kind, args.nin, args.kout)
     smallest = 4 if kind == "family" else 2
     sizes = sorted({max(smallest, base >> s) for s in range(min(args.levels, base.bit_length() + 1))})
-    section = partial(phi_alpha_operator, sym.alpha) if kind == "family" else partial(build_matrix, sym)
-    values = [sigma_max_sq(section(n, k_out)) for n in sizes]
-    rows = [{"n_in": n, "k_out": k_out, "sigma_max_sq": s} for n, s in zip(sizes, values)]
+    if kind == "family":
+        values = [_family_gram_lower(sym.alpha, n) for n in sizes]
+        rows = [{"n_in": n, "sigma_max_sq": s} for n, s in zip(sizes, values)]
+    else:
+        values = [sigma_max_sq(build_matrix(sym, n, k_out)) for n in sizes]
+        rows = [{"n_in": n, "k_out": k_out, "sigma_max_sq": s} for n, s in zip(sizes, values)]
     monotone_ok = all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
     echo.update({k: getattr(args, k) for k in ("nin", "kout", "levels") if getattr(args, k) is not None})
     payload = _header("opnorm", echo, None)
@@ -866,7 +871,7 @@ def _suite_gate_sweep() -> dict:
         if v:
             bad.append({"index": i, "symbol": phi.to_jsonable(), "violations": v})
     for a in (0.5, 1.0, 3.0):
-        rep = suite_for_phi_alpha(a, n_in=128, K_out=200)
+        rep = suite_for_phi_alpha(a, n_in=128)
         n_checked += 1
         v = rep.violations()
         if v:
@@ -1067,13 +1072,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="assemble every applicable norm bound")
     add_symbol_flags(p)
     p.add_argument("--nin", type=int, help="input truncation (columns / lattice levels)")
-    p.add_argument("--kout", type=int, help="output truncation degree")
+    p.add_argument("--kout", type=int, help="output truncation degree (affine symbols only)")
     add_out(p)
 
     p = sub.add_parser("opnorm", help="singular values of growing finite sections")
     add_symbol_flags(p)
     p.add_argument("--nin", type=int, help="largest input truncation")
-    p.add_argument("--kout", type=int, help="output truncation degree")
+    p.add_argument("--kout", type=int, help="output truncation degree (affine symbols only)")
     p.add_argument("--levels", type=int, default=4, help="number of doubling levels")
     add_out(p)
 

@@ -37,10 +37,10 @@ takes the section's norm from `sigma_max_sq` (the Gram matrix of M)
 and its kernel quotients from `kernel_quotient` (||M (phase v)||).
 
 The separate family phi_alpha(s) = 1/2 + alpha (1 - 2^{-s})/(1 + 2^{-s})
-maps into the powers-of-two lattice; its columns have the exact
-closed-form square norm 1/n, which makes the truncation defect exactly
-computable as well.  Its section is built one degree at a time from a
-three-term recurrence (`_exp_mobius_coeffs`).
+maps into the powers-of-two lattice, and it needs no section: the
+images of the monomials n^{-s}, n <= n_in, have the closed-form Gram
+matrix G[n, m] = (nm)^{-1/2} (min(n, m)/max(n, m))^alpha, whose top
+eigenvalue `_family_gram_lower` finds by power iteration.
 """
 
 from __future__ import annotations
@@ -82,13 +82,13 @@ __all__ = [
     "adjoint_bound_2s",
     "bound_suite",
     "PhiAlphaSymbol",
-    "phi_alpha_operator",
     "suite_for_phi_alpha",
 ]
 
 # section caps (`_check_section`): entries of the (K_out + 1) x n_in
-# factor, and the output degree, which also caps the column-defect tail
-# K_big and so bounds the O((d - 1) K^2) convolution of the degree weights
+# factor (and columns of the family's Gram), and the output degree,
+# which also caps the column-defect tail K_big and so bounds the
+# O((d - 1) K^2) convolution of the degree weights
 _ENTRY_CAP = 8_000_000
 _K_CAP = 4000
 # Brent refinement of the adjoint suprema: step cap and relative
@@ -98,33 +98,34 @@ _BRENT_RTOL = 1.5e-8
 _GATE_TOL = 1e-9
 # real kernel points of the bound suite's quotient entry
 _KERNEL_SIGMAS = (0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
+# step cap of the power iteration on the family's column Gram
+_POWER_ITERS = 1000
 
 
 # --- truncated matrices ---------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Finite section of a composition operator on the coefficient side.
+    """Finite section of an affine composition operator on the
+    coefficient side.
 
-    The entries are `factor * phase`: a real factor and the column
-    phases n^{-i Im c} of an affine section, or the factor alone for the
-    family (phase None).  Columns are indexed by the input frequencies
-    `input_ns` = 1..n_in; row t is the output degree t: total degree t
-    for an affine symbol, the power 2^t for the family.
+    The entries are `factor * phase`: the real degree factor and the
+    column phases n^{-i Im c}.  Columns are indexed by the input
+    frequencies `input_ns` = 1..n_in; row t is the total degree t.
     `column_defects[i]` is a certified upper bound on
     ||C_phi n^{-s}||^2 minus the truncated column square sum, so
     truncated column norms are exact up to a known gap; it is computed
     from the builder's `make_defects` the first time it is read.
     """
 
-    symbol: object
+    symbol: AffineSymbol
     factor: np.ndarray
-    phase: np.ndarray | None
+    phase: np.ndarray
     make_defects: Callable[[], np.ndarray] = field(repr=False)
 
     @property
     def entries(self) -> np.ndarray:
-        return self.factor if self.phase is None else self.factor * self.phase
+        return self.factor * self.phase
 
     @property
     def input_ns(self) -> tuple[int, ...]:
@@ -187,9 +188,9 @@ def _column_defects(re_c: float, moduli: Sequence[float], ns: np.ndarray, K_out:
 
 
 def _check_section(n_in: int, K_out: int) -> None:
-    """Raise ValueError unless a section, affine or family, has at least
-    one input column, an output degree 0 <= K_out <= _K_CAP and at most
-    _ENTRY_CAP entries in its (K_out + 1) x n_in factor."""
+    """Raise ValueError unless an affine section has at least one input
+    column, an output degree 0 <= K_out <= _K_CAP and at most _ENTRY_CAP
+    entries in its (K_out + 1) x n_in factor."""
     if n_in < 1 or not 0 <= K_out <= _K_CAP or (K_out + 1) * n_in > _ENTRY_CAP:
         raise ValueError(
             f"section of {K_out + 1} x {n_in} is outside the caps "
@@ -285,7 +286,7 @@ def kernel_quotient(op: TruncatedOperator, w: float) -> float:
     lower bound for the operator norm."""
     ns, s = _kernel_point(op, w)
     v = ns**-s
-    image = op.factor @ (v if op.phase is None else op.phase * v)
+    image = op.factor @ (op.phase * v)
     return float(np.linalg.norm(image)) / float(np.linalg.norm(v))
 
 
@@ -496,7 +497,8 @@ class BoundEntry:
 class BoundReport:
     """Named lower/upper bounds for a squared operator norm, with the
     consistency gate max(lowers) <= min(uppers) + 1e-9, and the section
-    size (n_in input columns, output degree k_out) its suite used."""
+    size (n_in input columns, output degree k_out, None for the family)
+    its suite used."""
 
     entries: dict[str, BoundEntry] = field(default_factory=dict)
     n_in: int | None = None
@@ -560,16 +562,17 @@ def _active_primes(phi: AffineSymbol) -> int:
     return sum(1 for x in phi.coeffs if x > 0)
 
 
-def _truncation(kind: str, n_in: int | None, K_out: int | None) -> tuple[int, int]:
+def _truncation(kind: str, n_in: int | None, K_out: int | None) -> tuple[int, int | None]:
     """The section size (n_in, K_out) of a report on a symbol of `kind`,
     with None for a size that takes the kind's default: 64 columns and
-    output degree 40 for affine symbols, 512 columns and 400 lattice
-    levels for the family."""
-    default_n, default_k = (512, 400) if kind == "family" else (64, 40)
-    return (default_n if n_in is None else n_in), (default_k if K_out is None else K_out)
+    output degree 40 for affine symbols, 512 columns for the family,
+    whose column Gram has no output degree (K_out is None)."""
+    if kind == "family":
+        return (512 if n_in is None else n_in), None
+    return (64 if n_in is None else n_in), (40 if K_out is None else K_out)
 
 
-def _report(kind: str, entries: dict[str, BoundEntry], n_in: int, k_out: int) -> BoundReport:
+def _report(kind: str, entries: dict[str, BoundEntry], n_in: int, k_out: int | None) -> BoundReport:
     """The report on a symbol of `kind` from the entries its suite found
     applicable, in table order; every other entry is a placeholder that
     names the condition it needs or the kind it belongs to."""
@@ -685,53 +688,38 @@ class PhiAlphaSymbol:
         return {"alpha": self.alpha}
 
 
-def _exp_mobius_coeffs(beta: np.ndarray, K: int) -> np.ndarray:
-    """Taylor coefficients E_m, m <= K, of F = exp(beta z / (1 + z)):
-    row m holds E_m at every beta.
+def _family_gram_lower(alpha: float, n_in: int) -> float:
+    """Top eigenvalue of the family's column Gram on n = 1..n_in, the
+    squared norm of C_{phi_alpha} on the first n_in monomials.
 
-    (1 + z)^2 F' = beta F gives the three-term recurrence
-    (m + 1) E_{m+1} = (beta - 2m) E_m - (m - 1) E_{m-1} from E_0 = 1 and
-    E_1 = beta (up to sign, E_m is the Laguerre polynomial
-    L_m^{(-1)}(beta)), one vector step over all beta per degree.  On the
-    circle |F|^2 = e^beta, so every |E_m| is at most e^{beta/2}.
-    """
-    E = np.empty((K + 1, len(beta)))
-    E[0] = 1.0
-    if K >= 1:
-        E[1] = beta
-    for m in range(1, K):
-        E[m + 1] = ((beta - 2.0 * m) * E[m] - (m - 1.0) * E[m - 1]) / (m + 1.0)
-    return E
-
-
-def phi_alpha_operator(alpha: float, n_in: int, K_out: int) -> TruncatedOperator:
-    """Finite section of C_{phi_alpha} into the powers-of-two lattice.
-
-    Columns are the input frequencies n = 1..n_in; rows the output
-    powers 2^m, m <= K_out.  Column n is n^{-(1/2+alpha)} times the
-    Taylor coefficients E_m of exp(beta z/(1+z)) at beta = 2 alpha log n,
-    which `_exp_mobius_coeffs` builds row by row from a three-term
-    recurrence, vectorised over the columns: O(K_out) per column.  The
-    exact square norm of column n is 1/n (the exponent has real part
-    beta/2 almost everywhere on the circle), so the column defects
-    1/n minus the truncated square sum, computed on first read, are
-    exact up to rounding.
-    """
-    sym = PhiAlphaSymbol(alpha)
-    _check_section(n_in, K_out)
-    # square sums of the exponential factor are e^beta, so individual
-    # coefficients reach e^{beta/2}; keep that inside double range
+    Image n is n^{-(1/2+alpha)} exp(beta_n z/(1+z)) on the lattice's
+    circle, beta_n = 2 alpha log n, where z/(1+z) = 1/2 + (i/2) tan(theta/2)
+    and tan(theta/2) is standard Cauchy (characteristic function
+    e^{-|t|}), so G[n, m] = (nm)^{-1/2} (min(n, m)/max(n, m))^alpha.
+    G v is two cumulative sums, n^{-alpha-1/2} cumsum(m^{alpha-1/2} v)
+    plus n^{alpha-1/2} times the exclusive reverse cumsum of
+    m^{-alpha-1/2} v, with no BLAS call.  Power iteration from
+    v = n^{-alpha-1/2} stops at the first Rayleigh quotient that does
+    not rise, or after `_POWER_ITERS` steps; every quotient is a lower
+    bound, so is the result."""
+    if not 1 <= n_in <= _ENTRY_CAP:
+        raise ValueError(f"the family's Gram needs 1 <= n_in <= {_ENTRY_CAP}, got {n_in}")
+    # n^{alpha - 1/2} reaches e^{alpha log n_in}; keep that inside double range
     if 2.0 * float(alpha) * math.log(n_in) > 1250.0:
         raise ValueError("alpha * log(n_in) too large: coefficients overflow doubles")
     lnn = np.log(np.arange(1, n_in + 1, dtype=float))
-    beta = 2.0 * alpha * lnn
-    A = _exp_mobius_coeffs(beta, K_out) * np.exp(-(0.5 + alpha) * lnn)
-    return TruncatedOperator(
-        symbol=sym,
-        factor=A,
-        phase=None,
-        make_defects=lambda: np.maximum(1.0 / np.arange(1, n_in + 1, dtype=float) - np.sum(A * A, axis=0), 0.0),
-    )
+    down = np.exp(-(alpha + 0.5) * lnn)
+    up = np.exp((alpha - 0.5) * lnn)
+    v, best = down, 0.0
+    for _ in range(_POWER_ITERS):
+        v = v / math.sqrt(np.sum(v * v))
+        x = down * v
+        w = down * np.cumsum(up * v) + up * np.append(np.cumsum(x[:0:-1])[::-1], 0.0)
+        q = float(np.sum(v * w))
+        if not q > best:
+            break
+        best, v = q, w
+    return best
 
 
 def phi_alpha_kernel_ratio_sq(alpha: float, w: float) -> float:
@@ -780,19 +768,19 @@ def _family_kernel_entry(alpha: float) -> BoundEntry:
     return BoundEntry(best, True, "best exact kernel quotient over real points near 0")
 
 
-def suite_for_phi_alpha(alpha: float, n_in: int | None = None, K_out: int | None = None) -> BoundReport:
+def suite_for_phi_alpha(alpha: float, n_in: int | None = None) -> BoundReport:
     """Bound report for the interpolation family.
 
     The closed-form bracket is max(2/alpha, zeta(1+2 alpha)) from below
     and max(2/alpha, zeta(1+alpha)) from above; below the crossing point
     alpha0 both collapse to 2/alpha and the report certifies the norm
-    exactly.  The matrix entry goes through the finite section with
-    n_in integer input columns and K_out + 1 lattice output rows
-    (defaults as in `_truncation`); the kernel entry evaluates the exact
-    quotient on a grid of real points near 0.
+    exactly.  The matrix entry is the top eigenvalue of the closed-form
+    column Gram on n_in input columns (`_family_gram_lower`; default as
+    in `_truncation`), with no output degree; the kernel entry evaluates
+    the exact quotient on a grid of real points near 0.
     """
     a = float(alpha)
-    n_in, K_out = _truncation("family", n_in, K_out)
+    n_in, _ = _truncation("family", n_in, None)
     lower = max(2.0 / a, zeta(1.0 + 2.0 * a))
     upper = max(2.0 / a, zeta(1.0 + a))
     if a <= alpha0():
@@ -809,11 +797,10 @@ def suite_for_phi_alpha(alpha: float, n_in: int | None = None, K_out: int | None
     e["adjoint_lower"] = BoundEntry(
         phi_alpha_adjoint_sup(a), True, "kernel-line adjoint supremum for the family"
     )
-    op = phi_alpha_operator(a, n_in, K_out)
     e["matrix_lower"] = BoundEntry(
-        sigma_max_sq(op),
+        _family_gram_lower(a, n_in),
         True,
-        f"largest singular value of the finite section ({K_out + 1}x{n_in})",
+        f"top eigenvalue of the closed-form column Gram on {n_in} columns, by power iteration",
     )
     e["kernel_S_lower"] = _family_kernel_entry(a)
-    return _report("family", e, n_in, K_out)
+    return _report("family", e, n_in, None)

@@ -135,7 +135,7 @@ def test_criterion_05_interpolation_family_norm():
     t0 = time.monotonic()
     worst = 0.0
     for a in (0.5, 1.0, 1.4):
-        rep = suite_for_phi_alpha(a, n_in=64, K_out=60)
+        rep = suite_for_phi_alpha(a, n_in=64)
         lo = rep.entries["brevig_lower"].value
         hi = rep.entries["brevig_upper"].value
         worst = max(worst, abs(lo - 2.0 / a), abs(hi - 2.0 / a))

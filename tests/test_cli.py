@@ -205,8 +205,9 @@ def test_opnorm_levels_grow(capsys):
 
 @pytest.mark.parametrize("kind", ["affine", "family"])
 def test_opnorm_huge_level_count_returns_distinct_sizes(capsys, kind):
-    sym = ["--coeffs", "0.5"] if kind == "affine" else ["--fixture", "phi-alpha-1"]
-    common = ["opnorm", *sym, "--nin", "8", "--kout", "4"]
+    # the family's Gram has no output degree, so it takes no --kout
+    sym = ["--coeffs", "0.5", "--kout", "4"] if kind == "affine" else ["--fixture", "phi-alpha-1"]
+    common = ["opnorm", *sym, "--nin", "8"]
     code, few, _ = _run(capsys, [*common, "--levels", "5"])
     assert code == 0
     start = time.monotonic()
@@ -459,6 +460,36 @@ def test_section_past_the_degree_cap_exits_one(capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "outside the caps" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--fixture", "phi-alpha-1.4", "--nin", "8", "--kout", "1"],
+    ["opnorm", "--fixture", "phi-alpha-1", "--kout", "50"],
+])
+def test_kout_on_a_family_fixture_exits_one(capsys, argv):
+    # the family's column Gram has no output degree to set
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "--kout" in lines[0] and "affine symbols only" in lines[0]
+
+
+def test_family_reports_do_not_follow_blas_threads():
+    # the family's matrix entry and opnorm levels make no BLAS call, so
+    # the thread count of a threaded BLAS cannot reach their bits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for command, key in (("bounds", '"matrix_lower"'), ("opnorm", '"sigma_max_sq"')):
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "h2comp", command, "--fixture", "phi-alpha-0.5"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(_strip_timestamp(proc.stdout))
+        assert key in reports[0] and reports[0] == reports[1], command
 
 
 def test_failed_allocation_exits_one(capsys, monkeypatch):

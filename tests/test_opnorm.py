@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 import warnings
@@ -12,7 +13,7 @@ import pytest
 
 import h2comp.opnorm as opnorm
 from h2comp.affine import AffineSymbol, _xi_from, comp_norm_sq, h2k_means, xi
-from h2comp.cli import _gate_sweep_symbols
+from h2comp.cli import _gate_sweep_symbols, main as cli_main
 from h2comp.dseries import DirichletPoly
 from h2comp.fixtures import fixtures
 from h2comp.opnorm import (
@@ -31,7 +32,6 @@ from h2comp.opnorm import (
     kernel_quotient_report,
     phi_alpha_adjoint_sup,
     phi_alpha_kernel_ratio_sq,
-    phi_alpha_operator,
     sigma_max_series,
     sigma_max_sq,
     suite_for_phi_alpha,
@@ -168,9 +168,6 @@ def test_sigma_is_the_top_squared_singular_value():
             v = ns ** -s
             literal = float(np.linalg.norm(A @ v) / np.linalg.norm(v))
             assert q == pytest.approx(literal, rel=1e-13, abs=0.0), (name, s)
-    op = phi_alpha_operator(1.4, 512, 400)
-    svd = float(np.linalg.svd(op.entries, compute_uv=False)[0]) ** 2
-    assert sigma_max_sq(op) == pytest.approx(svd, rel=1e-13, abs=0.0)
     # a diagonal unitary relates the sections of phi and its twin
     assert vals["phi"] == pytest.approx(vals["twin"], rel=1e-13, abs=0.0)
 
@@ -222,23 +219,25 @@ def test_bound_suite_reads_the_build_matrix_section():
 
 
 def test_section_caps():
-    # one check for both kinds of section, with one message: an output
+    # one check for the affine section, with one message: an output
     # degree past _K_CAP, a (K_out + 1) x n_in factor past _ENTRY_CAP
     # entries, no input column or a negative degree
     phi = fixtures()["fig1-c"].symbol
     wide = opnorm._ENTRY_CAP // 101 + 1
     for n_in, K_out in ((8, opnorm._K_CAP + 1), (wide, 100), (0, 10), (8, -1)):
-        messages = set()
-        for make in (lambda: build_matrix(phi, n_in, K_out), lambda: phi_alpha_operator(1.0, n_in, K_out)):
-            with pytest.raises(ValueError, match="outside the caps") as exc:
-                make()
-            messages.add(str(exc.value))
-        assert len(messages) == 1, (n_in, K_out)
+        with pytest.raises(ValueError, match="outside the caps"):
+            build_matrix(phi, n_in, K_out)
     # the largest degree builds, and a factor of exactly _ENTRY_CAP
     # entries passes the check
     assert build_matrix(phi, 2, opnorm._K_CAP).factor.shape == (opnorm._K_CAP + 1, 2)
-    assert phi_alpha_operator(1.0, 2, opnorm._K_CAP).factor.shape == (opnorm._K_CAP + 1, 2)
     opnorm._check_section(opnorm._ENTRY_CAP // 1000, 999)
+    # the family's Gram has no degree: 1 <= n_in <= _ENTRY_CAP columns,
+    # and alpha log n_in inside the overflow guard
+    for n_in in (0, -3, opnorm._ENTRY_CAP + 1):
+        with pytest.raises(ValueError, match="1 <= n_in"):
+            opnorm._family_gram_lower(1.0, n_in)
+    with pytest.raises(ValueError, match="overflow"):
+        opnorm._family_gram_lower(101.0, 512)
 
 
 @pytest.mark.parametrize("phi, bracket", [
@@ -723,7 +722,7 @@ def test_suite_json_shape():
 def test_report_lists_the_entry_table_and_its_section(name, n_in, k_out):
     fx = fixtures()[name]
     if fx.kind == "family":
-        rep = suite_for_phi_alpha(fx.symbol.alpha, n_in, k_out)
+        rep = suite_for_phi_alpha(fx.symbol.alpha, n_in)
     else:
         rep = bound_suite(fx.symbol, n_in, k_out)
     data = rep.to_jsonable()
@@ -736,8 +735,8 @@ def test_report_lists_the_entry_table_and_its_section(name, n_in, k_out):
     # the section size the report carries is the one its matrix entry names
     prov = rep.entries["matrix_lower"].provenance
     if fx.kind == "family":
-        rows, cols = map(int, re.search(r"\((\d+)x(\d+)\)", prov).groups())
-        assert (rep.n_in, rep.k_out) == (cols, rows - 1)
+        cols = int(re.search(r"Gram on (\d+) columns", prov).group(1))
+        assert (rep.n_in, rep.k_out) == (cols, None)
     else:
         cols, k = map(int, re.search(r"x(\d+) section \(K_out=(\d+)\)", prov).groups())
         assert (rep.n_in, rep.k_out) == (cols, k)
@@ -830,12 +829,56 @@ def test_defects_with_a_long_tail_stay_small(coeffs):
 
 # --- the boundary-fixing family -------------------------------------------
 
+def _exp_mobius_coeffs(beta, K):
+    """Reference: Taylor coefficients E_m, m <= K, of F = exp(beta z / (1 + z)),
+    row m holding E_m at every beta.  (1 + z)^2 F' = beta F gives the
+    three-term recurrence (m + 1) E_{m+1} = (beta - 2m) E_m - (m - 1) E_{m-1}
+    from E_0 = 1 and E_1 = beta (up to sign the Laguerre polynomials
+    L_m^{(-1)}(beta)).  On the circle |F|^2 = e^beta, so every |E_m| is at
+    most e^{beta/2}."""
+    E = np.empty((K + 1, len(beta)))
+    E[0] = 1.0
+    if K >= 1:
+        E[1] = beta
+    for m in range(1, K):
+        E[m + 1] = ((beta - 2.0 * m) * E[m] - (m - 1.0) * E[m - 1]) / (m + 1.0)
+    return E
+
+
+def _family_section(alpha, n_in, K_out):
+    """Reference: the (K_out + 1) x n_in section of C_{phi_alpha} into the
+    powers-of-two lattice, column n = n^{-(1/2+alpha)} E_m(2 alpha log n)
+    for m <= K_out, and its column defects 1/n - ||A e_n||^2."""
+    lnn = np.log(np.arange(1, n_in + 1, dtype=float))
+    A = _exp_mobius_coeffs(2.0 * alpha * lnn, K_out) * np.exp(-(0.5 + alpha) * lnn)
+    return A, 1.0 / np.arange(1, n_in + 1) - np.sum(A * A, axis=0)
+
+
+def _family_gram(alpha, n_in):
+    """Reference: the dense closed-form column Gram
+    G[n, m] = (nm)^{-1/2} (min(n, m)/max(n, m))^alpha."""
+    ns = np.arange(1, n_in + 1, dtype=float)
+    n, m = ns[:, None], ns[None, :]
+    return (n * m) ** -0.5 * (np.minimum(n, m) / np.maximum(n, m)) ** alpha
+
+
 def test_family_operator_columns_exact():
-    op = phi_alpha_operator(1.0, n_in=64, K_out=80)
-    col_sq = op.column_norm_sq()
-    for i, n in enumerate(op.input_ns):
-        # the exact column norm is 1/n; truncation plus defect restores it
-        assert col_sq[i] + op.column_defects[i] == pytest.approx(1.0 / n, abs=1e-12)
+    # the Gram's diagonal is the exact column norm 1/n (column 1 alone
+    # has norm 1); the sections' column square sums and top squared
+    # singular values rise with the output degree and stay below it
+    n_in = 64
+    G = _family_gram(1.0, n_in)
+    np.testing.assert_allclose(np.diag(G), 1.0 / np.arange(1, n_in + 1), rtol=1e-15, atol=0.0)
+    assert opnorm._family_gram_lower(1.0, 1) == 1.0
+    top = opnorm._family_gram_lower(1.0, n_in)
+    prev_sq, prev_top = np.zeros(n_in), 0.0
+    for K_out in (0, 80, 400, 4000):
+        A, defects = _family_section(1.0, n_in, K_out)
+        col_sq = np.sum(A * A, axis=0)
+        sigma = float(np.linalg.svd(A, compute_uv=False)[0]) ** 2
+        assert (defects >= -1e-15).all(), K_out
+        assert (col_sq >= prev_sq - 1e-15).all() and prev_top <= sigma <= top, K_out
+        prev_sq, prev_top = col_sq, sigma
 
 
 def _exp_mobius_reference(beta, K):
@@ -871,7 +914,7 @@ def _exp_mobius_reference(beta, K):
 @pytest.mark.parametrize("beta", [5.0, 2.0 * 1.4 * math.log(512), 200.0, 1247.7],
                          ids=["5", "default-section", "200", "overflow-guard"])
 def test_exp_mobius_coeffs_match_the_explicit_sum(beta):
-    E = opnorm._exp_mobius_coeffs(np.array([beta]), 400)
+    E = _exp_mobius_coeffs(np.array([beta]), 400)
     assert E.shape == (401, 1)
     err = np.abs(E[:, 0] / math.exp(beta / 2) - _exp_mobius_reference(beta, 400))
     assert err.max() <= 2e-15, int(err.argmax())
@@ -881,7 +924,7 @@ def test_exp_mobius_coeffs_seed_rows():
     beta = np.array([0.0, 0.5, 2.0, 17.46, 1247.7])
     seeds = [np.ones_like(beta), beta, beta * (beta - 2.0) / 2.0]
     for K in (0, 1, 2):
-        E = opnorm._exp_mobius_coeffs(beta, K)
+        E = _exp_mobius_coeffs(beta, K)
         assert E.shape == (K + 1, len(beta))
         for m in range(K + 1):
             assert E[m].tobytes() == seeds[m].tobytes(), (K, m)
@@ -890,11 +933,70 @@ def test_exp_mobius_coeffs_seed_rows():
 @pytest.mark.parametrize("alpha", [1.4, 100.0], ids=["default", "overflow-guard"])
 def test_family_section_columns_stay_below_their_norm(alpha):
     # alpha = 100 puts 2 alpha log 512 at 1247.7, just inside the guard
-    op = phi_alpha_operator(alpha, 512, 400)
-    assert op.entries.shape == (401, 512)
-    assert np.isfinite(op.entries).all()
-    assert (op.column_norm_sq() <= 1.0 / np.arange(1, 513)).all()
-    assert (op.column_defects >= 0.0).all()
+    A, defects = _family_section(alpha, 512, 400)
+    assert A.shape == (401, 512)
+    assert np.isfinite(A).all()
+    assert (np.sum(A * A, axis=0) <= 1.0 / np.arange(1, 513)).all()
+    assert (defects >= 0.0).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low = opnorm._family_gram_lower(alpha, 512)
+    assert 1.0 <= low <= max(2.0 / alpha, zeta(1.0 + alpha)) + 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.4])
+def test_family_gram_dominates_a_deep_section(alpha):
+    # G - A^T A is the Gram of the output rows past degree 4000: its
+    # diagonal is the section's column defects, it is positive
+    # semidefinite, and so no entry exceeds sqrt(def_n def_m)
+    A, defects = _family_section(alpha, 64, 4000)
+    D = _family_gram(alpha, 64) - A.T @ A
+    np.testing.assert_allclose(np.diag(D), defects, rtol=0.0, atol=1e-13)
+    assert np.linalg.eigvalsh(D)[0] >= -1e-13
+    root = np.sqrt(np.maximum(defects, 0.0))
+    assert (np.abs(D) <= np.outer(root, root) + 1e-13).all()
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.4, 2.0, 3.0, 100.0])
+def test_family_gram_lower_is_the_top_eigenvalue(alpha):
+    # the power iteration on the two-cumsum product against a dense
+    # eigensolve of the same closed-form Gram
+    for n_in in (1, 2, 8, 64, 512):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = opnorm._family_gram_lower(alpha, n_in)
+        want = float(np.linalg.eigvalsh(_family_gram(alpha, n_in))[-1])
+        assert got == pytest.approx(want, rel=4e-15, abs=0.0), n_in
+
+
+# matrix_lower of `bounds --fixture` on each family fixture (512 columns)
+_FAMILY_MATRIX_LOWER = {
+    "phi-alpha-0.5": 2.9593746838343002,
+    "phi-alpha-1": 1.8023146331069742,
+    "phi-alpha-1.4": 1.3761358378804298,
+}
+
+
+def test_family_matrix_lower_stays_below_the_norm():
+    family = {name: fx.symbol.alpha for name, fx in fixtures().items() if fx.kind == "family"}
+    assert set(family) == set(_FAMILY_MATRIX_LOWER)
+    for name, a in family.items():
+        rep = suite_for_phi_alpha(a)
+        low = rep.entries["matrix_lower"].value
+        assert low == pytest.approx(_FAMILY_MATRIX_LOWER[name], rel=1e-15, abs=0.0), name
+        assert low <= 2.0 / a and low <= rep.min_upper(), name
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_MATRIX_LOWER))
+def test_family_opnorm_levels_interlace(capsys, name):
+    # each level's Gram is a principal block of the next, so by Cauchy
+    # interlacing the top eigenvalues cannot fall
+    assert cli_main(["opnorm", "--fixture", name, "--levels", "8"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [row["n_in"] for row in payload["levels"]] == [4, 8, 16, 32, 64, 128, 256, 512]
+    assert all(set(row) == {"n_in", "sigma_max_sq"} for row in payload["levels"])
+    values = [row["sigma_max_sq"] for row in payload["levels"]]
+    assert values == sorted(values) and payload["monotone_ok"] is True
 
 
 def test_family_kernel_ratio_closed_form():
@@ -935,7 +1037,7 @@ def test_family_adjoint_sup_above_crossing():
 
 
 def test_family_suite_pinches_below_crossing():
-    rep = suite_for_phi_alpha(1.0, n_in=128, K_out=200)
+    rep = suite_for_phi_alpha(1.0, n_in=128)
     assert rep.entries["brevig_lower"].value == pytest.approx(2.0, abs=1e-9)
     assert rep.entries["brevig_upper"].value == pytest.approx(2.0, abs=1e-9)
     lo, hi = rep.bracket()
@@ -947,7 +1049,7 @@ def test_family_suite_pinches_below_crossing():
 
 
 def test_family_suite_above_crossing():
-    rep = suite_for_phi_alpha(3.0, n_in=128, K_out=200)
+    rep = suite_for_phi_alpha(3.0, n_in=128)
     assert rep.entries["brevig_lower"].value == pytest.approx(zeta(7.0), rel=1e-12)
     assert rep.entries["brevig_upper"].value == pytest.approx(zeta(4.0), rel=1e-12)
     assert rep.entries["brevig_upper"].value > rep.entries["brevig_lower"].value
@@ -958,7 +1060,7 @@ def test_family_kernel_reaches_adjoint():
     # the sampled closed-form quotient reaches the adjoint supremum up to
     # the O(w_min) gap left by the grid end
     for a in (0.5, 1.0, 3.0):
-        rep = suite_for_phi_alpha(a, n_in=64, K_out=100)
+        rep = suite_for_phi_alpha(a, n_in=64)
         k = rep.entries["kernel_S_lower"].value
         s = rep.entries["adjoint_lower"].value
         assert k >= s - 1e-3
@@ -967,14 +1069,14 @@ def test_family_kernel_reaches_adjoint():
 def test_family_matrix_stays_below_certified_value():
     # the finite forward section is itself a valid lower bound and must
     # not cross the collapsed bracket
-    rep = suite_for_phi_alpha(1.0, n_in=128, K_out=200)
+    rep = suite_for_phi_alpha(1.0, n_in=128)
     assert rep.entries["matrix_lower"].value <= 2.0 + 1e-9
 
 
 def test_alpha0_sits_between_regimes():
     a0 = alpha0()
-    below = suite_for_phi_alpha(a0 - 0.02, n_in=32, K_out=60)
-    above = suite_for_phi_alpha(a0 + 0.02, n_in=32, K_out=60)
+    below = suite_for_phi_alpha(a0 - 0.02, n_in=32)
+    above = suite_for_phi_alpha(a0 + 0.02, n_in=32)
     lo_b, hi_b = below.bracket()
     assert hi_b - lo_b <= 1e-9  # pinched
     lo_a, hi_a = above.bracket()

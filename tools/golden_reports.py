@@ -20,9 +20,9 @@ The commands are `bounds` and `opnorm` on every shipped fixture they
 accept, the edge cases of the truncated section (one input column,
 K_out = 0, a constant symbol with no active prime, a single opnorm
 level, a 201 x 64 section of three active primes), explicit sections
-for an affine `opnorm` and a family `bounds` and `opnorm`, family
-`bounds` with one and with two output rows (the seed rows E_0 = 1 and
-E_1 = beta of the section's recurrence),
+for an affine `opnorm` and a family `bounds` and `opnorm` (the family
+takes `--nin` only: its column Gram has no output degree), family
+`bounds` on eight columns,
 `bounds` and `opnorm` on a symbol with r log n_in about 374, where
 (r log n)^k / k! is huge but finite (neither command computes column
 defects), `bounds` on two huge symbols whose brackets close at 1
@@ -43,8 +43,8 @@ report and exit 1.
 After them come the usage errors: unknown or
 wrong-kind fixtures, malformed `--c` and `--coeffs`, a symbol outside
 the bounded class, an unknown suite, out-of-range `bounds`, `measure`,
-`curve` and `--scan` arguments, `subordinate` vectors that cannot be
-compared, flags argparse rejects and no command at all, each exiting 1;
+`curve` and `--scan` arguments, a `--kout` on a family fixture,
+`subordinate` vectors that cannot be compared, flags argparse rejects and no command at all, each exiting 1;
 then the `dkzeta` suite alias and two `--help` calls, 132 commands in
 all.  The commands run in this
 process through `h2comp.cli.main`, with the package imported from this
@@ -91,11 +91,9 @@ def commands() -> list[list[str]]:
     out.append(["opnorm", "--fixture", "fig1-c", "--levels", "1", "--nin", "2"])
     out.append(["opnorm", "--fixture", "fig1-a", "--kout", "12"])
     out.append(["bounds", "--fixture", "fig1-c", "--kout", "200"])
-    out.append(["bounds", "--fixture", "phi-alpha-0.5", "--nin", "32", "--kout", "60"])
-    # the family section's seed rows of its recurrence, E_0 = 1 and E_1 = beta
-    out.append(["bounds", "--fixture", "phi-alpha-1.4", "--nin", "8", "--kout", "0"])
-    out.append(["bounds", "--fixture", "phi-alpha-1.4", "--nin", "8", "--kout", "1"])
-    out.append(["opnorm", "--fixture", "phi-alpha-1", "--nin", "64", "--kout", "50", "--levels", "2"])
+    out.append(["bounds", "--fixture", "phi-alpha-0.5", "--nin", "32"])
+    out.append(["bounds", "--fixture", "phi-alpha-1.4", "--nin", "8"])
+    out.append(["opnorm", "--fixture", "phi-alpha-1", "--nin", "64", "--levels", "2"])
     out.append(["bounds", "--c", "100", "--coeffs", "90"])
     out.append(["opnorm", "--c", "100", "--coeffs", "90"])
     out.append(["bounds", "--c", "1e9", "--coeffs", "2e8"])
@@ -146,6 +144,7 @@ def commands() -> list[list[str]]:
     out.append(["bounds", "--coeffs", "1,x"])
     out.append(["bounds", "--c", "1.5", "--coeffs", "2"])
     out.append(["bounds", "--fixture", "fig1-c", "--nin", "0"])
+    out.append(["bounds", "--fixture", "phi-alpha-1.4", "--nin", "8", "--kout", "1"])
     out.append(["verify-lemmas", "--suite", "nope"])
     out.append(["measure", "--fixture", "fig1-c", "--delta", "2"])
     out.append(["measure", "--fixture", "fig1-c", "--delta", "0.5", "--samples", "0"])
