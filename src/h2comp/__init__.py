@@ -50,7 +50,6 @@ from .dseries import (
     carlson_mean,
     evaluate,
     h2_norm_sq,
-    multiply,
 )
 from .errors import InequalityViolation, NonConvergence
 from .fixtures import (
@@ -117,7 +116,7 @@ __all__ = [
     "composition_matrix", "littlewood_check", "mobius_comp_norm_sq", "psi_matrix", "psi_z2z",
     "shapiro_bound_check",
     # dseries
-    "DirichletPoly", "carlson_mean", "evaluate", "h2_norm_sq", "multiply",
+    "DirichletPoly", "carlson_mean", "evaluate", "h2_norm_sq",
     # errors
     "InequalityViolation",
     "NonConvergence",

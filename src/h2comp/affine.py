@@ -18,7 +18,8 @@ where m_k is the 2k-th power mean of the normalized coefficient vector.
 Both factors are kept scaled so that every intermediate lies in [0, 1]
 times an explicit prefactor; the series is truncated with a certified
 tail bound.  A brute-force oracle (`comp_bruteforce_norm_sq`) assembles
-f o phi literally by Dirichlet multiplication and takes the plain square
+f o phi literally, each power of the symbol's line a dense array over
+the exponent vectors of one total degree, and takes the plain square
 norm — a genuinely independent route kept for cross-checks.
 
 Coefficient-vector comparisons (majorization, mixing decompositions,
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dseries import DirichletPoly, _unimodular, evaluate, h2_norm_sq, multiply
+from .dseries import DirichletPoly, _unimodular, evaluate
 from .errors import InequalityViolation
 from .primes import dimension_needed, exponents_over, first_primes
 
@@ -61,6 +62,7 @@ COMP_K_DEFAULT = 200
 COMP_K_CAP = 2000
 COMP_TAIL_TOL = 1e-10
 _BRUTE_K_CAP = 600
+_BRUTE_LAYER_CAP = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -516,12 +518,17 @@ def comp_norm_sq(phi: AffineSymbol, f: DirichletPoly, K_max: int | None = None) 
 
 
 def comp_bruteforce_norm_sq(phi: AffineSymbol, f: DirichletPoly, K_max: int | None = None) -> float:
-    """||f o phi||^2 assembled literally: expand f o phi term by term as
-    a Dirichlet polynomial, then take the plain square norm.
+    """||f o phi||^2 assembled literally: f o phi = sum_k t_k line^k with
+    t_k = sum_n a_n n^{-c} (-log n)^k / k! and line = sum_j c_j chi_j p_j^{-s}
+    over the primes with c_j != 0, then the plain square norm.
 
-    Exponentially slower than `comp_norm_sq` and kept deliberately
-    independent of it (hash-map convolution instead of power means), as
-    the cross-check oracle.
+    line^k is a dense array over the exponent vectors of total degree k,
+    one axis per active prime but the last, which takes the rest; one
+    multiplication by the line is one unshifted and one shifted add per
+    axis.  The keys of layer k have total degree k, so each layer adds
+    its own square sum.  Exponentially slower than `comp_norm_sq` and
+    kept independent of it (no power means, binomial fold or multinomial
+    formula), as the cross-check oracle.
     """
     if not f:
         return 0.0
@@ -536,23 +543,32 @@ def comp_bruteforce_norm_sq(phi: AffineSymbol, f: DirichletPoly, K_max: int | No
             f"brute-force expansion needs K={K} convolution powers; "
             "use comp_norm_sq for symbols this wide"
         )
-    eff = phi.effective_coeffs()
-    line = DirichletPoly({p: z for p, z in zip(phi.primes, eff) if z != 0})
+    *zs, z_last = [z for z in phi.effective_coeffs() if z != 0]
+    if (K + 1) ** len(zs) > _BRUTE_LAYER_CAP:
+        raise ValueError(
+            f"brute-force expansion needs {K + 1}^{len(zs)} entries in its last "
+            "layer; use comp_norm_sq for symbols this wide"
+        )
 
     sup = f.support
     cur = np.array([f.coeff(n) * n ** (-phi.c) for n in sup], dtype=complex)
     neg_ln = -np.log(np.array(sup, dtype=float))
 
-    acc: dict[int, complex] = {}
-    power = DirichletPoly.one()
+    total = 0.0
+    power = np.ones((1,) * len(zs), dtype=complex)
     for k in range(K + 1):
         if k:
             cur = cur * (neg_ln / k)
-            power = multiply(power, line)
-        tk = complex(cur.sum())
-        for n, a in power.items():
-            acc[n] = acc.get(n, 0.0 + 0.0j) + tk * a
-    return h2_norm_sq(DirichletPoly(acc))
+            old = power
+            power = np.zeros((k + 1,) * len(zs), dtype=complex)
+            power[(slice(k),) * len(zs)] = z_last * old
+            for j, z in enumerate(zs):
+                at = [slice(k)] * len(zs)
+                at[j] = slice(1, k + 1)
+                power[tuple(at)] += z * old
+        layer = complex(cur.sum()) * power
+        total += float(np.sum(layer.real**2 + layer.imag**2))
+    return total
 
 
 # --- exact dominance of multinomial power sums ----------------------------

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _BOUNDARY_GRID = 4096
+# uniform boundary grid for the level-set measure of `shapiro_bound_check`
+_LEVEL_GRID = 1 << 14
 _SELF_MAP_TOL = 1e-9
 
 
@@ -213,30 +215,27 @@ def shapiro_bound_check(
     phi: PowerSeries,
     delta: float,
     f: PowerSeries,
-    boundary_samples: int = 1 << 14,
 ) -> ShapiroCheck:
     """Verify ||f o phi||^2 <= C |f(0)|^2 + (1 - C) ||f||^2 with
     C = (1/2) (1-delta)/(1+delta) * m{|phi*| < delta}.
 
     The level-set measure comes from a uniform boundary grid, so the
-    verdict allows a sampling cushion proportional to 1/boundary_samples
+    verdict allows a sampling cushion proportional to 1/_LEVEL_GRID
     on top of the 1e-6 tolerance; delta = 0 degenerates to the plain
     contraction bound.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    if boundary_samples < 16:
-        raise ValueError("need at least 16 boundary samples")
     if abs(phi.coeffs[0]) > 1e-12:
         raise ValueError("this bound needs phi(0) = 0")
     N = max(f.degree, phi.degree, 1)
     comp = compose_truncated(f, phi, N)
-    level = float(np.mean(np.abs(_boundary_values(phi, boundary_samples)) < delta))
+    level = float(np.mean(np.abs(_boundary_values(phi, _LEVEL_GRID)) < delta))
     c_delta = 0.5 * (1.0 - delta) / (1.0 + delta) * level
     lhs = comp.norm_sq()
     f0 = abs(complex(f.coeffs[0])) ** 2
     rhs = c_delta * f0 + (1.0 - c_delta) * f.norm_sq()
-    slack = 0.5 * (1.0 - delta) / (1.0 + delta) * (8.0 / boundary_samples)
+    slack = 0.5 * (1.0 - delta) / (1.0 + delta) * (8.0 / _LEVEL_GRID)
     slack *= max(f.norm_sq() - f0, 0.0)
     ok = lhs <= rhs + 1e-6 + slack
     return ShapiroCheck(lhs, rhs, c_delta, level, ok)

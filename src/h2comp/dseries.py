@@ -5,10 +5,6 @@ Hilbert space of Dirichlet series with square-summable coefficients;
 every formula in this package (composition norms, boundary sampling,
 long-line means) reaches the series through the coefficient map held
 here.
-
-Products are computed by hash-map convolution on the multiplicative
-support — supports stay small and sparse, so no transform tricks are
-wanted.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import numpy as np
 __all__ = [
     "DirichletPoly",
     "h2_norm_sq",
-    "multiply",
     "evaluate",
     "carlson_mean",
 ]
@@ -108,29 +103,12 @@ class DirichletPoly:
             out[n] = out.get(n, 0.0) + a
         return DirichletPoly(out)
 
-    def __mul__(self, other):
-        if isinstance(other, DirichletPoly):
-            return multiply(self, other)
-        return DirichletPoly({n: a * other for n, a in self._coeffs.items()})
-
-    __rmul__ = __mul__
-
 
 # --- operations -----------------------------------------------------------
 
 def h2_norm_sq(f: DirichletPoly) -> float:
     """Square norm sum_n |a_n|^2."""
     return float(sum((a.real * a.real + a.imag * a.imag) for a in f._coeffs.values()))
-
-
-def multiply(f: DirichletPoly, g: DirichletPoly) -> DirichletPoly:
-    """Dirichlet product: coefficient of m*n picks up a_m b_n."""
-    out: dict[int, complex] = {}
-    for n, a in f.items():
-        for m, b in g.items():
-            k = n * m
-            out[k] = out.get(k, 0.0 + 0.0j) + a * b
-    return DirichletPoly(out)
 
 
 def _unimodular(phase: np.ndarray, out: np.ndarray) -> None:

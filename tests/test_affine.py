@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from h2comp.affine import (
     AffineSymbol,
     CoeffVector,
     PolynomialSymbol,
+    _certified_K,
     _xi_from,
     annulus_radii,
     bvn_decompose,
@@ -28,7 +30,7 @@ from h2comp.affine import (
     xi,
 )
 from h2comp.dseries import DirichletPoly, evaluate
-from h2comp.cli import _gate_sweep_symbols
+from h2comp.cli import _gate_sweep_symbols, _series_pairs
 from h2comp.fixtures import fixtures, get_fixture, single_prime_symbol
 
 
@@ -489,6 +491,88 @@ def test_comp_norm_matches_bruteforce_default_truncation():
     a = comp_norm_sq(phi, f)
     b = comp_bruteforce_norm_sq(phi, f)
     assert abs(a - b) < 1e-8
+
+
+def _dict_bruteforce_norm_sq(phi, f, K):
+    """The literal expansion on plain dicts: line^k by Dirichlet
+    convolution, every layer t_k line^k added into one map keyed by n."""
+    line = {p: z for p, z in zip(phi.primes, phi.effective_coeffs()) if z != 0}
+    sup = f.support
+    cur = np.array([f.coeff(n) * n ** (-phi.c) for n in sup], dtype=complex)
+    neg_ln = -np.log(np.array(sup, dtype=float))
+    acc: dict[int, complex] = {}
+    power = {1: 1.0 + 0.0j}
+    for k in range(K + 1):
+        if k:
+            cur = cur * (neg_ln / k)
+            prod: dict[int, complex] = {}
+            for n, a in power.items():
+                for p, z in line.items():
+                    prod[n * p] = prod.get(n * p, 0.0) + a * z
+            power = prod
+        tk = complex(cur.sum())
+        for n, a in power.items():
+            acc[n] = acc.get(n, 0.0) + tk * a
+    return sum(a.real * a.real + a.imag * a.imag for a in acc.values())
+
+
+_ORACLE_PROBE = DirichletPoly({1: 1.0, 2: 0.5 - 0.25j, 3: -0.75, 6: 0.3j})
+_ORACLE_SYMBOLS = {
+    1: AffineSymbol(1.4 + 0.3j, (0.5,)),
+    2: AffineSymbol(1.4, (0.35, 0.25)),
+    3: AffineSymbol(1.6 - 0.2j, (0.3, 0.2, 0.15)),
+}
+
+
+@pytest.mark.parametrize("K_max", [16, 40, 64])
+@pytest.mark.parametrize("d_act", [1, 2, 3])
+def test_bruteforce_matches_dict_convolution(d_act, K_max):
+    phi = _ORACLE_SYMBOLS[d_act]
+    K, _ = _certified_K(_ORACLE_PROBE, phi.c.real, phi.r, K_max)
+    assert K == K_max
+    ref = _dict_bruteforce_norm_sq(phi, _ORACLE_PROBE, K)
+    got = comp_bruteforce_norm_sq(phi, _ORACLE_PROBE, K_max=K_max)
+    assert abs(got - ref) <= 4e-15 * ref
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        AffineSymbol(1.5, (0.4, 0.3, 0.2), twist=(np.exp(0.7j), -1.0, np.exp(2.1j))),
+        AffineSymbol(1.5, (0.4, 0.0, 0.3)),
+    ],
+    ids=["twisted", "zero-coefficient"],
+)
+def test_bruteforce_matches_dict_convolution_twist_and_zero(phi):
+    f = DirichletPoly({1: 1.0, 2: 1.0, 3: 1.0, 5: 1.0, 30: 1.0 + 1.0j})
+    K, _ = _certified_K(f, phi.c.real, phi.r, 40)
+    ref = _dict_bruteforce_norm_sq(phi, f, K)
+    got = comp_bruteforce_norm_sq(phi, f, K_max=40)
+    assert abs(got - ref) <= 4e-15 * ref
+
+
+def test_bruteforce_layer_cap_raises_before_allocating():
+    # 601^3 complex entries in the last layer would take 3.5 GB
+    phi = AffineSymbol(2.0, (0.2, 0.2, 0.2, 0.2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="last layer"):
+            comp_bruteforce_norm_sq(phi, _ORACLE_PROBE, K_max=600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_bruteforce_memory_on_three_prime_pair():
+    (phi, f), = [(phi, f) for phi, f in _series_pairs() if phi.d == 3]
+    tracemalloc.start()
+    try:
+        comp_bruteforce_norm_sq(phi, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_comp_norm_permutation_invariance():

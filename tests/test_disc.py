@@ -384,8 +384,6 @@ def test_level_set_bound_holds_random():
 def test_level_set_rejects_bad_delta():
     with pytest.raises(ValueError):
         shapiro_bound_check(psi_z2z(8), 1.5, PowerSeries([1.0]))
-    with pytest.raises(ValueError):
-        shapiro_bound_check(psi_z2z(8), 0.5, PowerSeries([1.0]), boundary_samples=4)
 
 
 def test_level_set_extremal_geometric_ratio():

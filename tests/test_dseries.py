@@ -1,4 +1,4 @@
-"""Dirichlet-polynomial arithmetic: norms, convolution, evaluation, vertical means."""
+"""Dirichlet-polynomial arithmetic: norms, evaluation, vertical means."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from h2comp.dseries import DirichletPoly, carlson_mean, evaluate, h2_norm_sq, multiply
+from h2comp.dseries import DirichletPoly, carlson_mean, evaluate, h2_norm_sq
 
 
 def _random_poly(rng, max_n=60, terms=8):
@@ -47,49 +47,12 @@ def test_triangle_inequality():
         assert lhs <= rhs + 1e-10
 
 
-def test_multiply_unique_factorization():
-    f = multiply(DirichletPoly.monomial(2, 1.0), DirichletPoly.monomial(3, 1.0))
-    assert f.support == (6,)
-    assert f.coeff(6) == pytest.approx(1.0)
-
-
-def test_multiply_square_collects_cross_terms():
-    f = DirichletPoly.monomial(2, 1.0) + (DirichletPoly.monomial(3, 1.0))
-    sq = multiply(f, f)
-    assert sq.support == (4, 6, 9)
-    assert sq.coeff(4) == pytest.approx(1.0)
-    assert sq.coeff(6) == pytest.approx(2.0)
-    assert sq.coeff(9) == pytest.approx(1.0)
-
-
-def test_multiply_identity():
-    rng = np.random.default_rng(3)
-    f = _random_poly(rng)
-    g = multiply(f, DirichletPoly.one())
-    assert g.support == f.support
-    for n in f.support:
-        assert g.coeff(n) == pytest.approx(f.coeff(n))
-
-
-def test_multiply_against_dict_convolution():
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        f = _random_poly(rng, max_n=40, terms=6)
-        g = _random_poly(rng, max_n=40, terms=6)
-        expected: dict[int, complex] = {}
-        for m in f.support:
-            for n in g.support:
-                expected[m * n] = expected.get(m * n, 0.0) + f.coeff(m) * g.coeff(n)
-        prod = multiply(f, g)
-        for n, a in expected.items():
-            assert prod.coeff(n) == pytest.approx(a, abs=1e-12)
-
-
 def test_dilation_isometry():
+    # n -> n0 n is injective, so the dilated polynomial has the same coefficients
     rng = np.random.default_rng(23)
     f = _random_poly(rng)
     for n0 in (1, 2, 7, 30):
-        shifted = multiply(DirichletPoly.monomial(n0, 1.0), f)
+        shifted = DirichletPoly({n0 * n: a for n, a in f.items()})
         assert h2_norm_sq(shifted) == pytest.approx(h2_norm_sq(f), rel=1e-13)
 
 
