@@ -1,21 +1,10 @@
 """The scalar toolkit underneath every bound: zeta on the real line,
-derivative sandwiches, integral brackets, and restricted-support
-variants over generalized integer lattices.
+derivative sandwiches, integral brackets and the crossing point alpha0.
 
 Run:  python3 demos/zeta_toolkit.py
 """
 
-from h2comp.zeta import (
-    CofiniteTail,
-    FullIntegers,
-    PrimeSemigroup,
-    alpha0,
-    dkzeta_sandwich,
-    riemann_sum_bounds,
-    zeta,
-    zeta_deriv,
-    zeta_lambda,
-)
+from h2comp.zeta import alpha0, dkzeta_sandwich, riemann_sum_bounds, zeta, zeta_deriv
 
 print("zeta on the real line (certified tails):")
 for s in (1.5, 2.0, 3.0, 4.0):
@@ -37,14 +26,3 @@ print()
 a0 = alpha0()
 print(f"the crossing point alpha * zeta(1 + alpha) = 2 sits at {a0:.12f}")
 print(f"  first derivative there: zeta'({1 + a0:.4f}) = {zeta_deriv(1, 1 + a0):.8f}")
-print()
-
-print("restricted-support series and their abscissas:")
-for label, spec in (
-    ("all integers", FullIntegers()),
-    ("powers of 2", PrimeSemigroup((2,))),
-    ("{2,3}-smooth", PrimeSemigroup((2, 3))),
-    ("1 and n >= 50", CofiniteTail(50)),
-):
-    print(f"  {label:<14s} abscissa {spec.abscissa:g}   value at 2: "
-          f"{zeta_lambda(spec, 2.0):.10f}")

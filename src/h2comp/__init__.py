@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 from .affine import (
     AffineSymbol,
-    CoeffVector,
     PolynomialSymbol,
     annulus_radii,
     bvn_decompose,
@@ -78,7 +77,7 @@ from .opnorm import (
     sigma_max_sq,
     suite_for_phi_alpha,
 )
-from .primes import first_primes, is_prime, primes_up_to
+from .primes import first_primes, primes_up_to
 from .torus import (
     InnerSymbolParams,
     MeasureResult,
@@ -92,22 +91,12 @@ from .torus import (
     mobius_symbol_value,
     shapiro_constant,
 )
-from .zeta import (
-    CofiniteTail,
-    FullIntegers,
-    PrimeSemigroup,
-    alpha0,
-    dkzeta_sandwich,
-    riemann_sum_bounds,
-    zeta,
-    zeta_deriv,
-    zeta_lambda,
-)
+from .zeta import alpha0, dkzeta_sandwich, riemann_sum_bounds, zeta, zeta_deriv
 
 __all__ = [
     "__version__",
     # affine
-    "AffineSymbol", "CoeffVector", "PolynomialSymbol", "annulus_radii",
+    "AffineSymbol", "PolynomialSymbol", "annulus_radii",
     "bvn_decompose", "comp_bruteforce_norm_sq", "comp_norm_sq",
     "effective_constant", "h2k_means", "hq_dominance", "in_gordon_hedenmalm",
     "majorizes", "xi",
@@ -130,14 +119,12 @@ __all__ = [
     "phi_alpha_adjoint_sup", "phi_alpha_kernel_ratio_sq", "sigma_max_series",
     "sigma_max_sq", "suite_for_phi_alpha",
     # primes
-    "first_primes", "is_prime", "primes_up_to",
+    "first_primes", "primes_up_to",
     # torus
     "InnerSymbolParams", "MeasureResult", "SamplePlan", "curve_trace",
     "ergodic_measure", "inner_boundary_modulus", "inner_truncation_bound",
     "mc_comp_norm_sq", "measure_E_delta", "mobius_symbol_value",
     "shapiro_constant",
     # zeta
-    "CofiniteTail", "FullIntegers", "PrimeSemigroup", "alpha0",
-    "dkzeta_sandwich", "riemann_sum_bounds",
-    "zeta", "zeta_deriv", "zeta_lambda",
+    "alpha0", "dkzeta_sandwich", "riemann_sum_bounds", "zeta", "zeta_deriv",
 ]

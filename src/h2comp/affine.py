@@ -43,7 +43,6 @@ from .errors import InequalityViolation
 from .primes import dimension_needed, exponents_over, first_primes
 
 __all__ = [
-    "CoeffVector",
     "AffineSymbol",
     "PolynomialSymbol",
     "in_gordon_hedenmalm",
@@ -62,46 +61,18 @@ COMP_K_DEFAULT = 200
 COMP_K_CAP = 2000
 COMP_TAIL_TOL = 1e-10
 _BRUTE_K_CAP = 600
-_BRUTE_LAYER_CAP = 1 << 23
+_BRUTE_LAYER_CAP = 1 << 21
 
 
-@dataclass(frozen=True)
-class CoeffVector:
-    """Nonnegative prime-coefficient vector (c_1, ..., c_d)."""
-
-    entries: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(x) for x in self.entries)
-        for x in vals:
-            if not math.isfinite(x):
-                raise ValueError(f"coefficient {x} is not finite")
-            if x < 0.0:
-                raise ValueError(f"coefficient {x} is negative")
-        object.__setattr__(self, "entries", vals)
-
-    @classmethod
-    def coerce(cls, v) -> "CoeffVector":
-        if isinstance(v, CoeffVector):
-            return v
-        return cls(tuple(v))
-
-    @property
-    def d(self) -> int:
-        return len(self.entries)
-
-    @property
-    def r(self) -> float:
-        return float(sum(self.entries))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
+def _coeffs(v) -> tuple[float, ...]:
+    """The nonnegative prime-coefficient vector (c_1, ..., c_d) as floats."""
+    vals = tuple(float(x) for x in v)
+    for x in vals:
+        if not math.isfinite(x):
+            raise ValueError(f"coefficient {x} is not finite")
+        if x < 0.0:
+            raise ValueError(f"coefficient {x} is negative")
+    return vals
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,8 +271,8 @@ def xi(phi: AffineSymbol) -> float:
 def effective_constant(coeffs) -> float:
     """C = sum c_j^2 / (sum c_j)^2, the weight a mixed upper bound puts
     on the single-prime extreme; 1 for one prime, 1/d for uniform."""
-    cv = CoeffVector.coerce(coeffs)
-    r = cv.r
+    cv = _coeffs(coeffs)
+    r = sum(cv)
     if not r > 0.0:
         raise ValueError("effective constant needs a nonzero coefficient vector")
     # scale by the power of two of r so that no square underflows; the
@@ -326,11 +297,11 @@ def annulus_radii(phi: AffineSymbol) -> tuple[float, float]:
 def majorizes(b, c) -> bool:
     """Whether c majorizes b: equal sums and every descending prefix of
     c dominates the matching prefix of b."""
-    bv = CoeffVector.coerce(b)
-    cv = CoeffVector.coerce(c)
-    if bv.d != cv.d:
+    bv = _coeffs(b)
+    cv = _coeffs(c)
+    if len(bv) != len(cv):
         raise ValueError("majorization compares vectors of equal length")
-    sb, sc = bv.r, cv.r
+    sb, sc = sum(bv), sum(cv)
     if abs(sb - sc) > 1e-12 * max(1.0, sb, sc):
         raise ValueError(f"sum mismatch: {sb} vs {sc}")
     pb = np.cumsum(sorted(bv, reverse=True))
@@ -354,13 +325,13 @@ def bvn_decompose(b, c) -> list[tuple[float, tuple[int, ...]]]:
     with positive weights summing to 1, where perm is a tuple q acting
     by (q(c))[i] = c[q[i]].
     """
-    bv = CoeffVector.coerce(b)
-    cv = CoeffVector.coerce(c)
+    bv = _coeffs(b)
+    cv = _coeffs(c)
     if not majorizes(bv, cv):
         raise ValueError("decomposition requires the target to majorize the left vector")
-    d = bv.d
-    sb = tuple(int(i) for i in np.argsort(-np.asarray(bv.entries), kind="stable"))
-    sc = tuple(int(i) for i in np.argsort(-np.asarray(cv.entries), kind="stable"))
+    d = len(bv)
+    sb = tuple(int(i) for i in np.argsort(-np.asarray(bv), kind="stable"))
+    sc = tuple(int(i) for i in np.argsort(-np.asarray(cv), kind="stable"))
     inv_sb = tuple(int(i) for i in np.argsort(sb, kind="stable"))
 
     target = [bv[i] for i in sb]
@@ -403,7 +374,7 @@ def bvn_decompose(b, c) -> list[tuple[float, tuple[int, ...]]]:
     recon = np.zeros(d)
     for w, perm in out:
         recon += w * np.array([cv[perm[i]] for i in range(d)])
-    if float(np.max(np.abs(recon - np.asarray(bv.entries)))) > 1e-10:
+    if float(np.max(np.abs(recon - np.asarray(bv)))) > 1e-10:
         raise InequalityViolation("mixing decomposition failed to reconstruct the target")
     return out
 
@@ -421,7 +392,7 @@ def h2k_means(coeffs, K: int) -> np.ndarray:
     prime are multiplicatively independent of everything before, so
     picking the split is exact.  All intermediates stay in [0, 1].
     """
-    cv = CoeffVector.coerce(coeffs)
+    cv = _coeffs(coeffs)
     if K < 0:
         raise ValueError("K must be nonnegative")
     active = [x for x in cv if x > 0.0]
@@ -476,7 +447,7 @@ def _tail_log_bound(logA: float, x: float, K: int) -> float:
     return 2.0 * logA + first - math.log1p(-ratio)
 
 
-def _certified_K(f: DirichletPoly, re_c: float, r: float, K_max: int | None) -> tuple[int, float]:
+def _certified_K(f: DirichletPoly, re_c: float, r: float, K_max: int | None) -> int:
     """Smallest admissible truncation K with certified tail < 1e-10."""
     sup = f.support
     absA = sum(abs(f.coeff(n)) * n ** (-re_c) for n in sup)
@@ -487,7 +458,7 @@ def _certified_K(f: DirichletPoly, re_c: float, r: float, K_max: int | None) -> 
     while True:
         lt = _tail_log_bound(logA, x, K)
         if lt < math.log(COMP_TAIL_TOL):
-            return K, math.exp(lt) if lt > -700 else 0.0
+            return K
         if K >= cap:
             raise ValueError(
                 f"truncation K={K} cannot certify the series tail below "
@@ -511,7 +482,7 @@ def comp_norm_sq(phi: AffineSymbol, f: DirichletPoly, K_max: int | None = None) 
         return abs(evaluate(f, phi.c)) ** 2
     if max(f.support) == 1:
         return abs(f.coeff(1)) ** 2
-    K, _ = _certified_K(f, phi.c.real, r, K_max)
+    K = _certified_K(f, phi.c.real, r, K_max)
     means = h2k_means(phi.coeffs, K)
     w = _taylor_weights(f, phi.c, r, K)
     return float(np.sum((w.real**2 + w.imag**2) * means))
@@ -537,7 +508,7 @@ def comp_bruteforce_norm_sq(phi: AffineSymbol, f: DirichletPoly, K_max: int | No
         return abs(evaluate(f, phi.c)) ** 2
     if max(f.support) == 1:
         return abs(f.coeff(1)) ** 2
-    K, _ = _certified_K(f, phi.c.real, r, K_max)
+    K = _certified_K(f, phi.c.real, r, K_max)
     if K > _BRUTE_K_CAP:
         raise ValueError(
             f"brute-force expansion needs K={K} convolution powers; "

@@ -44,6 +44,7 @@ __all__ = [
     "littlewood_check",
     "shapiro_bound_check",
     "ShapiroCheck",
+    "LittlewoodCheck",
 ]
 
 _BOUNDARY_GRID = 4096

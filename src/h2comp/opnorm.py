@@ -61,12 +61,7 @@ from .affine import (
     xi,
 )
 from .errors import InequalityViolation, NonConvergence
-from .zeta import (
-    LambdaSpec,
-    PrimeSemigroup,
-    alpha0,
-    zeta,
-)
+from .zeta import alpha0, zeta
 
 __all__ = [
     "TruncatedOperator",
@@ -83,6 +78,8 @@ __all__ = [
     "bound_suite",
     "PhiAlphaSymbol",
     "suite_for_phi_alpha",
+    "phi_alpha_adjoint_sup",
+    "phi_alpha_kernel_ratio_sq",
 ]
 
 # section caps (`_check_section`): entries of the (K_out + 1) x n_in
@@ -98,6 +95,8 @@ _BRENT_RTOL = 1.5e-8
 _GATE_TOL = 1e-9
 # real kernel points of the bound suite's quotient entry
 _KERNEL_SIGMAS = (0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
+# sigma grid of the several-prime adjoint quotient
+_ADJOINT_SIGMAS = np.geomspace(0.1, 50.0, 96)
 # step cap of the power iteration on the family's column Gram
 _POWER_ITERS = 1000
 
@@ -118,7 +117,6 @@ class TruncatedOperator:
     from the builder's `make_defects` the first time it is read.
     """
 
-    symbol: AffineSymbol
     factor: np.ndarray
     phase: np.ndarray
     make_defects: Callable[[], np.ndarray] = field(repr=False)
@@ -228,7 +226,6 @@ def build_matrix(phi: AffineSymbol, n_in: int, K_out: int) -> TruncatedOperator:
             M[t, 1:] = M[t - 1, 1:] * ln * step[t - 1]
     phase = np.array([n ** complex(0.0, -phi.c.imag) for n in range(1, n_in + 1)])
     return TruncatedOperator(
-        symbol=phi,
         factor=M,
         phase=phase,
         make_defects=lambda: _column_defects(phi.c.real, moduli, np.arange(1, n_in + 1), K_out),
@@ -376,42 +373,40 @@ def _refined_grid_max(f, xs, vals, lo_edge: float, hi_edge: float) -> float:
     return max(vals[i], _brent_max(f, lo, hi)[1])
 
 
-def adjoint_bound_general(phi: AffineSymbol, spec: LambdaSpec, sigma_grid) -> float:
-    """Lower bound sup_sigma zeta(2 min-Re phi(sigma)) / zeta_Lambda(2 sigma).
+def adjoint_bound_general(phi: AffineSymbol) -> float:
+    """Lower bound sup_sigma zeta(2 min-Re phi(sigma)) / E(2 sigma), with
+    E(s) = prod_p 1/(1 - p^{-s}) over the active primes.
 
-    Kernels supported on a thinner frequency set Lambda keep the full
-    image kernel upstairs while shrinking the denominator; the symbol's
-    real part is taken at its vertical-limit minimum, which a rotation
-    of the coefficients attains.  Grid maximum plus Brent's refinement
-    between its neighbours (`_refined_grid_max`).
+    Kernels supported on the semigroup of the active primes keep the
+    full image kernel upstairs while shrinking the denominator to its
+    Euler product; the symbol's real part is taken at its vertical-limit
+    minimum, which a rotation of the coefficients attains.  Grid maximum
+    on `_ADJOINT_SIGMAS` plus Brent's refinement between its neighbours
+    (`_refined_grid_max`), down to half the first grid point.
     """
-    grid = sorted(float(s) for s in sigma_grid)
-    if not grid:
-        raise ValueError("sigma grid is empty")
-    half_absc = spec.abscissa / 2.0
-    if grid[0] <= half_absc:
-        raise ValueError(
-            f"sigma grid must stay strictly above {half_absc} for this frequency set"
-        )
-
-    # every point q is evaluated at, grid or refinement, lies above
-    # half_absc, so the Dirichlet sum is called without re-validation
+    grid = _ADJOINT_SIGMAS.tolist()
     c_re = phi.c.real
     terms = tuple((cj, float(p)) for cj, p in zip(phi.coeffs, phi.primes))
-    dirichlet_sum = spec.dirichlet_sum
+    active = tuple(p for cj, p in terms if cj > 0)
 
     def min_re(sigma: float) -> float:
         """Minimal real part of the symbol over its vertical limits at Re s = sigma."""
         return c_re - sum(cj * p ** (-sigma) for cj, p in terms)
 
+    def euler(s: float) -> float:
+        out = 1.0
+        for p in active:
+            out /= 1.0 - p ** (-s)
+        return out
+
     def q(sigma: float) -> float:
-        return zeta(2.0 * min_re(sigma)) / dirichlet_sum(2.0 * sigma)
+        return zeta(2.0 * min_re(sigma)) / euler(2.0 * sigma)
 
     # the grid scan is q point by point with the zeta calls gathered
-    # into one vector call; `min_re` and the Dirichlet sum stay scalar
+    # into one vector call; `min_re` and the Euler product stay scalar
     num = zeta(np.array([2.0 * min_re(s) for s in grid]))
-    vals = num / np.array([dirichlet_sum(2.0 * s) for s in grid])
-    return _refined_grid_max(q, grid, vals, half_absc + 0.5 * (grid[0] - half_absc), grid[-1] * 1.5)
+    vals = num / np.array([euler(2.0 * s) for s in grid])
+    return _refined_grid_max(q, grid, vals, 0.5 * grid[0], grid[-1] * 1.5)
 
 
 def adjoint_bound_2s(c: complex, r: float) -> float:
@@ -594,9 +589,8 @@ def _adjoint_entry(phi: AffineSymbol) -> BoundEntry:
         )
     if _active_primes(phi) == 1:
         return BoundEntry(adjoint_bound_2s(phi.c, r), True, "closed-form one-prime adjoint supremum")
-    spec = PrimeSemigroup(tuple(p for p, cj in zip(phi.primes, phi.coeffs) if cj > 0))
     return BoundEntry(
-        adjoint_bound_general(phi, spec, np.geomspace(0.1, 50.0, 96)),
+        adjoint_bound_general(phi),
         True,
         "restricted-frequency adjoint quotient, grid plus Brent refinement",
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+__all__ = ["first_primes", "primes_up_to"]
+
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, by sieve of Eratosthenes."""
@@ -39,23 +41,6 @@ def first_primes(d: int) -> tuple[int, ...]:
         if len(ps) >= d:
             return tuple(ps[:d])
         bound *= 2
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    # deterministic trial division is plenty at the sizes we see
-    f = 41
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def exponents_over(n: int, primes: tuple[int, ...]) -> tuple[int, ...]:

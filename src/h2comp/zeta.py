@@ -1,9 +1,9 @@
-"""Riemann zeta on the real ray sigma > 1, together with the restricted
-variants and derivative brackets the operator bounds consume.
+"""Riemann zeta on the real ray sigma > 1, together with the derivative
+brackets the operator bounds consume.
 
 Everything downstream reaches zeta through closed-form expressions such
-as zeta(1 + xi) or quotients zeta(2 Re phi(sigma)) / zeta_Lambda(2 sigma),
-so the accuracy target is plain double precision on scalar arguments.
+as zeta(1 + xi) or quotients zeta(2 min Re phi(sigma)) / E(2 sigma), with
+E the Euler product over the symbol's active primes (`opnorm`), so the accuracy target is plain double precision on scalar arguments.
 The implementation is Euler--Maclaurin with a fixed cutoff; the tests
 certify it against a slow direct-summation oracle.
 
@@ -28,13 +28,11 @@ bracket together with the directly computed middle value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InequalityViolation
-from .primes import is_prime
 
 __all__ = [
     "zeta",
@@ -42,11 +40,6 @@ __all__ = [
     "dkzeta_sandwich",
     "riemann_sum_bounds",
     "alpha0",
-    "PrimeSemigroup",
-    "CofiniteTail",
-    "FullIntegers",
-    "LambdaSpec",
-    "zeta_lambda",
 ]
 
 _EM_CUT = 100
@@ -256,69 +249,6 @@ def riemann_sum_bounds(sigma: float, m: int) -> tuple[float, float]:
     upper = float(m) ** (s - 1.0) * (zeta(s) - head)
     lower = upper - 1.0 / m
     return (lower, upper)
-
-
-# --- restricted summatory sets -------------------------------------------
-
-@dataclass(frozen=True)
-class PrimeSemigroup:
-    """Multiplicative semigroup generated by a finite set of primes."""
-
-    primes: tuple[int, ...]
-    abscissa = 0.0
-
-    def __post_init__(self):
-        ps = tuple(int(p) for p in self.primes)
-        if len(set(ps)) != len(ps):
-            raise ValueError("generator primes must be distinct")
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "primes", ps)
-
-    def dirichlet_sum(self, s: float) -> float:
-        out = 1.0
-        for p in self.primes:
-            out /= 1.0 - float(p) ** (-s)
-        return out
-
-
-@dataclass(frozen=True)
-class CofiniteTail:
-    """The set {1} together with every integer n >= m."""
-
-    m: int
-    abscissa = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 2:
-            raise ValueError("cofinite tail needs m >= 2")
-
-    def dirichlet_sum(self, s: float) -> float:
-        # {1} plus the tail n >= m: drop 2 .. m-1 from the full sum.
-        n = np.arange(2, self.m, dtype=float)
-        return zeta(s) - float(np.sum(n**(-s)))
-
-
-@dataclass(frozen=True)
-class FullIntegers:
-    """All positive integers."""
-
-    abscissa = 1.0
-
-    def dirichlet_sum(self, s: float) -> float:
-        return zeta(s)
-
-
-LambdaSpec = PrimeSemigroup | CofiniteTail | FullIntegers
-
-
-def zeta_lambda(spec: LambdaSpec, sigma: float) -> float:
-    """sum over n in the set of n^{-sigma}, for sigma > spec.abscissa."""
-    s = float(sigma)
-    if not s > spec.abscissa:
-        raise ValueError(f"sigma={sigma} is not beyond the abscissa of {spec!r}")
-    return spec.dirichlet_sum(s)
 
 
 @lru_cache(maxsize=1)

@@ -14,8 +14,8 @@ import pytest
 
 from h2comp.affine import (
     AffineSymbol,
-    CoeffVector,
     PolynomialSymbol,
+    _BRUTE_LAYER_CAP,
     _certified_K,
     _xi_from,
     annulus_radii,
@@ -161,14 +161,14 @@ def test_annulus_radii():
 
 
 def test_coeff_vector_rejects_negative():
-    with pytest.raises(ValueError):
-        CoeffVector.coerce((-0.1, 0.5))
+    with pytest.raises(ValueError, match="is negative"):
+        effective_constant((-0.1, 0.5))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_coeff_vector_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="not finite"):
-        CoeffVector.coerce((bad, 0.5))
+        effective_constant((bad, 0.5))
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -528,7 +528,7 @@ _ORACLE_SYMBOLS = {
 @pytest.mark.parametrize("d_act", [1, 2, 3])
 def test_bruteforce_matches_dict_convolution(d_act, K_max):
     phi = _ORACLE_SYMBOLS[d_act]
-    K, _ = _certified_K(_ORACLE_PROBE, phi.c.real, phi.r, K_max)
+    K = _certified_K(_ORACLE_PROBE, phi.c.real, phi.r, K_max)
     assert K == K_max
     ref = _dict_bruteforce_norm_sq(phi, _ORACLE_PROBE, K)
     got = comp_bruteforce_norm_sq(phi, _ORACLE_PROBE, K_max=K_max)
@@ -545,23 +545,27 @@ def test_bruteforce_matches_dict_convolution(d_act, K_max):
 )
 def test_bruteforce_matches_dict_convolution_twist_and_zero(phi):
     f = DirichletPoly({1: 1.0, 2: 1.0, 3: 1.0, 5: 1.0, 30: 1.0 + 1.0j})
-    K, _ = _certified_K(f, phi.c.real, phi.r, 40)
+    K = _certified_K(f, phi.c.real, phi.r, 40)
     ref = _dict_bruteforce_norm_sq(phi, f, K)
     got = comp_bruteforce_norm_sq(phi, f, K_max=40)
     assert abs(got - ref) <= 4e-15 * ref
 
 
 def test_bruteforce_layer_cap_raises_before_allocating():
-    # 601^3 complex entries in the last layer would take 3.5 GB
+    # 601^3 complex entries in the last layer would take 3.5 GB; K = 128
+    # is the first K whose last layer, 129^3 entries, passes the cap
     phi = AffineSymbol(2.0, (0.2, 0.2, 0.2, 0.2))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="last layer"):
-            comp_bruteforce_norm_sq(phi, _ORACLE_PROBE, K_max=600)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert 128**3 <= _BRUTE_LAYER_CAP < 129**3
+    for K_max in (600, 128):
+        assert _certified_K(_ORACLE_PROBE, phi.c.real, phi.r, K_max) == K_max
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="last layer"):
+                comp_bruteforce_norm_sq(phi, _ORACLE_PROBE, K_max=K_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_bruteforce_memory_on_three_prime_pair():

@@ -36,13 +36,7 @@ from h2comp.opnorm import (
     sigma_max_sq,
     suite_for_phi_alpha,
 )
-from h2comp.zeta import (
-    FullIntegers,
-    PrimeSemigroup,
-    alpha0,
-    zeta,
-    zeta_lambda,
-)
+from h2comp.zeta import alpha0, zeta
 
 
 # --- finite sections ------------------------------------------------------
@@ -396,30 +390,61 @@ def test_kernel_quotient_is_norm_lower_bound():
 # --- adjoint bounds -------------------------------------------------------
 
 def test_adjoint_general_constant_symbol():
-    phi = AffineSymbol(1.5, ())
-    grid = np.linspace(1.0, 40.0, 200)
-    val = adjoint_bound_general(phi, FullIntegers(), grid)
-    assert val >= zeta(3.0) - 1e-4
-    assert val <= zeta(3.0) + 1e-12
+    # no active prime: the Euler product is empty and every grid point
+    # and refinement point of the quotient is zeta(2 Re c)
+    assert adjoint_bound_general(AffineSymbol(1.5, ())) == zeta(3.0)
 
 
 def test_adjoint_general_lattice_beats_full():
+    # the same quotient with kernels on all integers, whose denominator
+    # is zeta(2 sigma) and whose grid must stay above sigma = 1/2
     phi = AffineSymbol(1.5, (1.0,))
+
+    def full(sigma):
+        return zeta(2.0 * (1.5 - 2.0 ** (-sigma))) / zeta(2.0 * sigma)
+
     grid = np.geomspace(0.55, 20.0, 300)
-    lattice = adjoint_bound_general(phi, PrimeSemigroup((2,)), np.geomspace(0.05, 20.0, 300))
-    full = adjoint_bound_general(phi, FullIntegers(), grid)
-    assert lattice > full
+    vals = [full(s) for s in grid]
+    full_sup = opnorm._refined_grid_max(full, grid, vals, 0.525, 30.0)
+    assert adjoint_bound_general(phi) > full_sup
 
 
 def test_adjoint_general_strictly_above_point_bound():
     for phi in (AffineSymbol(1.5, (1.0,)), AffineSymbol(2.0, (0.5, 0.5))):
-        val = adjoint_bound_general(phi, PrimeSemigroup((2,)), np.geomspace(0.05, 30.0, 400))
-        assert val > zeta(2.0 * phi.c.real)
+        assert adjoint_bound_general(phi) > zeta(2.0 * phi.c.real)
 
 
-def test_adjoint_general_empty_grid():
-    with pytest.raises(ValueError):
-        adjoint_bound_general(AffineSymbol(1.5, (1.0,)), FullIntegers(), [])
+def _smooth_sum(primes, s):
+    """sum of n^{-s} over the integers whose prime factors all lie in
+    `primes` (two of them), term by term down to 1e-18."""
+    p, q = (math.log(x) for x in primes)
+    a = np.arange(int(41.5 / (s * p)) + 1)[:, None]
+    b = np.arange(int(41.5 / (s * q)) + 1)[None, :]
+    logs = a * p + b * q
+    return float(np.sum(np.exp(-s * logs[s * logs <= 41.5])))
+
+
+@pytest.mark.parametrize("phi, primes", [
+    (AffineSymbol(2.0, (0.5, 0.5)), (2, 3)),
+    (AffineSymbol(2.0, (0.5, 0.0, 0.5)), (2, 5)),
+], ids=["2-3", "2-5"])
+def test_adjoint_general_euler_product_matches_smooth_sum(phi, primes, monkeypatch):
+    # the denominator on the grid is the Euler product over the active
+    # primes, which is the sum of n^{-2 sigma} over their smooth numbers
+    seen = []
+
+    def spy(f, xs, vals, lo_edge, hi_edge):
+        seen.append((list(xs), list(vals), lo_edge))
+        return max(vals)
+
+    monkeypatch.setattr(opnorm, "_refined_grid_max", spy)
+    adjoint_bound_general(phi)
+    (grid, vals, lo_edge), = seen
+    assert grid == list(np.geomspace(0.1, 50.0, 96)) and lo_edge == 0.05
+    for sigma, val in zip(grid, vals):
+        min_re = phi.c.real - sum(cj * p ** (-sigma) for cj, p in zip(phi.coeffs, phi.primes))
+        ref = zeta(2.0 * min_re) / _smooth_sum(primes, 2.0 * sigma)
+        assert val == pytest.approx(ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("xi_val", [0.1, 0.2, 0.25])
@@ -488,19 +513,22 @@ def _ref_adjoint_2s(c, r, golden):
     return best
 
 
-def _ref_adjoint_general(phi, spec, grid, golden):
-    grid = sorted(float(s) for s in grid)
-    half_absc = spec.abscissa / 2.0
+def _ref_adjoint_general(phi, golden):
+    grid = sorted(float(s) for s in np.geomspace(0.1, 50.0, 96))
+    active = [p for p, cj in zip(phi.primes, phi.coeffs) if cj > 0]
 
     def q(sigma):
         re_phi = phi.c.real - sum(
             cj * float(p) ** (-sigma) for cj, p in zip(phi.coeffs, phi.primes)
         )
-        return zeta(2.0 * re_phi) / zeta_lambda(spec, 2.0 * sigma)
+        euler = 1.0
+        for p in active:
+            euler /= 1.0 - float(p) ** (-2.0 * sigma)
+        return zeta(2.0 * re_phi) / euler
 
     vals = [q(s) for s in grid]
     i = int(np.argmax(vals))
-    lo = grid[i - 1] if i > 0 else half_absc + 0.5 * (grid[0] - half_absc)
+    lo = grid[i - 1] if i > 0 else 0.5 * grid[0]
     hi = grid[i + 1] if i + 1 < len(grid) else grid[-1] * 1.5
     return max(vals[i], golden(q, lo, hi)[1])
 
@@ -530,12 +558,7 @@ def test_adjoint_suprema_match_scalar_loop_reference(refine, monkeypatch):
         active = tuple(p for p, cj in zip(phi.primes, phi.coeffs) if cj > 0)
         if len(active) == 1:
             assert adjoint_bound_2s(phi.c, phi.r) == _ref_adjoint_2s(phi.c, phi.r, golden)
-        for spec, grid in (
-            (PrimeSemigroup(active), np.geomspace(0.1, 50.0, 96)),
-            (FullIntegers(), np.geomspace(0.55, 50.0, 96)),
-        ):
-            ref = _ref_adjoint_general(phi, spec, grid, golden)
-            assert adjoint_bound_general(phi, spec, grid) == ref
+        assert adjoint_bound_general(phi) == _ref_adjoint_general(phi, golden)
     alphas = [fx.symbol.alpha for fx in shipped if fx.kind == "family"]
     assert len(alphas) == 3
     for a in alphas:

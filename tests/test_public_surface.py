@@ -9,6 +9,7 @@ alias.  A public name that only its own tests read has no caller.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import h2comp
@@ -43,3 +44,22 @@ def test_every_public_name_has_a_reader():
     public = set(h2comp.__all__) - {"__version__"}
     assert UNREAD_REFERENCES <= public - read
     assert sorted(public - read - UNREAD_REFERENCES) == []
+
+
+def test_package_exports_are_the_submodule_exports():
+    # `h2comp.__all__` is the union of the `__all__` lists of the modules
+    # `__init__` re-exports from, and each module defines what it lists
+    init = ROOT / "src" / "h2comp" / "__init__.py"
+    modules = sorted(
+        node.module
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    )
+    listed = set()
+    for name in modules:
+        mod = importlib.import_module(f"h2comp.{name}")
+        names = getattr(mod, "__all__", ())
+        assert [n for n in names if not hasattr(mod, n)] == [], name
+        listed.update(names)
+    public = set(h2comp.__all__) - {"__version__"}
+    assert sorted(public ^ listed) == []

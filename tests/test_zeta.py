@@ -1,4 +1,4 @@
-"""Checks for the zeta engine: values, derivatives, sandwiches, lattice variants."""
+"""Checks for the zeta engine: values, derivatives, sandwiches, alpha0."""
 
 from __future__ import annotations
 
@@ -8,15 +8,11 @@ import numpy as np
 import pytest
 
 from h2comp.zeta import (
-    CofiniteTail,
-    FullIntegers,
-    PrimeSemigroup,
     alpha0,
     dkzeta_sandwich,
     riemann_sum_bounds,
     zeta,
     zeta_deriv,
-    zeta_lambda,
     _EM_BIG,
     _EM_COEFFS,
     _EM_HEAD,
@@ -282,86 +278,3 @@ def test_alpha0_is_the_crossing_point():
     a0 = alpha0()
     assert 2.0 / (a0 - 0.01) > zeta(1.0 + (a0 - 0.01))
     assert 2.0 / (a0 + 0.01) < zeta(1.0 + (a0 + 0.01))
-
-
-def test_zeta_lambda_full_integers_matches_zeta():
-    spec = FullIntegers()
-    for sigma in (1.5, 2.0, 3.0):
-        assert zeta_lambda(spec, sigma) == pytest.approx(zeta(sigma), rel=1e-13)
-
-
-def test_zeta_lambda_geometric_powers():
-    # the powers of one prime: sum over p^{-k sigma} is a geometric series
-    for p in (2, 3, 5):
-        for sigma in (0.5, 1.0, 2.0):
-            x = float(p) ** (-sigma)
-            expected = 1.0 / (1.0 - x)
-            assert zeta_lambda(PrimeSemigroup((p,)), sigma) == expected
-
-
-def test_zeta_lambda_prime_semigroup_bruteforce():
-    # integers of the form 2^a 3^b: compare against a double sum
-    spec = PrimeSemigroup((2, 3))
-    for sigma in (1.0, 1.5, 2.0):
-        total = 0.0
-        for a in range(200):
-            for b in range(130):
-                term = 2.0 ** (-a * sigma) * 3.0 ** (-b * sigma)
-                if term < 1e-18:
-                    break
-                total += term
-        assert zeta_lambda(spec, sigma) == pytest.approx(total, rel=1e-10)
-
-
-def test_zeta_lambda_cofinite_tail():
-    # keeps the unit, drops 2..m-1 from the full sum
-    for m in (2, 5, 10):
-        for sigma in (1.5, 2.5):
-            head = sum(float(n) ** (-sigma) for n in range(2, m))
-            expected = zeta(sigma) - head
-            assert zeta_lambda(CofiniteTail(m), sigma) == pytest.approx(expected, rel=1e-12)
-
-
-def _ref_zeta_lambda(spec, s: float) -> float:
-    """An independent route: the sum dispatched on the set type."""
-    if isinstance(spec, FullIntegers):
-        return zeta(s)
-    if isinstance(spec, PrimeSemigroup):
-        out = 1.0
-        for p in spec.primes:
-            out /= 1.0 - float(p) ** (-s)
-        return out
-    n = np.arange(2, spec.m, dtype=float)
-    return zeta(s) - float(np.sum(n**(-s)))
-
-
-@pytest.mark.parametrize("spec", [
-    FullIntegers(), CofiniteTail(2), CofiniteTail(9), CofiniteTail(300),
-    PrimeSemigroup((3,)), PrimeSemigroup((2,)), PrimeSemigroup((5, 2, 7)),
-])
-def test_zeta_lambda_keeps_its_bits(spec):
-    for sigma in (1.0 + 1e-9, 1.1, 1.5, 2.0, 3.7, 25.0):
-        assert zeta_lambda(spec, sigma) == _ref_zeta_lambda(spec, sigma)
-    assert zeta_lambda(spec, np.float64(2.5)) == _ref_zeta_lambda(spec, 2.5)
-
-
-def test_abscissa_values():
-    assert FullIntegers().abscissa == 1.0
-    assert CofiniteTail(7).abscissa == 1.0
-    assert PrimeSemigroup((2,)).abscissa == 0.0
-    assert PrimeSemigroup((2, 3, 5)).abscissa == 0.0
-
-
-def test_zeta_lambda_respects_abscissa():
-    with pytest.raises(ValueError):
-        zeta_lambda(FullIntegers(), 1.0)
-    with pytest.raises(ValueError):
-        zeta_lambda(PrimeSemigroup((2,)), 0.0)
-    # semigroup sums converge for any positive sigma
-    assert zeta_lambda(PrimeSemigroup((2, 3)), 0.25) > 0.0
-
-
-def test_geometric_powers_below_full():
-    # the lattice sum is a sub-sum of the full one
-    for sigma in (1.5, 2.0, 3.0):
-        assert zeta_lambda(PrimeSemigroup((2,)), sigma) < zeta(sigma)
