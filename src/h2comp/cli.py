@@ -34,7 +34,6 @@ import math
 import sys
 from collections.abc import Iterator
 from datetime import datetime, timezone
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -75,8 +74,8 @@ from .opnorm import _KERNEL_SIGMAS, _adjoint_entry, _family_gram_lower, _family_
 from .torus import (
     InnerSymbolParams,
     SamplePlan,
-    _characters,
     _map_slices,
+    _phases,
     _shapiro_weight,
     curve_trace,
     inner_boundary_modulus,
@@ -120,10 +119,6 @@ def _render(obj, indent: int = 0) -> str:
         return format(x, ".15g")
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, complex):
-        return _render([obj.real, obj.imag], indent)
-    if isinstance(obj, Fraction):
-        return str(int(obj)) if obj.denominator == 1 else json.dumps(str(obj))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -466,23 +461,22 @@ def _maybe_warn_curve(outer_ok: bool, inner_ok: bool) -> None:
 
 
 def _inner_rows(params: InnerSymbolParams, plan: SamplePlan, sigmas) -> tuple[dict, bool]:
-    """Diagnostics rows per depth in `sigmas` over the characters of
-    `plan`, |g| at depth 40 along the first character, and whether all
-    of them hold.  Each column slice of characters is drawn and
-    evaluated at every depth at once, in one task on every CPU, so
-    memory is one slice per worker plus 8 bytes of 1 - |g| per sample
-    per depth, which the medians need.  The gap 1 - |g| = -expm1(-Re S)
-    and the moduli |g| = exp(-Re S) take Re S from its closed form,
-    which keeps every digit at small depths; the offsets frame g =
-    exp(-Re S) e^{-i Im S} (`InnerSymbolParams.interior_values`)."""
+    """Diagnostics rows per depth in `sigmas` over the sampled phases of
+    `plan`, |g| at depth 40 at the first sample, and whether all of them
+    hold.  Each column slice of phases is drawn and evaluated at every
+    depth in one call of `InnerSymbolParams.interior_values`, in one
+    task on every CPU, so memory is one slice per worker plus 8 bytes of
+    1 - |g| per sample per depth, which the medians need.  The gap
+    1 - |g| = -expm1(-Re S) and the moduli |g| = exp(-Re S) take Re S
+    from the kernel's closed form, which keeps every digit at small
+    depths; the offsets frame its g = exp(-Re S) e^{-i Im S}."""
     gaps = np.empty((len(sigmas), plan.n_samples))
-    deep = inner_boundary_modulus(params, _characters(plan, 0, 1)[:, 0], 40.0)
+    deep = inner_boundary_modulus(params, _phases(plan, 0, 1)[:, 0], 40.0)
 
     def scan(lo, hi):
-        Z = _characters(plan, lo, hi)
         out = []
-        for row, s in enumerate(sigmas):
-            re_S, g = params.interior_values(Z, s)
+        values = params.interior_values(_phases(plan, lo, hi), sigmas)
+        for row, (re_S, g) in enumerate(values):
             np.negative(np.expm1(-re_S), out=gaps[row, lo:hi])
             mods = np.exp(-re_S)
             offs = np.abs(params.frame(g) - params.c)

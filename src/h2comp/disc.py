@@ -232,11 +232,12 @@ def shapiro_bound_check(
     N = max(f.degree, phi.degree, 1)
     comp = compose_truncated(f, phi, N)
     level = float(np.mean(np.abs(_boundary_values(phi, _LEVEL_GRID)) < delta))
-    c_delta = 0.5 * (1.0 - delta) / (1.0 + delta) * level
+    weight = 0.5 * (1.0 - delta) / (1.0 + delta)
+    c_delta = weight * level
     lhs = comp.norm_sq()
     f0 = abs(complex(f.coeffs[0])) ** 2
     rhs = c_delta * f0 + (1.0 - c_delta) * f.norm_sq()
-    slack = 0.5 * (1.0 - delta) / (1.0 + delta) * (8.0 / _LEVEL_GRID)
+    slack = weight * (8.0 / _LEVEL_GRID)
     slack *= max(f.norm_sq() - f0, 0.0)
     ok = lhs <= rhs + 1e-6 + slack
     return ShapiroCheck(lhs, rhs, c_delta, level, ok)

@@ -52,14 +52,6 @@ class DirichletPoly:
     # --- constructors ---
 
     @classmethod
-    def zero(cls) -> "DirichletPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "DirichletPoly":
-        return cls({1: 1.0})
-
-    @classmethod
     def monomial(cls, n: int, a: complex = 1.0) -> "DirichletPoly":
         return cls({n: a})
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .affine import AffineSymbol, PolynomialSymbol
 from .opnorm import PhiAlphaSymbol
-from .torus import InnerSymbolParams
+from .torus import InnerSymbolParams, _shapiro_weight
 
 __all__ = [
     "Fixture",
@@ -57,7 +57,7 @@ def poly_level_measure(delta: float) -> float:
 
 def poly_shapiro_closed_form(delta: float) -> float:
     """(1/2) (1-delta)/(1+delta) times the closed-form level measure."""
-    return 0.5 * (1.0 - delta) / (1.0 + delta) * poly_level_measure(delta)
+    return _shapiro_weight(delta) * poly_level_measure(delta)
 
 
 def fixtures() -> dict[str, Fixture]:

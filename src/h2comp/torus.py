@@ -48,7 +48,11 @@ pushing it through the disc automorphism (g - g(inf)) / (1 - g(inf) g)
 and framing by D(c, r) gives symbols whose boundary values fill the
 frame circle — the equality case of the subordination principle.  On
 the torus each factor is i cot((phi_j - theta_j)/2), so their boundary
-values come in closed form from tangents of phase differences.
+values come in closed form from tangents of phase differences.  Inside
+the disc, at depth sigma, each factor is written from the same phase
+difference and p_j^{-sigma} (`InnerSymbolParams.interior_values`), again
+from one tangent per factor, so the inner symbols take phases at every
+depth and no character is formed.
 """
 
 from __future__ import annotations
@@ -177,15 +181,6 @@ def _phases(plan: SamplePlan, lo: int, hi: int) -> np.ndarray:
         gen.random(out=row)
         row *= 2.0 * math.pi
     return theta
-
-
-def _characters(plan: SamplePlan, lo: int, hi: int) -> np.ndarray:
-    """The sampled characters e^{i theta} of `_phases(plan, lo, hi)`, a
-    (d, hi - lo) block: bit for bit columns [lo, hi) of any wider block
-    of the same plan."""
-    Z = np.empty((plan.d, hi - lo), dtype=complex)
-    _unimodular(_phases(plan, lo, hi), Z)
-    return Z
 
 
 # --- boundary values ------------------------------------------------------
@@ -368,9 +363,10 @@ def mc_comp_norm_sq(phi, f: DirichletPoly, plan: SamplePlan) -> MeasureResult:
 
 # --- inner-factor symbols -------------------------------------------------
 #
-# Double-double helpers for `_cot_turns`: a pair (hi, lo) stands for the
-# unrounded sum hi + lo (Dekker, "A floating-point technique for
-# extending the available precision", Numer. Math. 18, 1971).
+# Double-double helpers for `_cot_turns` and the interior kernel: a pair
+# (hi, lo) stands for the unrounded sum hi + lo (Dekker, "A
+# floating-point technique for extending the available precision",
+# Numer. Math. 18, 1971).
 
 # 2 pi = fl(2 pi) + _TWO_PI_LO + _TWO_PI_LO2 to about 1e-48
 _TWO_PI_LO, _TWO_PI_LO2 = 2.4492935982947064e-16, -5.989539619436679e-33
@@ -470,67 +466,51 @@ class InnerSymbolParams:
     def g_infinity(self) -> float:
         return math.exp(-sum(self.lambdas))
 
-    def _factors(self, Z: np.ndarray, sigma: float):
-        """(lambda_j, p_j, e^{i theta_j}, z_j, e^{i theta_j} - z_j) for
-        each factor with lambda_j > 0, z_j = p_j^{-sigma} Z[j], at depth
-        sigma > 0.  A column within 1e-12 of a factor pole raises
-        ValueError."""
-        if not sigma > 0.0:
+    def interior_values(
+        self, theta: np.ndarray, sigmas: Sequence[float]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """[(Re S, g) at each depth sigma > 0 in `sigmas`] for a (d, m)
+        block of phases, with g = exp(-Re S) e^{-i Im S}.
+
+        With rho = p_j^{-sigma} and u = phi_j - theta_j, each factor is
+        M = (1 + rho e^{iu})/(1 - rho e^{iu}): Re M = (1 - rho^2)/D and
+        Im M = 4 rho sin(u/2) cos(u/2)/D, D = (1 - rho)^2 + 4 rho
+        sin^2(u/2) = |e^{i theta_j} - z_j|^2, and 1 - rho^2 =
+        -expm1(-2 sigma log p_j).  u is reduced by whole turns as in
+        `_cot_turns`, and its half-angle sine and cosine come from one
+        tangent w = tan(u/4), shared by every depth.  A column within
+        1e-12 of a factor pole (D < 1e-24) raises ValueError.
+        """
+        if not all(s > 0.0 for s in sigmas):
             raise ValueError("sigma must be positive")
+        re_S = np.zeros((len(sigmas), theta.shape[1]))
+        im_S = np.zeros_like(re_S)
         primes = first_primes(self.d)
-        for j, (lam, th) in enumerate(zip(self.lambdas, self.thetas)):
+        for j, (lam, th, phase) in enumerate(zip(self.lambdas, self.thetas, theta)):
             if lam == 0.0:
                 continue
-            pole = complex(math.cos(th), math.sin(th))
-            z = Z[j] * float(primes[j]) ** (-sigma)
-            gap = pole - z
-            if np.any(np.abs(gap) < 1e-12):
-                raise ValueError(f"character coordinate {j} is within 1e-12 of the factor pole")
-            yield lam, primes[j], pole, z, gap
-
-    def exponent_sum(self, Z: np.ndarray, sigma: float) -> np.ndarray:
-        """S = sum_j lambda_j (e^{i theta_j} + z_j)/(e^{i theta_j} - z_j),
-        z_j = p_j^{-sigma} Z[j], for a (d, m) block Z of character values
-        at depth sigma > 0; g = exp(-S).  A column within 1e-12 of a
-        factor pole raises ValueError.
-        """
-        S = np.zeros(Z.shape[1], dtype=complex)
-        for lam, _, pole, z, gap in self._factors(Z, sigma):
-            S += lam * (pole + z) / gap
-        return S
-
-    def exponent_sum_real(self, Z: np.ndarray, sigma: float) -> np.ndarray:
-        """Re S at depth sigma > 0 for a (d, m) block Z of unimodular
-        character values, from the closed form Re M = (1 - |z|^2) /
-        |e^{i theta} - z|^2 with 1 - |z|^2 = -expm1(-2 sigma log p_j).
-        A column within 1e-12 of a factor pole raises ValueError.
-
-        The real part of the complex quotient in `exponent_sum` cancels
-        near the boundary: at sigma = 1e-8 it keeps about 8 digits, and
-        this form keeps all but the rounding of the characters.
-        """
-        re_S = np.zeros(Z.shape[1])
-        for lam, p, _, _, gap in self._factors(Z, sigma):
-            one_minus_z2 = -math.expm1(-2.0 * sigma * math.log(p))
-            re_S += lam * one_minus_z2 / (gap.real**2 + gap.imag**2)
-        return re_S
-
-    def interior_values(self, Z: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """(Re S, g) at depth sigma > 0 for a (d, m) block Z of unimodular
-        character values: g = exp(-Re S) e^{-i Im S}, Re S from
-        `exponent_sum_real` and the character at -Im S from `_unimodular`.
-        A column within 1e-12 of a factor pole raises ValueError.
-
-        Near a factor pole exp(-S) of the complex sum would carry the
-        cancelled digits of its real part into both parts of g.
-        """
-        re_S = self.exponent_sum_real(Z, sigma)
-        g = np.empty(Z.shape[1], dtype=complex)
-        _unimodular(-self.exponent_sum(Z, sigma).imag, g)
+            u, _ = _mod_two_pi(*_two_sum(phase, -th))
+            w = np.tan(np.multiply(u, 0.25, out=u), out=u)
+            # sin(u/2) = 2w/(1 + w^2), cos(u/2) = (1 - w^2)/(1 + w^2)
+            q = 1.0 / (1.0 + w * w)
+            sin_half = 2.0 * w * q
+            sin_cos = sin_half * ((1.0 - w * w) * q)
+            sin2 = np.multiply(sin_half, sin_half, out=sin_half)
+            log_p = math.log(primes[j])
+            for re, im, sigma in zip(re_S, im_S, sigmas):
+                rho = math.exp(-sigma * log_p)
+                D = sin2 * (4.0 * rho)
+                D += math.expm1(-sigma * log_p) ** 2
+                if D.min(initial=math.inf) < 1e-24:
+                    raise ValueError(f"character coordinate {j} is within 1e-12 of the factor pole")
+                re += lam * -math.expm1(-2.0 * sigma * log_p) / D
+                im += np.divide(sin_cos, D, out=D) * (lam * 4.0 * rho)
+        g = np.empty(re_S.shape, dtype=complex)
+        _unimodular(np.negative(im_S, out=im_S), g)
         modulus = np.exp(-re_S)
         g.real *= modulus
         g.imag *= modulus
-        return re_S, g
+        return list(zip(re_S, g))
 
     def frame(self, g: np.ndarray) -> np.ndarray:
         """c + r (g - g_inf)/(1 - g_inf g): the disc automorphism that
@@ -596,27 +576,29 @@ class InnerSymbolParams:
         }
 
 
-def _character_column(chi: Sequence[complex], d: int) -> np.ndarray:
-    """The first d coordinates of a character, as a (d, 1) block.  A
-    coordinate that is not finite or lies more than 1e-12 off the unit
-    circle raises ValueError: the closed forms assume |chi_j| = 1."""
-    vals = [complex(v) for v in chi]
+def _phase_column(theta: Sequence[float], d: int) -> np.ndarray:
+    """The first d phases of a point of the torus, as a (d, 1) block.
+    Fewer than d phases, or a phase that is not finite, raises
+    ValueError."""
+    vals = [float(v) for v in theta]
     if len(vals) < d:
-        raise ValueError(f"character has {len(vals)} coordinates, symbol needs {d}")
+        raise ValueError(f"point has {len(vals)} phases, symbol needs {d}")
     for v in vals:
-        if not abs(abs(v) - 1.0) <= 1e-12:  # false for nan and inf too
-            raise ValueError(f"character value {v} is not unimodular")
-    return np.array(vals[:d], dtype=complex).reshape(d, 1)
+        if not math.isfinite(v):
+            raise ValueError(f"phase {v} is not finite")
+    return np.array(vals[:d]).reshape(d, 1)
 
 
-def inner_boundary_modulus(params: InnerSymbolParams, chi, sigma: float) -> float:
-    """|g| at distance sigma from the boundary along the character chi.
+def inner_boundary_modulus(params: InnerSymbolParams, theta, sigma: float) -> float:
+    """|g| at distance sigma from the boundary at the point with phases
+    theta, the character e^{i theta}.
 
     Tends to 1 as sigma -> 0+ (inner) and to exp(-sum lambda_j) as
-    sigma -> +inf.  A character landing within 1e-12 of a pole of one
+    sigma -> +inf.  A point landing within 1e-12 of a pole of one
     Blaschke-type factor is rejected.
     """
-    return float(np.exp(-params.exponent_sum_real(_character_column(chi, params.d), sigma))[0])
+    [(re_S, _)] = params.interior_values(_phase_column(theta, params.d), (sigma,))
+    return float(np.exp(-re_S[0]))
 
 
 def inner_truncation_bound(params: InnerSymbolParams, sigma: float) -> float:
@@ -633,15 +615,13 @@ def inner_truncation_bound(params: InnerSymbolParams, sigma: float) -> float:
     return 2.0 * params.lambda_tail / dist
 
 
-def mobius_symbol_value(params: InnerSymbolParams, chi, sigma: float) -> complex:
+def mobius_symbol_value(params: InnerSymbolParams, theta, sigma: float) -> complex:
     """Value of the framed symbol c + r (g - g_inf)/(1 - g_inf g) at
-    vertical position sigma along the character chi.
+    vertical position sigma at the point with phases theta.
 
     Sends +infinity to c; the image stays inside D(c, r), reaching the
-    frame circle exactly in the boundary limit sigma -> 0+.  A character
+    frame circle exactly in the boundary limit sigma -> 0+.  A point
     landing within 1e-12 of a factor pole is rejected.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    _, g = params.interior_values(_character_column(chi, params.d), sigma)
+    [(_, g)] = params.interior_values(_phase_column(theta, params.d), (sigma,))
     return complex(params.frame(g)[0])

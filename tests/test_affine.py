@@ -45,7 +45,7 @@ def _random_symbol(rng, d=None):
 
 def _random_poly(rng, max_n=30, terms=6):
     ns = rng.choice(np.arange(1, max_n + 1), size=terms, replace=False)
-    f = DirichletPoly.zero()
+    f = DirichletPoly()
     for n in ns:
         f = f + DirichletPoly.monomial(int(n), complex(rng.normal(), rng.normal()))
     return f
@@ -461,7 +461,7 @@ def test_comp_norm_constant_symbol():
 
 def test_comp_norm_constant_function():
     phi = AffineSymbol(1.5, (0.4, 0.6))
-    assert comp_norm_sq(phi, DirichletPoly.one()) == pytest.approx(1.0)
+    assert comp_norm_sq(phi, DirichletPoly({1: 1.0})) == pytest.approx(1.0)
 
 
 def test_comp_norm_single_prime_bessel_series():

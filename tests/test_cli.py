@@ -22,7 +22,7 @@ from h2comp.cli import main
 from h2comp.errors import InequalityViolation
 from h2comp.fixtures import get_fixture
 from h2comp.primes import first_primes
-from h2comp.torus import SamplePlan, _characters, _phases, inner_boundary_modulus
+from h2comp.torus import SamplePlan, _phases, inner_boundary_modulus
 from h2comp.zeta import zeta
 
 
@@ -302,7 +302,7 @@ def test_inner_rows_match_per_sample_reference(n, seed):
     assert ok and report["deep_interior_matches_limit"] is True
     theta = _phases(plan, 0, n)
     deep = _mp_inner(params, theta[:, 0], 40.0)[0]
-    assert report["deep_interior_modulus"] == pytest.approx(deep, rel=0, abs=1e-12)
+    assert report["deep_interior_modulus"] == pytest.approx(deep, rel=1e-13, abs=0)
     for row, s in zip(report["rows"], INNER_SIGMAS, strict=True):
         mods, gaps, offs = np.array([_mp_inner(params, theta[:, i], s) for i in range(n)]).T
         assert row["sigma"] == s
@@ -312,13 +312,13 @@ def test_inner_rows_match_per_sample_reference(n, seed):
             ("median_gap_to_unit", np.median(gaps)),
             ("offset_max", offs.max()),
         ]:
-            assert row[key] == pytest.approx(ref, rel=0, abs=1e-12), key
+            assert row[key] == pytest.approx(ref, rel=1e-13, abs=0), key
         assert row["inner_modulus_at_most_one"] is bool(np.all(mods <= 1.0 + 1e-9))
         assert row["image_inside_frame_disc"] is bool(np.all(offs <= params.r + 1e-9))
 
 
 def test_inner_rows_blocked_scan_matches_one_draw():
-    # two blocks of characters, the second one short
+    # two blocks of phases, the second one short
     params = get_fixture("example-7.3").symbol
     block = 2**19
     plan = SamplePlan(n_samples=block + 4097, seed=77, d=params.d)
@@ -329,18 +329,19 @@ def test_inner_rows_blocked_scan_matches_one_draw():
     finally:
         tracemalloc.stop()
     assert ok
-    Z = _characters(plan, 0, plan.n_samples)
-    assert report["deep_interior_modulus"] == inner_boundary_modulus(params, Z[:, 0], 40.0)
-    for row, s in zip(report["rows"], INNER_SIGMAS, strict=True):
-        mods = np.exp(-params.exponent_sum_real(Z, s))
-        offs = np.abs(params.frame(params.interior_values(Z, s)[1]) - params.c)
+    theta = _phases(plan, 0, plan.n_samples)
+    assert report["deep_interior_modulus"] == inner_boundary_modulus(params, theta[:, 0], 40.0)
+    values = params.interior_values(theta, INNER_SIGMAS)
+    for row, (re_S, g) in zip(report["rows"], values, strict=True):
+        mods = np.exp(-re_S)
+        offs = np.abs(params.frame(g) - params.c)
         assert row["modulus_min"] == mods.min()
         assert row["modulus_max"] == mods.max()
-        assert row["median_gap_to_unit"] == np.median(-np.expm1(-params.exponent_sum_real(Z, s)))
+        assert row["median_gap_to_unit"] == np.median(-np.expm1(-re_S))
         assert row["offset_max"] == offs.max()
-    # one complex character block, 8 bytes of |g| per sample per depth,
-    # and at most eight complex block rows of temporaries
-    bound = 16 * params.d * block + 8 * len(INNER_SIGMAS) * plan.n_samples + 8 * 16 * block
+    # one real phase block, 8 bytes of 1 - |g| per sample per depth, and
+    # at most eight complex block rows of temporaries
+    bound = 8 * params.d * block + 8 * len(INNER_SIGMAS) * plan.n_samples + 16 * 8 * block
     assert peak < bound
 
 

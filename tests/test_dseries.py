@@ -16,7 +16,7 @@ from h2comp.dseries import DirichletPoly, carlson_mean, evaluate, h2_norm_sq
 
 def _random_poly(rng, max_n=60, terms=8):
     ns = rng.choice(np.arange(1, max_n + 1), size=terms, replace=False)
-    f = DirichletPoly.zero()
+    f = DirichletPoly()
     for n in ns:
         a = complex(rng.normal(), rng.normal())
         f = f + (DirichletPoly.monomial(int(n), a))
@@ -26,8 +26,8 @@ def _random_poly(rng, max_n=60, terms=8):
 def test_norm_examples():
     f = DirichletPoly.monomial(2, 3.0) + (DirichletPoly.monomial(3, 4.0))
     assert h2_norm_sq(f) == pytest.approx(25.0, rel=1e-15)
-    assert h2_norm_sq(DirichletPoly.one()) == 1.0
-    assert h2_norm_sq(DirichletPoly.zero()) == 0.0
+    assert h2_norm_sq(DirichletPoly({1: 1.0})) == 1.0
+    assert h2_norm_sq(DirichletPoly()) == 0.0
 
 
 def test_norm_positivity():
@@ -59,7 +59,7 @@ def test_dilation_isometry():
 def test_evaluate_examples():
     f = DirichletPoly.monomial(2, 1.0)
     assert evaluate(f, 1.0) == pytest.approx(0.5)
-    g = DirichletPoly.one() + (DirichletPoly.monomial(2, 1.0))
+    g = DirichletPoly({1: 1.0}) + (DirichletPoly.monomial(2, 1.0))
     assert evaluate(g, 0.0) == pytest.approx(2.0)
 
 
@@ -81,7 +81,7 @@ def test_evaluate_manual_sum():
 
 
 def test_carlson_constant_and_monomial():
-    one = DirichletPoly.one()
+    one = DirichletPoly({1: 1.0})
     assert carlson_mean(one, 10.0) == pytest.approx(1.0, rel=1e-12)
     f = DirichletPoly.monomial(2, 1.0)
     assert carlson_mean(f, 10.0) == pytest.approx(1.0, rel=1e-9)
@@ -130,7 +130,7 @@ def _mp_evaluate_atol(f, s):
 
 def test_evaluate_array_path_matches_mpmath():
     rng = np.random.default_rng(61)
-    f = _random_poly(rng, max_n=1000, terms=7) + DirichletPoly.one()
+    f = _random_poly(rng, max_n=1000, terms=7) + DirichletPoly({1: 1.0})
     x = rng.uniform(0.5, 3.0, size=(3, 40))
     y = np.concatenate([rng.uniform(-50.0, 50.0, 60), rng.uniform(-1e4, 1e4, 58), [0.0, -0.0]])
     s = x + 1j * y.reshape(3, 40)

@@ -1,9 +1,11 @@
-"""Every public name feeds a report, a suite, a demo or the benchmark.
+"""Every public name feeds a report, a suite, a demo or the benchmark,
+and every definition of the package has a reader.
 
-A name in `h2comp.__all__` counts as read when a module of the package
-other than `__init__` (which only re-exports), a demo, a tool or a
-bench script names it: as a loaded name, an attribute or an imported
-alias.  A public name that only its own tests read has no caller.
+A name counts as read when a module of the package other than
+`__init__` (which only re-exports), a demo, a tool or a bench script
+names it: as a loaded name, an attribute or an imported alias.  A public
+name, a private helper or a method that only its own tests read has no
+caller.
 """
 
 from __future__ import annotations
@@ -34,16 +36,56 @@ def _names_read(path: Path):
             yield from (alias.name for alias in node.names)
 
 
-def test_every_public_name_has_a_reader():
+def _read_by_readers() -> set[str]:
     init = ROOT / "src" / "h2comp" / "__init__.py"
     read = set()
     for top in READERS:
         for path in sorted((ROOT / top).rglob("*.py")):
             if path != init:
                 read.update(_names_read(path))
+    return read
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(path: Path):
+    """(qualified name, name a reader would use) for each top-level
+    function, class and module constant of a module, and each method of
+    its classes, dunders left out."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        yield from ((name, name) for name in names if not _is_dunder(name))
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name):
+                    yield f"{node.name}.{sub.name}", sub.name
+
+
+def test_every_public_name_has_a_reader():
+    read = _read_by_readers()
     public = set(h2comp.__all__) - {"__version__"}
     assert UNREAD_REFERENCES <= public - read
     assert sorted(public - read - UNREAD_REFERENCES) == []
+
+
+def test_every_definition_has_a_reader():
+    # a helper, constant or method that only tests call is code the
+    # package does not need, however it is named
+    read = _read_by_readers()
+    unread = [
+        f"{path.name}: {qualified}"
+        for path in sorted((ROOT / "src" / "h2comp").glob("*.py"))
+        for qualified, name in _definitions(path)
+        if name not in read and name not in UNREAD_REFERENCES
+    ]
+    assert unread == []
 
 
 def test_package_exports_are_the_submodule_exports():

@@ -22,7 +22,6 @@ from h2comp.dseries import _unimodular
 from h2comp.fixtures import fixtures
 from h2comp.opnorm import PhiAlphaSymbol
 from h2comp.primes import exponents_over, first_primes
-from h2comp import torus
 from h2comp.torus import InnerSymbolParams, SamplePlan, _phases, curve_trace
 
 SAMPLEABLE = [name for name, fx in fixtures().items() if fx.kind in ("affine", "poly", "inner")]
@@ -169,7 +168,8 @@ def _ref_prime_order(phi: AffineSymbol, Z: np.ndarray) -> np.ndarray:
 def _torus_block(phi, seed: int, m: int = 4099) -> tuple[np.ndarray, np.ndarray]:
     """Sampled phases and their characters."""
     plan = SamplePlan(n_samples=m, seed=seed, d=max(phi.d, 1))
-    return _phases(plan, 0, m), torus._characters(plan, 0, m)
+    theta = _phases(plan, 0, m)
+    return theta, _characters(theta)
 
 
 def _near_poles(phi: InnerSymbolParams, theta: np.ndarray) -> np.ndarray:

@@ -38,8 +38,8 @@ SQ58 = math.sqrt(5.0 / 8.0)
 # --- character sampling ---------------------------------------------------
 
 def _all_characters(plan):
-    """Every column of a plan's characters, drawn as one block."""
-    return torus._characters(plan, 0, plan.n_samples)
+    """Every column of a plan's characters e^{i theta}, drawn as one block."""
+    return _characters_of(torus._phases(plan, 0, plan.n_samples))
 
 
 def test_sampling_is_reproducible():
@@ -130,7 +130,8 @@ def test_characters_start_at_their_counter_offset():
         (_WIDE + torus._SLICE, _WIDE + 2 * torus._SLICE),
         (last, n),
     ]:
-        assert torus._characters(plan, lo, hi).tobytes() == full[:, lo:hi].tobytes(), (lo, hi)
+        got = _characters_of(torus._phases(plan, lo, hi))
+        assert got.tobytes() == full[:, lo:hi].tobytes(), (lo, hi)
         assert torus._phases(plan, lo, hi).tobytes() == phases[:, lo:hi].tobytes(), (lo, hi)
 
 
@@ -138,7 +139,7 @@ def test_characters_keep_every_bit_of_a_64_bit_seed():
     # a list key [seed, j] turns into float64 once seed >= 2^63: seeds
     # 2^63 and 2^63 + 1 then drew the same phases, and 2^64 - 1 warned
     def draw(seed):
-        return torus._characters(SamplePlan(n_samples=8, seed=seed, d=2), 0, 8)
+        return _all_characters(SamplePlan(n_samples=8, seed=seed, d=2))
 
     assert not np.array_equal(draw(2**63), draw(2**63 + 1))
     with warnings.catch_warnings(record=True) as caught:
@@ -504,7 +505,7 @@ def test_mc_comp_norm_matches_exact():
         (AffineSymbol(1.5, (1.0,)), DirichletPoly.monomial(2, 1.0)),
         (
             AffineSymbol(1.5, (0.6, 0.4)),
-            DirichletPoly.one() + DirichletPoly.monomial(2, 0.5),
+            DirichletPoly({1: 1.0}) + DirichletPoly.monomial(2, 0.5),
         ),
         (
             AffineSymbol(2.0, (0.5, 0.25)),
@@ -550,19 +551,19 @@ def test_inner_params_validation():
 
 def test_inner_modulus_deep_limit():
     params = InnerSymbolParams(lambdas=(0.5,), thetas=(0.0,))
-    val = inner_boundary_modulus(params, (1.0,), sigma=40.0)
+    val = inner_boundary_modulus(params, (0.0,), sigma=40.0)
     assert val == pytest.approx(math.exp(-0.5), abs=1e-6)
     assert params.g_infinity == pytest.approx(math.exp(-0.5))
 
 
 def test_inner_modulus_boundary_single_factor():
     params = InnerSymbolParams(lambdas=(0.5,), thetas=(0.0,))
-    val = inner_boundary_modulus(params, (-1.0,), sigma=1e-8)
+    val = inner_boundary_modulus(params, (math.pi,), sigma=1e-8)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_inner_modulus_boundary_random_characters():
-    # keep every coordinate a fixed arc away from its factor's pole:
+    # keep every phase a fixed arc away from its factor's pole:
     # the deficit scales like sigma / dist^2, so pole-hugging draws
     # would swamp the limit
     params = get_fixture("example-7.3").symbol
@@ -570,39 +571,39 @@ def test_inner_modulus_boundary_random_characters():
     thetas = np.asarray(params.thetas)
     for _ in range(10):
         offs = rng.uniform(0.1, 2 * math.pi - 0.1, size=params.d)
-        chi = tuple(np.exp(1j * (thetas + offs)))
-        val = inner_boundary_modulus(params, chi, sigma=1e-8)
+        val = inner_boundary_modulus(params, tuple(thetas + offs), sigma=1e-8)
         assert val == pytest.approx(1.0, abs=1e-5)
 
 
 def test_inner_modulus_ladder_is_bounded_by_one():
     params = get_fixture("example-7.3").symbol
     rng = np.random.default_rng(139)
-    chi = tuple(np.exp(1j * rng.uniform(0.1, 6.0, size=params.d)))
+    phases = tuple(rng.uniform(0.1, 6.0, size=params.d))
     for sigma in (10.0, 1.0, 0.1, 0.01, 1e-4, 1e-8):
-        assert inner_boundary_modulus(params, chi, sigma) <= 1.0 + 1e-9
+        assert inner_boundary_modulus(params, phases, sigma) <= 1.0 + 1e-9
 
 
 def test_inner_pole_guard():
     params = InnerSymbolParams(lambdas=(0.5,), thetas=(0.0,))
     with pytest.raises(ValueError):
-        # chi aligned with the pole and essentially on the boundary
-        inner_boundary_modulus(params, (1.0,), sigma=1e-14)
+        # the phase of the pole, essentially on the boundary
+        inner_boundary_modulus(params, (0.0,), sigma=1e-14)
 
 
 @pytest.mark.parametrize("fn", [inner_boundary_modulus, mobius_symbol_value])
-@pytest.mark.parametrize("chi, message", [
-    ((2.0,) * 6, "not unimodular"),
-    ((0.5j,) * 6, "not unimodular"),
-    ((math.nan,) * 6, "not unimodular"),
-    ((1.0,) * 5, "symbol needs 6"),
-], ids=["two", "half-i", "nan", "short"])
-def test_characters_off_the_torus_rejected(fn, chi, message):
-    # the closed form of Re S assumes |chi_j| = 1: off the circle it
-    # returns a modulus below 1 that belongs to no point of the symbol
+@pytest.mark.parametrize("theta, message", [
+    ((0.5,) * 5 + (math.nan,), "phase nan is not finite"),
+    ((math.inf,) + (0.5,) * 5, "phase inf is not finite"),
+    ((0.5,) * 3 + (-math.inf,) * 3, "phase -inf is not finite"),
+    ((0.5,) * 5, "point has 5 phases, symbol needs 6"),
+], ids=["nan", "inf", "minus-inf", "short"])
+def test_characters_off_the_torus_rejected(fn, theta, message):
+    # a point of the torus has a finite phase in every coordinate the
+    # symbol reads: a non-finite one has no character, and a short one
+    # leaves a factor without its phase
     params = get_fixture("example-7.3").symbol
     with pytest.raises(ValueError, match=message):
-        fn(params, chi, 0.1)
+        fn(params, theta, 0.1)
 
 
 def test_inner_truncation_bound_decreases():
@@ -616,8 +617,7 @@ def test_inner_truncation_bound_decreases():
 
 def test_mobius_symbol_deep_value_is_center():
     params = get_fixture("example-7.3").symbol
-    chi = tuple(np.exp(1j * np.linspace(0.3, 5.0, params.d)))
-    val = mobius_symbol_value(params, chi, sigma=45.0)
+    val = mobius_symbol_value(params, tuple(np.linspace(0.3, 5.0, params.d)), sigma=45.0)
     assert val == pytest.approx(params.c, abs=1e-6)
 
 
@@ -625,8 +625,7 @@ def test_mobius_symbol_stays_in_frame():
     params = get_fixture("example-7.3").symbol
     rng = np.random.default_rng(149)
     for sigma in (5.0, 0.5, 0.05):
-        chi = tuple(np.exp(1j * rng.uniform(0.05, 6.2, size=params.d)))
-        val = mobius_symbol_value(params, chi, sigma)
+        val = mobius_symbol_value(params, tuple(rng.uniform(0.05, 6.2, size=params.d)), sigma)
         assert abs(val - params.c) < params.r + 1e-12
 
 
@@ -634,37 +633,33 @@ def test_mobius_symbol_boundary_modulus():
     params = get_fixture("example-7.3").symbol
     rng = np.random.default_rng(151)
     for _ in range(5):
-        chi = tuple(np.exp(1j * rng.uniform(0.05, 6.2, size=params.d)))
-        val = mobius_symbol_value(params, chi, sigma=1e-8)
+        val = mobius_symbol_value(params, tuple(rng.uniform(0.05, 6.2, size=params.d)), sigma=1e-8)
         assert abs(val - params.c) / params.r == pytest.approx(1.0, abs=1e-5)
 
 
 def test_mobius_symbol_value_near_a_pole_matches_mpmath():
     # the column of `inner-check --samples 500 --seed 9` with the largest
     # Re S at sigma = 1e-6: factor 5 is 5.0e-4 from its pole, so S = 0.48
-    # - 99.5i, and Re S cancels in the complex quotient
+    # - 99.5i, and the complex quotient there lost digits of both parts
     import mpmath as mp
 
     params = get_fixture("example-7.3").symbol
     plan = SamplePlan(n_samples=500, seed=9, d=params.d)
     sigma = 1e-6
-    Z = torus._characters(plan, 0, plan.n_samples)
-    col = int(np.argmax(params.exponent_sum_real(Z, sigma)))
+    theta = torus._phases(plan, 0, plan.n_samples)
+    [(re_S, _)] = params.interior_values(theta, (sigma,))
+    col = int(np.argmax(re_S))
     assert col == 45
-    phases = torus._phases(plan, 0, plan.n_samples)[:, col]
     primes = torus.first_primes(params.d)
     with mp.workdps(30):
         S = mp.mpc(0)
-        for lam, th, p, u in zip(params.lambdas, params.thetas, primes, phases):
+        for lam, th, p, u in zip(params.lambdas, params.thetas, primes, theta[:, col]):
             pole, z = mp.expj(th), mp.expj(float(u)) * mp.power(p, -mp.mpf(sigma))
             S += lam * (pole + z) / (pole - z)
         g, ginf = mp.exp(-S), mp.exp(-mp.fsum(params.lambdas))
         ref = complex(params.c + params.r * (g - ginf) / (1 - ginf * g))
-    val = mobius_symbol_value(params, Z[:, col], sigma)
-    # what is left is Im S: rounding the pole e^{4i} and z_5 across the
-    # gap costs about 8e-12 there, and it turns g along the frame circle
-    assert abs(val.imag - ref.imag) < 5e-13
-    assert abs(val - ref) < 6.5e-12
+    val = mobius_symbol_value(params, theta[:, col], sigma)
+    assert abs(val - ref) < 2e-14
 
 
 # --- the inner boundary kernel ----------------------------------------------
@@ -748,21 +743,23 @@ def test_inner_params_need_a_positive_lambda_sum():
 
 def test_exponent_sum_needs_positive_depth():
     params = get_fixture("example-7.3").symbol
-    Z = _all_characters(SamplePlan(n_samples=8, seed=3, d=params.d))
-    for sigma in (0.0, -1.0):
+    theta = torus._phases(SamplePlan(n_samples=8, seed=3, d=params.d), 0, 8)
+    for sigmas in ((0.0,), (-1.0,), (0.1, 0.0), (math.nan,)):
         with pytest.raises(ValueError, match="sigma must be positive"):
-            params.exponent_sum(Z, sigma)
+            params.interior_values(theta, sigmas)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        mobius_symbol_value(params, theta[:, 0], 0.0)
 
 
 @pytest.mark.parametrize("fn", [inner_boundary_modulus, mobius_symbol_value])
 @pytest.mark.parametrize("offset", [0.0, 1e-13])
 def test_near_pole_rejected_inside_the_disc(fn, offset):
     params = InnerSymbolParams(lambdas=(0.5, 0.3), thetas=(0.0, 2.0))
-    chi = (np.exp(1j * (0.7)), np.exp(1j * (2.0 + offset)))
+    theta = (0.7, 2.0 + offset)
     with pytest.raises(ValueError, match="coordinate 1 is within 1e-12"):
-        fn(params, chi, 1e-14)
-    # the same character one step further in is accepted
-    assert math.isfinite(abs(fn(params, chi, 1e-6)))
+        fn(params, theta, 1e-14)
+    # the same point one step further in is accepted
+    assert math.isfinite(abs(fn(params, theta, 1e-6)))
 
 
 # --- column slices on every CPU ---------------------------------------------
@@ -1011,23 +1008,56 @@ def test_sampling_works_in_a_forked_child(pool_size):
     assert proc.exitcode == 0
 
 
-def test_exponent_sum_real_matches_mpmath():
+def _wide_inner_block(m=200):
+    """A symbol whose factor phases lie outside [0, 2 pi), and an m-column
+    block of phases in [-100, 100] where every 4th column puts one
+    coordinate whole turns from its factor's pole, 1e-11 to 1e-3 off it."""
+    params = InnerSymbolParams(
+        lambdas=(0.4, 0.2, 0.1, 0.05, 0.025, 0.0125), thetas=(-7.5, 9.25, 20.0, -1.0, 13.5, 33.0)
+    )
+    rng = np.random.default_rng(2024)
+    theta = rng.uniform(-100.0, 100.0, size=(params.d, m))
+    for i in range(0, m, 4):
+        j, k = int(rng.integers(params.d)), int(rng.integers(-15, 16))
+        off = float(rng.choice([1.0, -1.0])) * 10.0 ** rng.uniform(-11.0, -3.0)
+        theta[j, i] = params.thetas[j] + 2.0 * math.pi * k + off
+    return params, theta
+
+
+INTERIOR_SIGMAS = (1.0, 1e-2, 1e-4, 1e-8, 1e-12)
+
+
+def test_interior_values_match_mpmath():
+    # S = sum_j lambda_j (e^{i theta_j} + z_j)/(e^{i theta_j} - z_j) at 40
+    # digits on the same double phases: Re S keeps all but a few ulp, and
+    # g = exp(-S) all but a few ulp of |S|, however near a pole
     import mpmath as mp
 
-    params = get_fixture("example-7.3").symbol
-    rng = np.random.default_rng(2024)
-    u = rng.uniform(0.0, 2.0 * math.pi, size=(params.d, 8))
-    Z = np.exp(1j * u)
+    params, theta = _wide_inner_block()
     primes = torus.first_primes(params.d)
+    eps = np.finfo(float).eps
+    values = params.interior_values(theta, INTERIOR_SIGMAS)
     with mp.workdps(40):
-        for sigma in (1.0, 1e-2, 1e-4, 1e-8, 1e-12):
-            got = params.exponent_sum_real(Z, sigma)
-            for i in range(Z.shape[1]):
-                ref = mp.mpf(0)
-                for j, (lam, th) in enumerate(zip(params.lambdas, params.thetas)):
+        for sigma, (re_S, g) in zip(INTERIOR_SIGMAS, values, strict=True):
+            for i in range(theta.shape[1]):
+                S = mp.mpc(0)
+                for lam, th, p, u in zip(params.lambdas, params.thetas, primes, theta[:, i]):
                     pole = mp.expj(th)
-                    z = mp.power(primes[j], -mp.mpf(sigma)) * mp.expj(u[j, i])
-                    ref += lam * ((pole + z) / (pole - z)).real
-                assert float(abs(got[i] - ref) / ref) < 1e-12, (sigma, i)
-    with pytest.raises(ValueError, match="sigma must be positive"):
-        params.exponent_sum_real(Z, 0.0)
+                    z = mp.power(p, -mp.mpf(sigma)) * mp.expj(float(u))
+                    S += lam * (pole + z) / (pole - z)
+                assert float(abs(re_S[i] - S.real) / S.real) < 1.5e-15, (sigma, i)
+                if S.real < 700.0:  # exp(-S) is a normal double
+                    ref = mp.exp(-S)
+                    bound = 16.0 * eps * (1.0 + float(abs(S)))
+                    assert float(abs(g[i] - ref) / abs(ref)) < bound, (sigma, i)
+
+
+def test_interior_values_at_several_depths_are_the_one_depth_values():
+    # each depth shares the phase reduction and the tangent of its slice
+    # and nothing else, so its bits do not depend on the other depths
+    params, theta = _wide_inner_block()
+    together = params.interior_values(theta, INTERIOR_SIGMAS)
+    for sigma, (re_S, g) in zip(INTERIOR_SIGMAS, together, strict=True):
+        [(re_one, g_one)] = params.interior_values(theta, (sigma,))
+        assert re_S.tobytes() == re_one.tobytes()
+        assert g.tobytes() == g_one.tobytes()
